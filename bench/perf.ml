@@ -34,12 +34,12 @@
    utilization can never exceed 1).
 
    Sharded message plane (schema v5): the same flood workload on streamed
-   degree-bounded graphs at n = 1e5 (and 1e6 in full mode), run under the
-   Fast engine's sequential and sharded delivery backends
+   degree-bounded graphs at n = 1e5 (and 1e6 in full mode), run by the
+   Fast engine's sharded rounds at jobs=1 and at jobs=N
    (mp:seq:n=.../mp:sharded:n=...).  The two are byte-identical in every
    observable — the suites measure wall-clock only, and the full run
    re-proves the identity at n = 1e6 (states, stats and stripped metric
-   exposition compared across seq, sharded -j 1 and sharded -j 4).
+   exposition compared across the Ref engine, Fast -j 1 and Fast -j 4).
 
    Results are written as JSON (schema ultraspan-perf/6, default
    [BENCH_congest.json]) so future PRs can diff against the recorded
@@ -51,9 +51,9 @@
      perf --gate-efficiency FILE [--min-pool-utilization X]
           [--max-arena-waste X]     gate a recorded artifact's efficiency
      perf --mp-smoke N              large-n determinism gate: flood + BFS
-        on a streamed degree-bounded graph at n=N, sequential backend vs
-        sharded at jobs 1 and 4; states, stats and stripped metrics must
-        be byte-identical (exit 1 on any mismatch)
+        on a streamed degree-bounded graph at n=N, the Ref engine vs the
+        Fast engine at jobs 1 and 4; states, stats and stripped metrics
+        must be byte-identical (exit 1 on any mismatch)
      perf [--quick] --against FILE [--tolerance PCT] [--suites]
         rerun the suite and gate on the recorded baseline: the fast-vs-ref
         message-plane speedup must stay within PCT percent of the baseline
@@ -64,8 +64,8 @@
         with a note: a ratio needs cores to manifest.  Against a v3
         baseline the dynamic repair-vs-rebuild speedup must clear a 1.2x
         absolute floor and stay within PCT of the recorded ratio, and
-        against a v5 baseline the sharded-vs-seq message-plane speedup at
-        n=1e5 must clear a 1.5x absolute floor (>= 4 cores only, same
+        against a v5 baseline the jobs=N-vs-jobs=1 message-plane speedup
+        at n=1e5 must clear a 1.5x absolute floor (>= 4 cores only, same
         skip rule as the stretch gate).  Against a v6 baseline the oracle
         batch queries/sec speedup at jobs=N must clear the same 1.5x
         absolute floor under the same core-aware skip rule.
@@ -105,7 +105,7 @@ let make_flood_program rounds =
 let flood_program = make_flood_program flood_rounds
 
 (* Large-n message plane: streamed degree-bounded graphs put the sharded
-   delivery backend where it matters — sizes at which the per-round arc
+   rounds where they matter — sizes at which the per-round arc
    sweep is memory-bound.  Fewer flood rounds than the small workload: one
    run already moves millions of words. *)
 let sharded_seed = 91
@@ -113,7 +113,7 @@ let sharded_degree = 4
 let big_flood_rounds = 4
 let big_sizes ~quick = if quick then [ 100_000 ] else [ 100_000; 1_000_000 ]
 
-(* the size whose seq-vs-sharded ratio feeds the gated speedup *)
+(* the size whose jobs=1-vs-jobs=N ratio feeds the gated speedup *)
 let gate_big_n = 100_000
 
 let big_graph n =
@@ -270,26 +270,23 @@ let message_plane_rows ~quick =
   in
   [ fast; ref_ ]
 
-(* Seq vs sharded delivery on the large streamed graphs.  Both backends on
-   the Fast engine; results are byte-identical (the differential suite and
-   --mp-smoke prove it), so only wall-clock separates the rows. *)
+(* The Fast engine's sharded rounds at jobs=1 (the mp:seq rows) vs jobs=N
+   (mp:sharded) on the large streamed graphs; results are byte-identical
+   (the differential suite and --mp-smoke prove it), so only wall-clock
+   separates the rows. *)
 let sharded_rows ~quick =
   let prog = make_flood_program big_flood_rounds in
   List.concat_map
     (fun n ->
       let g = big_graph n in
-      let run backend () =
-        ignore (Network.run ~engine:`Fast ~backend ~jobs:!par_jobs g prog)
-      in
-      let stats backend =
-        snd (Network.run ~engine:`Fast ~backend ~jobs:!par_jobs g prog)
-      in
+      let run jobs () = ignore (Network.run ~engine:`Fast ~jobs g prog) in
+      let stats jobs = snd (Network.run ~engine:`Fast ~jobs g prog) in
       let sized b = Printf.sprintf "mp:%s:n=%d" b n in
       [
         measure_stats ~quota:1.0 ~quick ~name:(sized "seq")
-          ~kind:"message-plane" ~n ~stats:(stats `Seq) (run `Seq);
+          ~kind:"message-plane" ~n ~stats:(stats 1) (run 1);
         measure_stats ~quota:1.0 ~quick ~name:(sized "sharded")
-          ~kind:"message-plane" ~n ~stats:(stats `Sharded) (run `Sharded);
+          ~kind:"message-plane" ~n ~stats:(stats !par_jobs) (run !par_jobs);
       ])
     (big_sizes ~quick)
 
@@ -426,8 +423,8 @@ let measure_efficiency ~quick =
   let deliveries = cnt "congest.deliveries_total" in
   let rounds = cnt "congest.rounds_total" in
   let arcs = 2 * Graph.m g in
-  let slots = cnt "timing.congest.fast.arena_slots_touched" in
-  let words = cnt "timing.congest.fast.arena_words_written" in
+  let slots = cnt "timing.congest.arena_slots_touched" in
+  let words = cnt "timing.congest.arena_words_written" in
   (* domain pool: one instrumented stretch verification, after an untimed
      warm-up so worker spawn cost stays outside the measurement *)
   let gp, keep = par_workload ~quick in
@@ -542,8 +539,8 @@ let speedup_of rows =
   let ref_ = List.find (fun r -> r.name = "mp:ref") rows in
   messages_per_sec fast /. messages_per_sec ref_
 
-(* seq-vs-sharded wall-clock ratio of the gated large-n pair (>1 = the
-   sharded backend wins); NaN when the rows are absent (old baselines). *)
+(* jobs=1-vs-jobs=N wall-clock ratio of the gated large-n pair (>1 = the
+   pool wins); NaN when the rows are absent (old baselines). *)
 let sharded_speedup_of rows =
   match
     ( List.find_opt
@@ -883,8 +880,8 @@ let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
         fail "stretch:par speedup %.2fx below relative floor %.2fx (baseline \
               %.2fx)"
           cur_par rel_floor base_par);
-  (* Sharded-delivery gate: same shape as the stretch gate — the
-     seq-vs-sharded message-plane ratio at n=1e5 needs real cores to
+  (* Sharded-rounds gate: same shape as the stretch gate — the
+     jobs=1-vs-jobs=N message-plane ratio at n=1e5 needs real cores to
      manifest, so it is enforced only on >= 4-core machines and only
      against a v5 baseline that recorded the sharded section. *)
   (match J.field_opt "sharded" j with
@@ -896,7 +893,7 @@ let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
       let base_cores = J.int (J.field "cores" p) in
       Printf.printf
         "sharded gate: skipped (%d core(s) here, baseline recorded %d — the \
-         sharded-vs-seq ratio cannot manifest below 4 cores)\n"
+         jobs=N-vs-jobs=1 ratio cannot manifest below 4 cores)\n"
         cores base_cores
   | Some p ->
       let abs_floor = 1.5 in
@@ -1014,14 +1011,14 @@ let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
 (* ------------------------------------------------------------------ *)
 
 (* Flood and BFS on a streamed degree-bounded graph at the given n, run
-   under the sequential backend and under the sharded backend at jobs 1
-   and 4.  States, stats and the stripped deterministic metric exposition
-   must be byte-identical across all three — in-process, no files.
-   Returns the mismatch count (the caller exits 1 on any). *)
+   on the Ref engine (the independent reference) and on the Fast engine at
+   jobs 1 and 4.  States, stats and the stripped deterministic metric
+   exposition must be byte-identical across all three — in-process, no
+   files.  Returns the mismatch count (the caller exits 1 on any). *)
 let mp_smoke n =
   Printf.printf
-    "mp-smoke: n=%d streamed degree-%d graph — flood + BFS, seq vs sharded \
-     -j 1 vs sharded -j 4...\n%!"
+    "mp-smoke: n=%d streamed degree-%d graph — flood + BFS, ref vs fast -j 1 \
+     vs fast -j 4...\n%!"
     n sharded_degree;
   let g = big_graph n in
   let flood = make_flood_program big_flood_rounds in
@@ -1029,7 +1026,7 @@ let mp_smoke n =
   let agree what tag (s1, st1, e1) (s2, st2, e2) =
     let miss part =
       incr failures;
-      Printf.eprintf "MP-SMOKE MISMATCH %s %s: %s differs from seq\n" what
+      Printf.eprintf "MP-SMOKE MISMATCH %s %s: %s differs from ref\n" what
         part tag
     in
     if s1 <> s2 then miss "states";
@@ -1037,23 +1034,21 @@ let mp_smoke n =
     if not (String.equal e1 e2) then miss "metrics"
   in
   let family what obs =
-    let base = obs ~backend:`Seq ~jobs:1 in
-    agree what "sharded -j 1" base (obs ~backend:`Sharded ~jobs:1);
-    agree what "sharded -j 4" base (obs ~backend:`Sharded ~jobs:4)
+    let base = obs ~engine:`Ref ~jobs:1 in
+    agree what "fast -j 1" base (obs ~engine:`Fast ~jobs:1);
+    agree what "fast -j 4" base (obs ~engine:`Fast ~jobs:4)
   in
-  family "flood" (fun ~backend ~jobs ->
+  family "flood" (fun ~engine ~jobs ->
       let reg = Metrics.create () in
-      let states, stats =
-        Network.run ~metrics:reg ~engine:`Fast ~backend ~jobs g flood
-      in
+      let states, stats = Network.run ~metrics:reg ~engine ~jobs g flood in
       (states, stats, Metrics.exposition ~strip:true (Metrics.snapshot reg)));
-  family "bfs" (fun ~backend ~jobs ->
+  family "bfs" (fun ~engine ~jobs ->
       let reg = Metrics.create () in
-      let res, stats = Programs.bfs ~metrics:reg ~backend ~jobs g ~root:0 in
+      let res, stats = Programs.bfs ~metrics:reg ~engine ~jobs g ~root:0 in
       (res, stats, Metrics.exposition ~strip:true (Metrics.snapshot reg)));
   if !failures = 0 then
     Printf.printf
-      "mp-smoke: OK (n=%d: flood and BFS byte-identical across backends and \
+      "mp-smoke: OK (n=%d: flood and BFS byte-identical across engines and \
        job counts)\n"
       n;
   !failures
@@ -1197,7 +1192,7 @@ let () =
       let speedup = write_json ~quick:!quick ~eff ~file rows in
       print_rows rows;
       print_efficiency eff;
-      (* full runs re-prove the seq/sharded identity at the largest size
+      (* full runs re-prove the ref/fast identity at the largest size
          before the artifact is trusted *)
       let smoke_failures =
         if !quick then 0
@@ -1209,7 +1204,7 @@ let () =
             ~utilization:eff.eff_pool_utilization ~waste:eff.eff_arena_waste
       in
       Printf.printf "message-plane speedup (fast vs ref): %.2fx\n" speedup;
-      Printf.printf "sharded-vs-seq speedup at n=%d: %.2fx (%d core(s))\n"
+      Printf.printf "jobs=N-vs-jobs=1 speedup at n=%d: %.2fx (%d core(s))\n"
         gate_big_n
         (sharded_speedup_of rows)
         (Parallel.available_cores ());

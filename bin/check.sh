@@ -24,12 +24,12 @@
 #               recertified, and rerunning D1 from the same seed reproduces
 #               its artifact byte-for-byte
 #   xfail       negative control: a deliberately violated bound must fail
-#   sharded     --engine ref --backend sharded must be rejected, a sharded
-#               CLI run must leave deterministic metrics byte-identical to
-#               the sequential backend at -j 1 / -j 4, and the large-n
-#               mp-smoke must pass
+#   sharded     a CLI run must leave byte-identical stripped metrics on the
+#               sharded Fast plane at -j 1 and -j 4 and under --engine ref,
+#               and the large-n mp-smoke (ref vs fast -j 1 vs fast -j 4)
+#               must pass
 #   verify      verification plane: the corruption matrix transcript is
-#               byte-identical across engines/backends/job counts, every
+#               byte-identical across engines and job counts, every
 #               corruption is rejected, and the bench --verify gate passes
 #   oracle      serving layer: compile -> query round-trips end-to-end with
 #               local verification, the result file is byte-identical at
@@ -154,60 +154,42 @@ stage_xfail() {
   fi
 }
 
+# spanner_metrics ENGINE JOBS: one seeded bs-distributed run, its stripped
+# metrics exposition left in $tmp/m-ENGINE-JOBS.prom
+spanner_metrics() {
+  dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
+    --family gnp -n 200 --degree 8 --seed 3 --engine "$1" -j "$2" \
+    --metrics "$tmp/m-$1-$2.json" >/dev/null
+  dune exec bin/ultraspan_cli.exe -- metrics "$tmp/m-$1-$2.json" \
+    --expose --strip-timing >"$tmp/m-$1-$2.prom"
+}
+
 stage_sharded() {
-  if dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
-      --family gnp -n 64 --degree 6 --seed 3 --engine ref --backend sharded \
-      >/dev/null 2>&1; then
-    echo "ERROR: --engine ref --backend sharded was accepted" >&2
-    exit 1
-  fi
-  # bench/main.exe must reject the same contradiction with the same line
-  if dune exec bench/main.exe -- --engine ref --backend sharded \
-      >/dev/null 2>&1; then
-    echo "ERROR: bench accepted --engine ref --backend sharded" >&2
-    exit 1
-  fi
-  # Jobs invariance on the sharded backend: the whole stripped exposition
-  # must be byte-identical at -j 1 and -j 4.  Across backends only the
-  # deterministic congest.* counters are comparable (the pool meters count
-  # pool sections, and the sharded backend runs more of them by design).
-  dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
-    --family gnp -n 200 --degree 8 --seed 3 --backend seq -j 1 \
-    --metrics "$tmp/m-bseq.json" >/dev/null
-  dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
-    --family gnp -n 200 --degree 8 --seed 3 --backend sharded -j 1 \
-    --metrics "$tmp/m-sh1.json" >/dev/null
-  dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
-    --family gnp -n 200 --degree 8 --seed 3 --backend sharded -j 4 \
-    --metrics "$tmp/m-sh4.json" >/dev/null
-  for b in bseq sh1 sh4; do
-    dune exec bin/ultraspan_cli.exe -- metrics "$tmp/m-$b.json" \
-      --expose --strip-timing >"$tmp/m-$b.prom"
-  done
-  cmp "$tmp/m-sh1.prom" "$tmp/m-sh4.prom"
-  grep "^congest\." "$tmp/m-bseq.prom" >"$tmp/congest-seq.txt"
-  grep "^congest\." "$tmp/m-sh1.prom" >"$tmp/congest-sh.txt"
-  grep -q "congest\.payload_words_total" "$tmp/congest-sh.txt"
-  grep -q "congest\.max_payload_words" "$tmp/congest-sh.txt"
-  cmp "$tmp/congest-seq.txt" "$tmp/congest-sh.txt"
+  # The sharded rounds against the ref oracle: the whole stripped
+  # exposition must be byte-identical at -j 1, at -j 4 and under
+  # --engine ref.
+  spanner_metrics fast 1
+  spanner_metrics fast 4
+  spanner_metrics ref 1
+  grep -q "^congest\.payload_words_total" "$tmp/m-fast-1.prom"
+  grep -q "^congest\.max_payload_words" "$tmp/m-fast-1.prom"
+  cmp "$tmp/m-ref-1.prom" "$tmp/m-fast-1.prom"
+  cmp "$tmp/m-ref-1.prom" "$tmp/m-fast-4.prom"
   dune exec bench/perf.exe -- --mp-smoke 100000
 }
 
 stage_verify() {
   # Corruption matrix: every valid artifact accepted, every seeded
   # corruption rejected, and the transcript byte-identical across
-  # engines, backends and job counts.
-  dune exec bin/ultraspan_cli.exe -- verify --quick --backend seq \
-    >"$tmp/verify-seq.txt"
-  dune exec bin/ultraspan_cli.exe -- verify --quick --backend sharded -j 1 \
-    >"$tmp/verify-sh1.txt"
-  dune exec bin/ultraspan_cli.exe -- verify --quick --backend sharded -j 4 \
-    >"$tmp/verify-sh4.txt"
+  # engines and job counts.
+  dune exec bin/ultraspan_cli.exe -- verify --quick -j 1 \
+    >"$tmp/verify-fast1.txt"
+  dune exec bin/ultraspan_cli.exe -- verify --quick -j 4 \
+    >"$tmp/verify-fast4.txt"
   dune exec bin/ultraspan_cli.exe -- verify --quick --engine ref \
-    --backend seq >"$tmp/verify-ref.txt"
-  cmp "$tmp/verify-seq.txt" "$tmp/verify-sh1.txt"
-  cmp "$tmp/verify-seq.txt" "$tmp/verify-sh4.txt"
-  cmp "$tmp/verify-seq.txt" "$tmp/verify-ref.txt"
+    >"$tmp/verify-ref.txt"
+  cmp "$tmp/verify-ref.txt" "$tmp/verify-fast1.txt"
+  cmp "$tmp/verify-ref.txt" "$tmp/verify-fast4.txt"
   # the post-table gate: V1 bounds + local verification of fresh artifacts
   dune exec bench/main.exe -- --quick --table v1 --strict --verify local \
     --artifacts "$tmp/verify-artifacts" >/dev/null

@@ -15,7 +15,7 @@ type bfs_result = { dist : int array; parent : int array }
 
 type bfs_state = { bdist : int; bparent : int }
 
-let bfs ?faults ?trace ?metrics ?engine ?backend ?jobs g ~root =
+let bfs ?faults ?trace ?metrics ?engine ?jobs g ~root =
   if root < 0 || root >= Graph.n g then invalid_arg "Programs.bfs: bad root";
   let program =
     {
@@ -55,7 +55,7 @@ let bfs ?faults ?trace ?metrics ?engine ?backend ?jobs g ~root =
           end);
     }
   in
-  let states, stats = Network.run ?faults ?trace ?metrics ?engine ?backend ?jobs g program in
+  let states, stats = Network.run ?faults ?trace ?metrics ?engine ?jobs g program in
   ( {
       dist = Array.map (fun s -> s.bdist) states;
       parent = Array.map (fun s -> s.bparent) states;
@@ -66,7 +66,7 @@ let bfs ?faults ?trace ?metrics ?engine ?backend ?jobs g ~root =
 
 type bc_state = { known : int }
 
-let broadcast_max ?faults ?trace ?metrics ?engine ?backend ?jobs g ~values =
+let broadcast_max ?faults ?trace ?metrics ?engine ?jobs g ~values =
   if Array.length values <> Graph.n g then
     invalid_arg "Programs.broadcast_max: length mismatch";
   let program =
@@ -85,7 +85,7 @@ let broadcast_max ?faults ?trace ?metrics ?engine ?backend ?jobs g ~values =
           else { Network.state = st; out = []; halt = true });
     }
   in
-  let states, stats = Network.run ?faults ?trace ?metrics ?engine ?backend ?jobs g program in
+  let states, stats = Network.run ?faults ?trace ?metrics ?engine ?jobs g program in
   (Array.map (fun s -> s.known) states, stats)
 
 (* ---------- maximal matching ---------- *)
@@ -100,7 +100,7 @@ type mm_state = {
   announced : bool;
 }
 
-let maximal_matching ?trace ?metrics ?engine ?backend ?jobs g =
+let maximal_matching ?trace ?metrics ?engine ?jobs g =
   let program =
     {
       Network.init =
@@ -167,7 +167,7 @@ let maximal_matching ?trace ?metrics ?engine ?backend ?jobs g =
           end);
     }
   in
-  let states, stats = Network.run ?trace ?metrics ?engine ?backend ?jobs g program in
+  let states, stats = Network.run ?trace ?metrics ?engine ?jobs g program in
   (Array.map (fun s -> s.mate) states, stats)
 
 (* ---------- Luby's MIS ---------- *)
@@ -184,7 +184,7 @@ type mis_state = {
   prios : (int * int) list; (* neighbour -> priority, this phase *)
 }
 
-let luby_mis ?trace ?metrics ?engine ?backend ?jobs ~seed g =
+let luby_mis ?trace ?metrics ?engine ?jobs ~seed g =
   (* Per-(vertex, phase) pseudo-random priorities via SplitMix: the whole
      run is reproducible from [seed]. *)
   let priority v phase =
@@ -276,14 +276,14 @@ let luby_mis ?trace ?metrics ?engine ?backend ?jobs ~seed g =
               end);
     }
   in
-  let states, stats = Network.run ~word_limit:4 ?trace ?metrics ?engine ?backend ?jobs g program in
+  let states, stats = Network.run ~word_limit:4 ?trace ?metrics ?engine ?jobs g program in
   (Array.map (fun s -> s.status = Mis_in) states, stats)
 
 (* ---------- distributed Bellman–Ford ---------- *)
 
 type bf_state = { bf_dist : int; bf_parent : int }
 
-let bellman_ford ?trace ?metrics ?engine ?backend ?jobs g ~source =
+let bellman_ford ?trace ?metrics ?engine ?jobs g ~source =
   if source < 0 || source >= Graph.n g then
     invalid_arg "Programs.bellman_ford: bad source";
   let program =
@@ -315,7 +315,7 @@ let bellman_ford ?trace ?metrics ?engine ?backend ?jobs g ~source =
           else { Network.state = st; out = []; halt = true });
     }
   in
-  let states, stats = Network.run ?trace ?metrics ?engine ?backend ?jobs g program in
+  let states, stats = Network.run ?trace ?metrics ?engine ?jobs g program in
   ( ( Array.map (fun s -> s.bf_dist) states,
       Array.map (fun s -> s.bf_parent) states ),
     stats )
@@ -324,7 +324,7 @@ let bellman_ford ?trace ?metrics ?engine ?backend ?jobs g ~source =
 
 type forest_state = { fr_root : int; fr_parent_eid : int }
 
-let spanning_forest ?trace ?metrics ?engine ?backend ?jobs g =
+let spanning_forest ?trace ?metrics ?engine ?jobs g =
   let program =
     {
       Network.init = (fun _ v -> { fr_root = v; fr_parent_eid = -1 });
@@ -350,7 +350,7 @@ let spanning_forest ?trace ?metrics ?engine ?backend ?jobs g =
           else { Network.state = st; out = []; halt = true });
     }
   in
-  let states, stats = Network.run ?trace ?metrics ?engine ?backend ?jobs g program in
+  let states, stats = Network.run ?trace ?metrics ?engine ?jobs g program in
   let eids =
     Array.to_list states
     |> List.filter_map (fun s ->

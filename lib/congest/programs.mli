@@ -9,10 +9,9 @@ open! Import
 
     Every program accepts an optional {!Trace} sink, forwarded verbatim to
     [Network.run ?trace], recording its per-round convergence behaviour
-    without changing it, and optional [?engine] / [?backend] / [?jobs]
-    selecting the simulator message plane, delivery backend and domain
-    budget (see {!Network.engine} and {!Network.backend}), likewise
-    forwarded verbatim.  An optional [?metrics] registry, forwarded to
+    without changing it, and optional [?engine] / [?jobs]
+    selecting the simulator message plane and domain budget (see
+    {!Network.run}), likewise forwarded verbatim.  An optional [?metrics] registry, forwarded to
     [Network.run ?metrics], accumulates the deterministic run counters
     described there. *)
 
@@ -23,7 +22,7 @@ type bfs_result = { dist : int array; parent : int array }
 val bfs :
   ?faults:Faults.t -> ?trace:Trace.t ->
   ?metrics:Ultraspan_util.Metrics.t -> ?engine:Network.engine ->
-  ?backend:Network.backend -> ?jobs:int ->
+  ?jobs:int ->
   Graph.t -> root:int -> bfs_result * Network.stats
 (** Distributed BFS flooding from the root.  Rounds ~ eccentricity + O(1);
     [dist]/[parent] agree with {!Bfs.tree}.  Under a fault schedule the
@@ -35,7 +34,7 @@ val bfs :
 val broadcast_max :
   ?faults:Faults.t -> ?trace:Trace.t ->
   ?metrics:Ultraspan_util.Metrics.t -> ?engine:Network.engine ->
-  ?backend:Network.backend -> ?jobs:int ->
+  ?jobs:int ->
   Graph.t -> values:int array -> int array * Network.stats
 (** Every node learns the maximum of all initial values, by flooding;
     rounds ~ diameter + O(1).  (A stand-in for generic broadcast: any
@@ -48,7 +47,7 @@ val broadcast_max :
 val maximal_matching :
   ?trace:Trace.t -> ?metrics:Ultraspan_util.Metrics.t ->
   ?engine:Network.engine ->
-  ?backend:Network.backend -> ?jobs:int -> Graph.t ->
+  ?jobs:int -> Graph.t ->
   int array * Network.stats
 (** Deterministic distributed maximal matching by locally-minimal edge
     proposals (each round, every unmatched node points at its smallest
@@ -61,7 +60,7 @@ val maximal_matching :
 val bellman_ford :
   ?trace:Trace.t -> ?metrics:Ultraspan_util.Metrics.t ->
   ?engine:Network.engine ->
-  ?backend:Network.backend -> ?jobs:int -> Graph.t -> source:int ->
+  ?jobs:int -> Graph.t -> source:int ->
   (int array * int array) * Network.stats
 (** Distributed Bellman–Ford: distance announcements flood and relax until
     quiescence.  Returns [(dist, parent)] ([max_int]/[-1] when
@@ -73,7 +72,7 @@ val bellman_ford :
 val spanning_forest :
   ?trace:Trace.t -> ?metrics:Ultraspan_util.Metrics.t ->
   ?engine:Network.engine ->
-  ?backend:Network.backend -> ?jobs:int -> Graph.t ->
+  ?jobs:int -> Graph.t ->
   int list * Network.stats
 (** Min-id flooding: every vertex adopts the smallest vertex id reachable
     from it, and its parent is the neighbour it last adopted from — the
@@ -87,7 +86,7 @@ val spanning_forest :
 val luby_mis :
   ?trace:Trace.t -> ?metrics:Ultraspan_util.Metrics.t ->
   ?engine:Network.engine ->
-  ?backend:Network.backend -> ?jobs:int -> seed:int -> Graph.t ->
+  ?jobs:int -> seed:int -> Graph.t ->
   bool array * Network.stats
 (** Luby's randomized MIS as a message-passing program: three rounds per
     phase (priorities, winner announcements, removal notices); local maxima

@@ -19,7 +19,7 @@ type state = {
   spanner_nbrs : int list; (* neighbours across spanner edges (local output) *)
 }
 
-let run ?trace ?metrics ?engine ?backend ?jobs ~seed ~k g =
+let run ?trace ?metrics ?engine ?jobs ~seed ~k g =
   if k < 1 then invalid_arg "Bs_distributed.run: k >= 1";
   let n = Graph.n g in
   let p =
@@ -153,7 +153,7 @@ let run ?trace ?metrics ?engine ?backend ?jobs ~seed ~k g =
           end);
     }
   in
-  let states, network_stats = Network.run ~word_limit:4 ?trace ?metrics ?engine ?backend ?jobs g program in
+  let states, network_stats = Network.run ~word_limit:4 ?trace ?metrics ?engine ?jobs g program in
   (* Collect the distributed output. *)
   let keep = Array.make (Graph.m g) false in
   Array.iteri

@@ -273,12 +273,12 @@ let parallel_for ?jobs lo hi f =
 
 let block_count n = if n <= 0 then 0 else min n max_chunks
 
-let iter_blocks ?jobs n f =
+let iter_blocks ?jobs ?(counted = true) n f =
   if n > 0 then begin
     let jobs = resolve_jobs jobs in
     let k = block_count n in
     let pm = !pmeters in
-    if pm.pm_on then begin
+    if pm.pm_on && counted then begin
       Metrics.incr pm.pm_sections;
       Metrics.add pm.pm_chunks k;
       Metrics.add pm.pm_items n

@@ -64,14 +64,22 @@ val block_count : int -> int
     [n] alone — callers sizing per-block accumulators get the same shard
     layout for every job count. *)
 
-val iter_blocks : ?jobs:int -> int -> (int -> int -> int -> unit) -> unit
+val iter_blocks :
+  ?jobs:int -> ?counted:bool -> int -> (int -> int -> int -> unit) -> unit
 (** [iter_blocks ?jobs n f] calls [f block lo hi] once per block of the
     fixed partition of [0 .. n-1] ([block_count n] blocks, block [c]
     covering [n*c/k .. n*(c+1)/k - 1]), fanned across [jobs] domains.
     This is {!parallel_for} exposed at block granularity, for callers
-    that keep per-block state (e.g. the sharded CONGEST delivery
-    backend's per-shard stat accumulators).  [f] must write only to
-    per-block state; completion of the call synchronizes all writes. *)
+    that keep per-block state (e.g. the CONGEST simulator's per-shard
+    stat accumulators).  [f] must write only to per-block state;
+    completion of the call synchronizes all writes.
+
+    [counted] (default [true]) adds the section to the deterministic
+    [parallel.*] counters.  Pass [false] when running on the pool is
+    itself an implementation choice a caller must not leak into them —
+    the simulator's [`Fast] engine, whose registry has to match the
+    pool-free [`Ref] engine's; such sections still show under
+    [timing.parallel.pool.*]. *)
 
 val map_array : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map_array ?jobs n f] is [Array.init n f] with the calls fanned across

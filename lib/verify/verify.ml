@@ -75,12 +75,12 @@ let of_probe target (r : Eps_far.report) =
     note;
   }
 
-let spanner ?engine ?backend ?jobs ?(seed = 1) ?(epsilon = 0.1) ~mode ~k g sp =
+let spanner ?engine ?jobs ?(seed = 1) ?(epsilon = 0.1) ~mode ~k g sp =
   match mode with
   | Local ->
       let w = Witness.spanner g ~k sp in
       let cv =
-        Checkers.spanner ?engine ?backend ?jobs g ~keep:sp.Spanner.keep ~k
+        Checkers.spanner ?engine ?jobs g ~keep:sp.Spanner.keep ~k
           ~detour:w.Witness.detour
       in
       let note =
@@ -108,14 +108,14 @@ let exact_certificate g cert note =
        else note ^ "; connectivity not preserved up to k");
   }
 
-let certificate ?engine ?backend ?jobs ?(seed = 1) ?(epsilon = 0.1) ~mode g
+let certificate ?engine ?jobs ?(seed = 1) ?(epsilon = 0.1) ~mode g
     cert =
   match mode with
   | Local -> (
       match Witness.certificate g cert with
       | Ok w ->
           let cv =
-            Checkers.forests ?engine ?backend ?jobs g
+            Checkers.forests ?engine ?jobs g
               ~keep:cert.Certificate.keep ~k:w.Witness.ck
               ~forest:w.Witness.forest ~parent:w.Witness.parent
               ~depth:w.Witness.depth ~root:w.Witness.root
@@ -252,7 +252,7 @@ let corrupt_certificate rng kind keep (w : Witness.certificate_witness) =
         true
       end
 
-let matrix ?engine ?backend ?jobs ~seed ~quick ppf =
+let matrix ?engine ?jobs ~seed ~quick ppf =
   let pr fmt = Format.fprintf ppf fmt in
   let all_ok = ref true in
   let emit name expect (got : bool) extra =
@@ -292,7 +292,7 @@ let matrix ?engine ?backend ?jobs ~seed ~quick ppf =
       let sp = (Bs_derand.run ~k g).Bs_derand.spanner in
       let w = Witness.spanner g ~k sp in
       let run_sp keep detour =
-        Checkers.spanner ?engine ?backend ?jobs g ~keep ~k ~detour
+        Checkers.spanner ?engine ?jobs g ~keep ~k ~detour
       in
       let cv = run_sp sp.Spanner.keep w.Witness.detour in
       emit
@@ -327,7 +327,7 @@ let matrix ?engine ?backend ?jobs ~seed ~quick ppf =
           pr "certificate %s witness build FAILED: %s@." gname e
       | Ok cw ->
           let run_cert keep (wc : Witness.certificate_witness) =
-            Checkers.forests ?engine ?backend ?jobs g ~keep ~k
+            Checkers.forests ?engine ?jobs g ~keep ~k
               ~forest:wc.Witness.forest ~parent:wc.Witness.parent
               ~depth:wc.Witness.depth ~root:wc.Witness.root
           in

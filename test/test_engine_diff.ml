@@ -52,10 +52,10 @@ let cap_of_seed seed = 2 + (abs seed mod 7)
 
 (* Run under one engine with a fresh trace sink (and optionally a fresh
    injector built from [plan]); return everything observable. *)
-let observe ~engine ?plan g prog =
+let observe ~engine ?jobs ?plan g prog =
   let faults = Option.map Faults.make plan in
   let tr = Trace.create g in
-  let states, stats = Network.run ?faults ~trace:tr ~engine g prog in
+  let states, stats = Network.run ?faults ~trace:tr ~engine ?jobs g prog in
   let events = match faults with Some f -> Faults.events f | None -> [] in
   (states, stats, events, Trace.to_jsonl tr)
 
@@ -198,75 +198,85 @@ let round_limit_agrees () =
   let f = partial `Fast and r = partial `Ref in
   Alcotest.(check bool) "limit parity" true (f = r && f <> None)
 
-(* ---------- sharded backend differential ----------
+(* ---------- sharded rounds vs the oracle ----------
 
-   The [`Sharded] backend of the fast engine must be byte-identical to
-   [`Seq] for every job count — bare (parallel step phase), traced and
-   faulted (step phase degrades sequential, assembly stays parallel), and
-   on model-violation / round-limit paths. *)
+   The [`Fast] engine's sharded rounds must match the [`Ref] oracle for
+   every job count — bare (step phase across the pool), traced and
+   faulted (step phase on the caller, assembly stays parallel), and on
+   model-violation / round-limit paths, registry included. *)
 
-let observe_backend ~backend ~jobs ?plan g prog =
-  let faults = Option.map Faults.make plan in
-  let tr = Trace.create g in
-  let states, stats = Network.run ?faults ~trace:tr ~backend ~jobs g prog in
-  let events = match faults with Some f -> Faults.events f | None -> [] in
-  (states, stats, events, Trace.to_jsonl tr)
+let fast_jobs = [ 1; 4 ]
+
+(* [run engine jobs] under the oracle, then under the Fast engine at every
+   job count in [fast_jobs]: all must agree. *)
+let fast_matches_ref run =
+  let r = run `Ref 1 in
+  List.for_all (fun jobs -> run `Fast jobs = r) fast_jobs
 
 let sharded_bare =
-  qcheck ~count:60 "random programs: sharded == seq (bare, jobs 1/4)" seed_gen
+  qcheck ~count:60 "sharded == ref: random programs, bare (jobs 1/4)" seed_gen
     (fun seed ->
       let g = unit_graph_of_seed ~n_max:50 seed in
       let prog = random_program ~seed ~cap:(cap_of_seed seed) in
-      let seq = Network.run ~backend:`Seq g prog in
-      Network.run ~backend:`Sharded ~jobs:1 g prog = seq
-      && Network.run ~backend:`Sharded ~jobs:4 g prog = seq)
+      fast_matches_ref (fun engine jobs -> Network.run ~engine ~jobs g prog))
 
 let sharded_traced_faulted =
   qcheck ~count:40
-    "random programs: sharded == seq (trace + mixed faults, jobs 1/4)"
-    seed_gen (fun seed ->
+    "sharded == ref: random programs, trace + mixed faults (jobs 1/4)"
+    seed_gen
+    (fun seed ->
       let g = unit_graph_of_seed ~n_max:50 seed in
       let prog = random_program ~seed ~cap:(cap_of_seed seed) in
       let plan = mixed_plan_of_seed g seed in
-      let seq = observe_backend ~backend:`Seq ~jobs:1 ~plan g prog in
-      observe_backend ~backend:`Sharded ~jobs:1 ~plan g prog = seq
-      && observe_backend ~backend:`Sharded ~jobs:4 ~plan g prog = seq)
+      fast_matches_ref (fun engine jobs -> observe ~engine ~jobs ~plan g prog))
 
 let sharded_metrics_jobs_invariant =
   qcheck ~count:15
-    "random programs: sharded deterministic metrics == seq (stripped)"
+    "sharded == ref: stripped deterministic metrics (jobs 1/4)"
     seed_gen (fun seed ->
       let g = unit_graph_of_seed ~n_max:50 seed in
       let prog = random_program ~seed ~cap:(cap_of_seed seed) in
-      let exposition backend jobs =
-        let r = Metrics.create () in
-        let _ = Network.run ~metrics:r ~backend ~jobs g prog in
-        Metrics.exposition ~strip:true (Metrics.snapshot r)
-      in
-      let seq = exposition `Seq 1 in
-      exposition `Sharded 1 = seq && exposition `Sharded 4 = seq)
+      fast_matches_ref (fun engine jobs ->
+          let r = Metrics.create () in
+          ignore (Network.run ~metrics:r ~engine ~jobs g prog);
+          Metrics.exposition ~strip:true (Metrics.snapshot r)))
 
 let sharded_violations_agree () =
   (* Violators placed mid-range so shard-ordered selection is exercised:
-     on a 50-path the sequential engine reaches node 10 first — the
-     sharded backend must raise node 10's violation too, for any jobs. *)
+     on a 50-path the oracle reaches node 10 first — the sharded rounds
+     must raise node 10's violation too, and leave the same partial
+     registry, for any jobs. *)
   let g = Generators.path 50 in
   let raises prog =
-    let attempt backend jobs =
-      match Network.run ~backend ~jobs g prog with
-      | _ -> None
-      | exception Network.Not_a_neighbor { sender; target } ->
-          Some (`Nn (sender, target))
-      | exception Network.Duplicate_message { sender; target } ->
-          Some (`Dup (sender, target))
-      | exception Network.Message_too_large { sender; words; limit } ->
-          Some (`Big (sender, words, limit))
+    let attempt engine jobs =
+      let r = Metrics.create () in
+      let outcome =
+        match Network.run ~metrics:r ~engine ~jobs g prog with
+        | _ -> None
+        | exception Network.Not_a_neighbor { sender; target } ->
+            Some (`Nn (sender, target))
+        | exception Network.Duplicate_message { sender; target } ->
+            Some (`Dup (sender, target))
+        | exception Network.Message_too_large { sender; words; limit } ->
+            Some (`Big (sender, words, limit))
+      in
+      let snap = Metrics.snapshot r in
+      (outcome, snap.Metrics.partial, Metrics.exposition ~strip:true snap)
     in
-    let seq = attempt `Seq 1 in
-    Alcotest.(check bool) "sharded violation parity" true
-      (seq <> None
-      && attempt `Sharded 1 = seq
-      && attempt `Sharded 4 = seq)
+    let raised, partial, expo = attempt `Ref 1 in
+    Alcotest.(check bool) "oracle raises" true (raised <> None);
+    Alcotest.(check bool) "aborted run flags the registry partial" true partial;
+    List.iter
+      (fun jobs ->
+        let raised', partial', expo' = attempt `Fast jobs in
+        Alcotest.(check bool)
+          (Printf.sprintf "violation parity at jobs %d" jobs)
+          true
+          (raised' = raised && partial' = partial);
+        Alcotest.(check string)
+          (Printf.sprintf "partial registry at jobs %d" jobs)
+          expo expo')
+      fast_jobs
   in
   let offender me out =
     {
@@ -305,28 +315,14 @@ let sharded_round_limit_agrees () =
           { Network.state = (); out; halt = false });
     }
   in
-  let partial backend jobs =
-    match Network.run ~max_rounds:5 ~backend ~jobs g prog with
+  let partial engine jobs =
+    match Network.run ~max_rounds:5 ~engine ~jobs g prog with
     | _ -> None
     | exception Network.Round_limit_exceeded { limit; partial } ->
         Some (limit, partial)
   in
-  let seq = partial `Seq 1 in
   Alcotest.(check bool) "sharded limit parity" true
-    (seq <> None && partial `Sharded 1 = seq && partial `Sharded 4 = seq)
-
-let ref_sharded_rejected () =
-  let g = Generators.path 3 in
-  let prog =
-    {
-      Network.init = (fun _ _ -> ());
-      round = (fun _ ~round:_ ~me:_ () _ -> { Network.state = (); out = []; halt = true });
-    }
-  in
-  Alcotest.check_raises "ref + sharded is invalid"
-    (Invalid_argument
-       "Network.run: the ref engine has no sharded delivery backend")
-    (fun () -> ignore (Network.run ~engine:`Ref ~backend:`Sharded g prog))
+    (partial `Ref 1 <> None && fast_matches_ref partial)
 
 let suite =
   [
@@ -342,5 +338,4 @@ let suite =
     sharded_metrics_jobs_invariant;
     case "sharded: model violations identical" sharded_violations_agree;
     case "sharded: round limit identical" sharded_round_limit_agrees;
-    case "sharded: rejected on ref engine" ref_sharded_rejected;
   ]

@@ -106,7 +106,7 @@ let disabled_hot_path_allocates_nothing () =
 let populated_registry () =
   let r = Metrics.create () in
   Metrics.add (Metrics.counter r "congest.deliveries_total") 315;
-  Metrics.add (Metrics.counter r "timing.congest.fast.arena_slots_touched") 9;
+  Metrics.add (Metrics.counter r "timing.congest.arena_slots_touched") 9;
   Metrics.set (Metrics.gauge r "congest.max_payload_words") 4;
   let h = Metrics.histogram ~buckets:[| 2; 8 |] r "congest.per_round" in
   List.iter (Metrics.observe h) [ 1; 5; 100 ];
@@ -149,7 +149,7 @@ let strip_timing_drops_execution () =
   let d = Metrics.strip_timing s in
   Alcotest.(check int) "timers all dropped" 0 (List.length d.Metrics.timers);
   Alcotest.(check bool) "timing counter dropped" true
-    (Metrics.find_counter d "timing.congest.fast.arena_slots_touched" = None);
+    (Metrics.find_counter d "timing.congest.arena_slots_touched" = None);
   Alcotest.(check (option int))
     "deterministic counter kept" (Some 315)
     (Metrics.find_counter d "congest.deliveries_total");
@@ -225,6 +225,28 @@ let partial_snapshot_on_round_limit () =
   | Some rounds when rounds > 0 -> ()
   | _ -> Alcotest.fail "partial snapshot still carries the completed rounds"
 
+let arena_counters_recorded () =
+  (* One arena name for every job count: each delivered payload word is
+     written into the arena exactly once. *)
+  let g = unit_graph_of_seed 12 in
+  List.iter
+    (fun jobs ->
+      let r = Metrics.create () in
+      ignore (Programs.bfs ~metrics:r ~jobs g ~root:0);
+      let s = Metrics.snapshot r in
+      let cnt name = Option.value ~default:0 (Metrics.find_counter s name) in
+      let words = cnt "congest.payload_words_total" in
+      Alcotest.(check bool) "payload words delivered" true (words > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "arena words = payload words at jobs %d" jobs)
+        words
+        (cnt "timing.congest.arena_words_written");
+      Alcotest.(check bool)
+        (Printf.sprintf "arena slots touched at jobs %d" jobs)
+        true
+        (cnt "timing.congest.arena_slots_touched" > 0))
+    [ 1; 4 ]
+
 (* ---------- profile integration ---------- *)
 
 let profile_nested_scopes () =
@@ -278,6 +300,7 @@ let suite =
     jobs_invariance;
     case "round-limit abort flushes a partial snapshot"
       partial_snapshot_on_round_limit;
+    case "arena counters match delivered payload words" arena_counters_recorded;
     case "profile: nested scopes, export, chrome events"
       profile_nested_scopes;
   ]

@@ -6,10 +6,10 @@ open Helpers
 
 let sp_of g k = (Bs_derand.run ~k g).Bs_derand.spanner
 
-let run_spanner_checker ?engine ?backend ?jobs g sp k =
+let run_spanner_checker ?engine ?jobs g sp k =
   let w = Witness.spanner g ~k sp in
   let cv =
-    Checkers.spanner ?engine ?backend ?jobs g ~keep:sp.Spanner.keep ~k
+    Checkers.spanner ?engine ?jobs g ~keep:sp.Spanner.keep ~k
       ~detour:w.Witness.detour
   in
   (w, cv)
@@ -73,10 +73,10 @@ let ni_accepts =
 
 (* ---------- corruption matrix: detection + byte-identity ---------- *)
 
-let matrix_run ?engine ?backend ?jobs () =
+let matrix_run ?engine ?jobs () =
   let b = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer b in
-  let ok = Verify.matrix ?engine ?backend ?jobs ~seed:11 ~quick:true ppf in
+  let ok = Verify.matrix ?engine ?jobs ~seed:11 ~quick:true ppf in
   Format.pp_print_flush ppf ();
   (ok, Buffer.contents b)
 
@@ -87,13 +87,11 @@ let matrix_detects () =
     (String.length transcript > 0)
 
 let matrix_byte_identical () =
-  let _, seq = matrix_run ~engine:`Fast ~backend:`Seq () in
-  let _, sh1 = matrix_run ~engine:`Fast ~backend:`Sharded ~jobs:1 () in
-  let _, sh4 = matrix_run ~engine:`Fast ~backend:`Sharded ~jobs:4 () in
-  let _, refe = matrix_run ~engine:`Ref ~backend:`Seq () in
-  Alcotest.(check string) "seq = sharded -j1" seq sh1;
-  Alcotest.(check string) "seq = sharded -j4" seq sh4;
-  Alcotest.(check string) "fast = ref" seq refe
+  let _, refe = matrix_run ~engine:`Ref () in
+  let _, fast1 = matrix_run ~engine:`Fast ~jobs:1 () in
+  let _, fast4 = matrix_run ~engine:`Fast ~jobs:4 () in
+  Alcotest.(check string) "ref = fast -j1" refe fast1;
+  Alcotest.(check string) "ref = fast -j4" refe fast4
 
 (* ---------- eps-far probes ---------- *)
 
@@ -179,7 +177,7 @@ let suite =
     thurimella_accepts;
     ni_accepts;
     case "corruption matrix: all detected" matrix_detects;
-    slow_case "matrix byte-identical across engines/backends/jobs"
+    slow_case "matrix byte-identical across engines and jobs"
       matrix_byte_identical;
     case "eps-far: connected accepted within budget" eps_far_connected;
     case "eps-far: far-from-connected rejected" eps_far_matching_rejected;
