@@ -27,8 +27,7 @@
    [--verify MODE]      after the tables, verify freshly built artifacts
                         (spanner + certificate) in MODE (local|exact|
                         probe); a rejection counts as a bound violation,
-                        so with --strict it fails the run
-   [--bechamel]         run the Bechamel wall-clock suite *)
+                        so with --strict it fails the run *)
 
 open Ultraspan
 module T = Exp_table
@@ -2576,12 +2575,7 @@ let table_q1 ~quick () =
                 Query_engine.generate ~rng:(Rng.create (100 + k)) ~n ~count
               in
               let t0 = Unix.gettimeofday () in
-              (* capacity above the distinct hot-source count: zero
-                 evictions, so the hit/miss cells are a pure function of
-                 the batch and stay byte-identical across -j *)
-              let answers, st =
-                Query_engine.run ~jobs:!jobs ~cache_capacity:1024 o' qs
-              in
+              let answers, st = Query_engine.run ~jobs:!jobs o' qs in
               let dt = Unix.gettimeofday () -. t0 in
               (* bound predicates: every answered distance within
                  [d_G, (2k-1) d_G], membership consistent with the mask *)
@@ -2625,11 +2619,6 @@ let table_q1 ~quick () =
                     T.flag ~id:"roundtrip"
                       ~descr:"artifact survives save/load structurally intact"
                       roundtrip_ok;
-                    T.flag ~id:"no_evict"
-                      ~descr:
-                        "zero evictions, so the hit/miss cells are \
-                         jobs-invariant"
-                      (st.Query_engine.cache_evictions = 0);
                   ]
                 [
                   ("n", T.Int n);
@@ -2656,10 +2645,10 @@ let table_q1 ~quick () =
       [
         "(*) stretch observed over the served batch (hot-skewed dist + \
          membership mix); the (2k-1)";
-        "contract and the d_G floor are checked per answer.  hits/misses \
-         come from the SSSP-tree LRU";
-        "and are schedule-independent here (capacity above the hot-source \
-         count, zero evictions).";
+        "contract and the d_G floor are checked per answer.  misses = \
+         trees the tree plan built (one";
+        "per hot source), hits = the other tree-routed queries; both are \
+         functions of the batch alone.";
       ]
     sections
 
@@ -2685,65 +2674,6 @@ let xfail ~quick () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock suite: one Test per table                        *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let g_small =
-    Generators.weighted_connected_gnp ~rng:(Rng.create 1) ~n:256
-      ~avg_degree:8.0 ~max_w:1000
-  in
-  let gu_small = Graph.with_unit_weights g_small in
-  let tests =
-    [
-      Test.make ~name:"t1:linear_size_det" (Staged.stage (fun () ->
-          ignore (Linear_size.run g_small)));
-      Test.make ~name:"t2:bs_derand_k3" (Staged.stage (fun () ->
-          ignore (Bs_derand.run ~k:3 g_small)));
-      Test.make ~name:"t3:ultra_sparse_t4" (Staged.stage (fun () ->
-          ignore (Ultra_sparse.run ~t:4 g_small)));
-      Test.make ~name:"t4:stretch_friendly_t8" (Staged.stage (fun () ->
-          ignore (Stretch_friendly.partition ~t:8 g_small)));
-      Test.make ~name:"t5:clustering_sparse" (Staged.stage (fun () ->
-          ignore (Clustering_spanner.sparse gu_small)));
-      Test.make ~name:"f1:clustering_ultra_t2" (Staged.stage (fun () ->
-          ignore (Clustering_spanner.ultra_sparse ~t:2 gu_small)));
-      Test.make ~name:"t6:spanner_packing_k3" (Staged.stage (fun () ->
-          ignore (Spanner_packing.run ~k:3 ~epsilon:0.5 g_small)));
-      Test.make ~name:"a1:baswana_sen_k3" (Staged.stage (fun () ->
-          ignore (Baswana_sen.run ~rng:(Rng.create 2) ~k:3 g_small)));
-      Test.make ~name:"a2:naive_star_t8" (Staged.stage (fun () ->
-          ignore
-            (Stretch_friendly.partition_with_strategy
-               ~strategy:Stretch_friendly.Naive_star ~t:8 g_small)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"tables" tests in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] grouped in
-  let analysis =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  fmt "\n%s\n" (String.make 100 '=');
-  fmt "Bechamel wall-clock suite (monotonic clock per run)\n";
-  fmt "%s\n" (String.make 100 '=');
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> Printf.sprintf "%14.0f ns/run" est
-          | _ -> "(no estimate)"
-        in
-        (name, est) :: acc)
-      analysis []
-  in
-  List.iter (fun (name, est) -> fmt "%-40s %s\n" name est) (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -2762,7 +2692,6 @@ let usage () =
     \                [--artifacts DIR] [--against DIR] [--tolerance PCT]\n\
     \                [--refresh-goldens] [--jobs N | -j N] [--metrics FILE]\n\
     \                [--engine fast|ref] [--verify local|exact|probe]\n\
-    \                [--bechamel]\n\
      tables: t1 t2 t3 t4 t5 t6 t7 t8 t9 f1 r1 a1 a2 o1 o2 d1 v1 q1 (and \
      xfail, the negative control)"
 
@@ -2777,7 +2706,6 @@ let die fmtstr =
 let () =
   let quick = ref false
   and strict_mode = ref false
-  and bech = ref false
   and all_flag = ref false
   and refresh = ref false
   and artifacts_dir = ref "artifacts"
@@ -2791,7 +2719,6 @@ let () =
     | "--quick" :: r -> quick := true; parse r
     | "--all" :: r -> all_flag := true; parse r
     | "--strict" :: r -> strict_mode := true; parse r
-    | "--bechamel" :: r -> bech := true; parse r
     | "--refresh-goldens" :: r -> refresh := true; parse r
     | "--table" :: id :: r -> tables := !tables @ [ id ]; parse r
     | "--artifacts" :: d :: r -> artifacts_dir := d; parse r
@@ -2832,101 +2759,100 @@ let () =
       global_metrics := Some reg;
       Parallel.set_metrics (Some reg);
       Gcache.set_metrics reg);
-  if !bech then bechamel_suite ()
-  else begin
-    let registry = all_tables @ [ ("xfail", xfail) ] in
-    let sel =
-      if !all_flag || !tables = [] then List.map fst all_tables
-      else
-        List.map
-          (fun id ->
-            if List.mem_assoc id registry then id else die "unknown table %S" id)
-          !tables
-    in
-    let viols = ref 0
-    and checked = ref 0
-    and diffs = ref 0
-    and missing = ref 0
-    and written = ref 0 in
-    List.iter
-      (fun id ->
-        let build = List.assoc id registry in
-        let t = build ~quick:!quick () in
-        T.print t;
-        checked := !checked + T.bounds_checked t;
-        List.iter
-          (fun (sid, label, (b : T.bound)) ->
+  let registry = all_tables @ [ ("xfail", xfail) ] in
+  let sel =
+    if !all_flag || !tables = [] then List.map fst all_tables
+    else
+      List.map
+        (fun id ->
+          if List.mem_assoc id registry then id else die "unknown table %S" id)
+        !tables
+  in
+  let viols = ref 0
+  and checked = ref 0
+  and diffs = ref 0
+  and missing = ref 0
+  and written = ref 0 in
+  List.iter
+    (fun id ->
+      let build = List.assoc id registry in
+      let t = build ~quick:!quick () in
+      T.print t;
+      checked := !checked + T.bounds_checked t;
+      List.iter
+        (fun (sid, label, (b : T.bound)) ->
+          incr viols;
+          Printf.eprintf
+            "BOUND VIOLATION %s/%s [%s] %s: observed %g, limit %g%s\n"
+            t.T.id sid label b.T.bid b.T.observed b.T.limit
+            (if b.T.descr = "" then "" else " — " ^ b.T.descr))
+        (T.violations t);
+      match !against with
+      | Some dir when !refresh ->
+          written := !written + 1;
+          ignore (T.save ~dir t)
+      | Some dir ->
+          let path = T.artifact_path ~dir t in
+          if not (Sys.file_exists path) then begin
+            incr missing;
+            Printf.eprintf "MISSING GOLDEN %s\n" path
+          end
+          else begin
+            let golden = T.load path in
+            let ds =
+              T.diff ~time_tolerance:(!tolerance /. 100.0) ~golden t
+            in
+            List.iter
+              (fun d ->
+                incr diffs;
+                Printf.eprintf "DIFF %s\n" d)
+              ds
+          end
+      | None -> written := !written + 1; ignore (T.save ~dir:!artifacts_dir t))
+    sel;
+  (match !verify_mode with
+  | None -> ()
+  | Some mode ->
+      (* post-table gate: verify freshly built artifacts in the
+         requested mode; a rejection is a bound violation, so --strict
+         turns it into exit 1 *)
+      let n = if !quick then 256 else 512 in
+      let g = Gcache.gnp ~seed:47 ~n ~avg_degree:(fi n /. 8.) in
+      let sp = (Bs_derand.run ~k:3 g).Bs_derand.spanner in
+      let vs =
+        Verify.spanner ~engine:!engine ~jobs:!jobs ~mode
+          ~k:3 g sp
+      in
+      let cert = Thurimella.certificate ~k:2 g in
+      let vc =
+        Verify.certificate ~engine:!engine ~jobs:!jobs
+          ~mode g cert
+      in
+      List.iter
+        (fun (v : Verify.verdict) ->
+          incr checked;
+          fmt "[verify %s]\n" (Format.asprintf "%a" Verify.pp_verdict v);
+          if not v.Verify.ok then begin
             incr viols;
-            Printf.eprintf
-              "BOUND VIOLATION %s/%s [%s] %s: observed %g, limit %g%s\n"
-              t.T.id sid label b.T.bid b.T.observed b.T.limit
-              (if b.T.descr = "" then "" else " — " ^ b.T.descr))
-          (T.violations t);
-        match !against with
-        | Some dir when !refresh -> written := !written + 1; ignore (T.save ~dir t)
-        | Some dir ->
-            let path = T.artifact_path ~dir t in
-            if not (Sys.file_exists path) then begin
-              incr missing;
-              Printf.eprintf "MISSING GOLDEN %s\n" path
-            end
-            else begin
-              let golden = T.load path in
-              let ds =
-                T.diff ~time_tolerance:(!tolerance /. 100.0) ~golden t
-              in
-              List.iter
-                (fun d ->
-                  incr diffs;
-                  Printf.eprintf "DIFF %s\n" d)
-                ds
-            end
-        | None -> written := !written + 1; ignore (T.save ~dir:!artifacts_dir t))
-      sel;
-    (match !verify_mode with
-    | None -> ()
-    | Some mode ->
-        (* post-table gate: verify freshly built artifacts in the
-           requested mode; a rejection is a bound violation, so --strict
-           turns it into exit 1 *)
-        let n = if !quick then 256 else 512 in
-        let g = Gcache.gnp ~seed:47 ~n ~avg_degree:(fi n /. 8.) in
-        let sp = (Bs_derand.run ~k:3 g).Bs_derand.spanner in
-        let vs =
-          Verify.spanner ~engine:!engine ~jobs:!jobs ~mode
-            ~k:3 g sp
-        in
-        let cert = Thurimella.certificate ~k:2 g in
-        let vc =
-          Verify.certificate ~engine:!engine ~jobs:!jobs
-            ~mode g cert
-        in
-        List.iter
-          (fun (v : Verify.verdict) ->
-            incr checked;
-            fmt "[verify %s]\n" (Format.asprintf "%a" Verify.pp_verdict v);
-            if not v.Verify.ok then begin
-              incr viols;
-              Printf.eprintf "VERIFY REJECTED %s (%s mode)\n" v.Verify.target
-                (Verify.mode_name mode)
-            end)
-          [ vs; vc ]);
-    fmt "\n[%d bound(s) checked, %d violated]\n" !checked !viols;
-    fmt "[graph cache: %d hit(s), %d miss(es)]\n" !Gcache.hits !Gcache.misses;
-    (match !against with
-    | Some dir when !refresh ->
-        fmt "[refreshed %d golden artifact(s) in %s]\n" !written dir
-    | Some dir ->
-        fmt "[against %s: %d diff(s), %d missing artifact(s)]\n" dir !diffs
-          !missing
-    | None -> fmt "[wrote %d artifact(s) to %s]\n" !written !artifacts_dir);
-    (match (!metrics_file, !global_metrics) with
-    | Some path, Some reg ->
-        Parallel.set_metrics None;
-        Metrics_io.save_registry path reg;
-        fmt "[wrote metrics snapshot to %s]\n" path
-    | _ -> ());
-    let fail_strict = !strict_mode && !viols > 0 in
-    let fail_diff = !diffs > 0 || !missing > 0 in
-    if fail_strict || fail_diff then exit 1
-  end
+            Printf.eprintf "VERIFY REJECTED %s (%s mode)\n" v.Verify.target
+              (Verify.mode_name mode)
+          end)
+        [ vs; vc ]);
+  fmt "\n[%d bound(s) checked, %d violated]\n" !checked !viols;
+  fmt "[graph cache: %d hit(s), %d miss(es)]\n" !Gcache.hits !Gcache.misses;
+  (match !against with
+  | Some dir when !refresh ->
+      fmt "[refreshed %d golden artifact(s) in %s]\n" !written dir
+  | Some dir ->
+      fmt "[against %s: %d diff(s), %d missing artifact(s)]\n" dir !diffs
+        !missing
+  | None -> fmt "[wrote %d artifact(s) to %s]\n" !written !artifacts_dir);
+  (match (!metrics_file, !global_metrics) with
+  | Some path, Some reg ->
+      Parallel.set_metrics None;
+      Metrics_io.save_registry path reg;
+      fmt "[wrote metrics snapshot to %s]\n" path
+  | _ -> ());
+  let fail_strict = !strict_mode && !viols > 0 in
+  let fail_diff = !diffs > 0 || !missing > 0 in
+  if fail_strict || fail_diff then exit 1

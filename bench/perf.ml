@@ -42,8 +42,9 @@
    exposition compared across the Ref engine, Fast -j 1 and Fast -j 4).
 
    Results are written as JSON (schema ultraspan-perf/6, default
-   [BENCH_congest.json]) so future PRs can diff against the recorded
-   baseline; v1-v5 baselines (no oracle section, etc.) still load.
+   [BENCH_congest.json]) so later runs can diff against the recorded
+   baseline.  Only that schema loads, and every section of it (message
+   plane, sharded, parallel, oracle, efficiency, dynamic) is required.
 
    Usage:
      perf [--quick] [--jobs N] [-o FILE]   run the suite, write FILE
@@ -57,18 +58,13 @@
      perf [--quick] --against FILE [--tolerance PCT] [--suites]
         rerun the suite and gate on the recorded baseline: the fast-vs-ref
         message-plane speedup must stay within PCT percent of the baseline
-        (default 40; the ratio is machine-robust, unlike wall-clock), and —
-        on machines with >= 4 cores and a v2 baseline — the stretch:par
-        speedup must clear the 1.8x floor and stay within PCT of the
-        recorded ratio.  On smaller machines the parallel gate is skipped
-        with a note: a ratio needs cores to manifest.  Against a v3
-        baseline the dynamic repair-vs-rebuild speedup must clear a 1.2x
-        absolute floor and stay within PCT of the recorded ratio, and
-        against a v5 baseline the jobs=N-vs-jobs=1 message-plane speedup
-        at n=1e5 must clear a 1.5x absolute floor (>= 4 cores only, same
-        skip rule as the stretch gate).  Against a v6 baseline the oracle
-        batch queries/sec speedup at jobs=N must clear the same 1.5x
-        absolute floor under the same core-aware skip rule.
+        (default 40; the ratio is machine-robust, unlike wall-clock).
+        Four more ratios must each clear an absolute floor and stay within
+        PCT of the recorded ratio: stretch:par (1.8x), the jobs=N-vs-jobs=1
+        message plane at n=1e5 (1.5x), the oracle batch queries/sec at
+        jobs=N (1.5x) and dynamic repair-vs-rebuild (1.2x).  The first
+        three are pool ratios: on machines with fewer than 4 cores they
+        are skipped with a note, as a ratio needs cores to manifest.
         [--suites] additionally gates each suite's ns/run — opt-in because
         absolute wall-clock does not transfer across CI machines. *)
 
@@ -176,12 +172,10 @@ let dyn_workload ~quick =
    distance/membership queries served from it.  The compile suite measures
    the artifact build; the query suites measure batch throughput at jobs=1
    vs jobs=N — byte-identical answers either way, so only queries/sec
-   separates them.  A generous cache capacity keeps the serving runs out
-   of eviction churn: the suites measure the engine, not cache sizing. *)
+   separates them. *)
 let oracle_n ~quick = if quick then 512 else 1024
 let oracle_k = 3
 let oracle_query_count ~quick = if quick then 2048 else 4096
-let oracle_cache_capacity = 1024
 
 let oracle_workload ~quick =
   let g =
@@ -338,9 +332,7 @@ let parallel_rows ~quick =
 let oracle_rows ~quick =
   let g, sp, o, qs = oracle_workload ~quick in
   let n = oracle_n ~quick in
-  let serve jobs () =
-    ignore (Query_engine.run ~jobs ~cache_capacity:oracle_cache_capacity o qs)
-  in
+  let serve jobs () = ignore (Query_engine.run ~jobs o qs) in
   [
     measure ~quick ~name:"oracle:compile" ~kind:"oracle" ~n ~messages:0
       ~rounds:0 (fun () -> ignore (Oracle.compile g ~k:oracle_k sp));
@@ -540,7 +532,7 @@ let speedup_of rows =
   messages_per_sec fast /. messages_per_sec ref_
 
 (* jobs=1-vs-jobs=N wall-clock ratio of the gated large-n pair (>1 = the
-   pool wins); NaN when the rows are absent (old baselines). *)
+   pool wins); NaN when a row is missing. *)
 let sharded_speedup_of rows =
   match
     ( List.find_opt
@@ -555,7 +547,7 @@ let sharded_speedup_of rows =
   | _ -> Float.nan
 
 (* seq-vs-par wall-clock ratio of a parallel suite pair (>1 = the pool
-   wins); NaN when the rows are absent (old baselines). *)
+   wins); NaN when a row is missing. *)
 let par_speedup_of rows prefix =
   match
     ( List.find_opt (fun r -> r.name = prefix ^ ":seq") rows,
@@ -566,7 +558,7 @@ let par_speedup_of rows prefix =
   | _ -> Float.nan
 
 (* rebuild-vs-repair wall-clock ratio of the dynamic pair (>1 = the
-   incremental engine wins); NaN when the rows are absent. *)
+   incremental engine wins); NaN when a row is missing. *)
 let dyn_speedup_of rows =
   match
     ( List.find_opt (fun r -> r.name = "dynamic:repair") rows,
@@ -590,12 +582,6 @@ let print_rows rows =
 (* ------------------------------------------------------------------ *)
 
 let schema = "ultraspan-perf/6"
-
-let accepted_schemas =
-  [
-    "ultraspan-perf/1"; "ultraspan-perf/2"; "ultraspan-perf/3";
-    "ultraspan-perf/4"; "ultraspan-perf/5"; schema;
-  ]
 
 (* A failed OLS estimate is NaN; encode it as 0.0 so the file stays valid
    JSON and --validate rejects it with a clear message. *)
@@ -736,8 +722,10 @@ let write_json ~quick ~eff ~file rows =
 let load_baseline file =
   let j = J.load file in
   let s = J.str (J.field "schema" j) in
-  if not (List.mem s accepted_schemas) then
-    raise (J.Error ("unknown schema " ^ s));
+  if s <> schema then
+    raise
+      (J.Error
+         (Printf.sprintf "unknown schema %s (this build reads %s)" s schema));
   j
 
 let validate file =
@@ -753,74 +741,47 @@ let validate file =
       if not (Float.is_finite ns && ns > 0.0) then
         raise (J.Error (name ^ ": bad ns_per_run")))
     suites;
-  let mp = J.field "message_plane" j in
-  let speedup = J.num (J.field "speedup" mp) in
-  if not (Float.is_finite speedup && speedup > 0.0) then
-    raise (J.Error "bad message_plane.speedup");
-  (match J.field_opt "parallel" j with
-  | None -> ()
-  | Some p ->
-      let cores = J.int (J.field "cores" p) in
-      if cores <= 0 then raise (J.Error "bad parallel.cores");
-      let s = J.num (J.field "stretch_speedup" p) in
-      if not (Float.is_finite s && s > 0.0) then
-        raise (J.Error "bad parallel.stretch_speedup"));
-  (match J.field_opt "sharded" j with
-  | None -> ()
-  | Some p ->
-      if J.int (J.field "cores" p) <= 0 then
-        raise (J.Error "bad sharded.cores");
-      if J.int (J.field "n" p) <= 0 then raise (J.Error "bad sharded.n");
-      let s = J.num (J.field "speedup" p) in
-      if not (Float.is_finite s && s > 0.0) then
-        raise (J.Error "bad sharded.speedup"));
-  (match J.field_opt "dynamic" j with
-  | None -> ()
-  | Some d ->
-      if J.int (J.field "updates" d) <= 0 then
-        raise (J.Error "bad dynamic.updates");
-      let s = J.num (J.field "repair_speedup" d) in
-      if not (Float.is_finite s && s > 0.0) then
-        raise (J.Error "bad dynamic.repair_speedup"));
-  (match J.field_opt "oracle" j with
-  | None -> ()
-  | Some o ->
-      if J.int (J.field "cores" o) <= 0 then raise (J.Error "bad oracle.cores");
-      if J.int (J.field "queries" o) <= 0 then
-        raise (J.Error "bad oracle.queries");
-      let q = J.num (J.field "seq_queries_per_sec" o) in
-      if not (Float.is_finite q && q > 0.0) then
-        raise (J.Error "bad oracle.seq_queries_per_sec");
-      let s = J.num (J.field "speedup" o) in
-      if not (Float.is_finite s && s > 0.0) then
-        raise (J.Error "bad oracle.speedup"));
-  (match J.field_opt "efficiency" j with
-  | None -> ()
-  | Some e ->
-      if J.int (J.field "deliveries" e) <= 0 then
-        raise (J.Error "bad efficiency.deliveries");
-      let u = J.num (J.field "pool_utilization" e) in
-      if not (Float.is_finite u && u > 0.0 && u <= 1.0) then
-        raise (J.Error "bad efficiency.pool_utilization");
-      let w = J.num (J.field "arena_waste" e) in
-      if not (Float.is_finite w && w >= 0.0 && w <= 1.0) then
-        raise (J.Error "bad efficiency.arena_waste"));
+  (* every section is required; each listed field must be positive *)
+  let field sec name = J.field name (J.field sec j) in
+  let positive (sec, name, num) =
+    let x = num (field sec name) in
+    if not (Float.is_finite x && x > 0.0) then
+      raise (J.Error (Printf.sprintf "bad %s.%s" sec name))
+  in
+  let count x = float_of_int (J.int x) in
+  List.iter positive
+    [
+      ("message_plane", "speedup", J.num);
+      ("parallel", "cores", count);
+      ("parallel", "stretch_speedup", J.num);
+      ("sharded", "cores", count);
+      ("sharded", "n", count);
+      ("sharded", "speedup", J.num);
+      ("oracle", "cores", count);
+      ("oracle", "queries", count);
+      ("oracle", "seq_queries_per_sec", J.num);
+      ("oracle", "speedup", J.num);
+      ("efficiency", "deliveries", count);
+      ("dynamic", "updates", count);
+      ("dynamic", "repair_speedup", J.num);
+    ];
+  let u = J.num (field "efficiency" "pool_utilization") in
+  if not (Float.is_finite u && u > 0.0 && u <= 1.0) then
+    raise (J.Error "bad efficiency.pool_utilization");
+  let w = J.num (field "efficiency" "arena_waste") in
+  if not (Float.is_finite w && w >= 0.0 && w <= 1.0) then
+    raise (J.Error "bad efficiency.arena_waste");
+  let speedup = J.num (field "message_plane" "speedup") in
   Printf.printf "%s: OK (%d suites, all ran; message-plane speedup %.2fx)\n"
     file (List.length suites) speedup
 
 (* Re-check a recorded artifact's efficiency section against the floors
    without re-running anything — the negative-control entry point. *)
 let gate_recorded ~min_util ~max_waste file =
-  let j = load_baseline file in
-  match J.field_opt "efficiency" j with
-  | None ->
-      Printf.eprintf
-        "%s: no efficiency section (pre-v4 baseline) — cannot gate\n" file;
-      exit 1
-  | Some e ->
-      gate_efficiency ~min_util ~max_waste
-        ~utilization:(J.num (J.field "pool_utilization" e))
-        ~waste:(J.num (J.field "arena_waste" e))
+  let e = J.field "efficiency" (load_baseline file) in
+  gate_efficiency ~min_util ~max_waste
+    ~utilization:(J.num (J.field "pool_utilization" e))
+    ~waste:(J.num (J.field "arena_waste" e))
 
 (* Gate a fresh run against a recorded baseline.  The default check is the
    fast-vs-ref speedup RATIO: wall-clock shifts with the machine, but the
@@ -849,126 +810,47 @@ let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
   if not (Float.is_finite cur_speedup) || cur_speedup < floor then
     fail "message-plane speedup %.2fx below floor %.2fx (baseline %.2fx)"
       cur_speedup floor base_speedup;
-  (* Parallel-kernel gate: a seq-vs-par ratio needs cores to manifest, so
-     it is enforced only on >= 4-core machines, and only against a v2
-     baseline that recorded the parallel section. *)
+  (* Ratio gates: each fresh ratio must clear its absolute floor and stay
+     within the tolerance of the baseline section's recorded ratio.  Pool
+     ratios need cores to manifest, so they pass [~min_cores:4] and are
+     skipped with a note on smaller machines. *)
   let cores = Parallel.available_cores () in
-  (match J.field_opt "parallel" j with
-  | None ->
+  let ratio_gate ?(min_cores = 1) ~label ~section ~field ~abs_floor cur =
+    let p = J.field section j in
+    if cores < min_cores then
       Printf.printf
-        "parallel gate: skipped (baseline %s has no parallel section)\n"
-        baseline_file
-  | Some p when cores < 4 ->
-      let base_cores = J.int (J.field "cores" p) in
+        "%s gate: skipped (%d core(s) here, baseline recorded %d — the ratio \
+         cannot manifest below %d cores)\n"
+        label cores
+        (J.int (J.field "cores" p))
+        min_cores
+    else begin
+      let base = J.num (J.field field p) in
+      let rel_floor = base *. (1.0 -. tol) in
       Printf.printf
-        "parallel gate: skipped (%d core(s) here, baseline recorded %d — \
-         the stretch:par ratio cannot manifest below 4 cores)\n"
-        cores base_cores
-  | Some p ->
-      let abs_floor = 1.8 in
-      let base_par = J.num (J.field "stretch_speedup" p) in
-      let cur_par = par_speedup_of rows "stretch" in
-      let rel_floor = base_par *. (1.0 -. tol) in
-      Printf.printf
-        "stretch:par speedup: %.2fx now vs %.2fx baseline (floors: %.2fx \
-         absolute, %.2fx relative)\n"
-        cur_par base_par abs_floor rel_floor;
-      if not (Float.is_finite cur_par) || cur_par < abs_floor then
-        fail "stretch:par speedup %.2fx below the %.2fx floor at %d cores"
-          cur_par abs_floor cores
-      else if cur_par < rel_floor then
-        fail "stretch:par speedup %.2fx below relative floor %.2fx (baseline \
-              %.2fx)"
-          cur_par rel_floor base_par);
-  (* Sharded-rounds gate: same shape as the stretch gate — the
-     jobs=1-vs-jobs=N message-plane ratio at n=1e5 needs real cores to
-     manifest, so it is enforced only on >= 4-core machines and only
-     against a v5 baseline that recorded the sharded section. *)
-  (match J.field_opt "sharded" j with
-  | None ->
-      Printf.printf
-        "sharded gate: skipped (baseline %s has no sharded section)\n"
-        baseline_file
-  | Some p when cores < 4 ->
-      let base_cores = J.int (J.field "cores" p) in
-      Printf.printf
-        "sharded gate: skipped (%d core(s) here, baseline recorded %d — the \
-         jobs=N-vs-jobs=1 ratio cannot manifest below 4 cores)\n"
-        cores base_cores
-  | Some p ->
-      let abs_floor = 1.5 in
-      let base_sh = J.num (J.field "speedup" p) in
-      let cur_sh = sharded_speedup_of rows in
-      let rel_floor = base_sh *. (1.0 -. tol) in
-      Printf.printf
-        "mp:sharded speedup at n=%d: %.2fx now vs %.2fx baseline (floors: \
-         %.2fx absolute, %.2fx relative)\n"
-        gate_big_n cur_sh base_sh abs_floor rel_floor;
-      if not (Float.is_finite cur_sh) || cur_sh < abs_floor then
-        fail "mp:sharded speedup %.2fx below the %.2fx floor at %d cores"
-          cur_sh abs_floor cores
-      else if cur_sh < rel_floor then
-        fail
-          "mp:sharded speedup %.2fx below relative floor %.2fx (baseline \
-           %.2fx)"
-          cur_sh rel_floor base_sh);
-  (* Oracle gate: the batch query engine's jobs=N throughput must keep
-     beating the sequential run — the same core-aware skip rule as the
-     other pool ratios, and only against a v6 baseline that recorded the
-     oracle section. *)
-  (match J.field_opt "oracle" j with
-  | None ->
-      Printf.printf
-        "oracle gate: skipped (baseline %s has no oracle section)\n"
-        baseline_file
-  | Some p when cores < 4 ->
-      let base_cores = J.int (J.field "cores" p) in
-      Printf.printf
-        "oracle gate: skipped (%d core(s) here, baseline recorded %d — the \
-         batch queries/sec ratio cannot manifest below 4 cores)\n"
-        cores base_cores
-  | Some p ->
-      let abs_floor = 1.5 in
-      let base_q = J.num (J.field "speedup" p) in
-      let cur_q = par_speedup_of rows "oracle:query" in
-      let rel_floor = base_q *. (1.0 -. tol) in
-      Printf.printf
-        "oracle:query speedup: %.2fx now vs %.2fx baseline (floors: %.2fx \
-         absolute, %.2fx relative)\n"
-        cur_q base_q abs_floor rel_floor;
-      if not (Float.is_finite cur_q) || cur_q < abs_floor then
-        fail "oracle:query speedup %.2fx below the %.2fx floor at %d cores"
-          cur_q abs_floor cores
-      else if cur_q < rel_floor then
-        fail
-          "oracle:query speedup %.2fx below relative floor %.2fx (baseline \
-           %.2fx)"
-          cur_q rel_floor base_q);
-  (* Dynamic gate: incremental repair must keep beating the rebuild
-     baseline on the same stream — a ratio of the same workload on the
-     same machine, so it transfers like the other ratio gates. *)
-  (match J.field_opt "dynamic" j with
-  | None ->
-      Printf.printf
-        "dynamic gate: skipped (baseline %s has no dynamic section)\n"
-        baseline_file
-  | Some d ->
-      let abs_floor = 1.2 in
-      let base_dyn = J.num (J.field "repair_speedup" d) in
-      let cur_dyn = dyn_speedup_of rows in
-      let rel_floor = base_dyn *. (1.0 -. tol) in
-      Printf.printf
-        "dynamic repair-vs-rebuild speedup: %.2fx now vs %.2fx baseline \
-         (floors: %.2fx absolute, %.2fx relative)\n"
-        cur_dyn base_dyn abs_floor rel_floor;
-      if not (Float.is_finite cur_dyn) || cur_dyn < abs_floor then
-        fail "dynamic repair speedup %.2fx below the %.2fx floor" cur_dyn
-          abs_floor
-      else if cur_dyn < rel_floor then
-        fail
-          "dynamic repair speedup %.2fx below relative floor %.2fx (baseline \
-           %.2fx)"
-          cur_dyn rel_floor base_dyn);
+        "%s speedup: %.2fx now vs %.2fx baseline (floors: %.2fx absolute, \
+         %.2fx relative)\n"
+        label cur base abs_floor rel_floor;
+      if not (Float.is_finite cur) || cur < abs_floor then
+        fail "%s speedup %.2fx below the %.2fx floor at %d cores" label cur
+          abs_floor cores
+      else if cur < rel_floor then
+        fail "%s speedup %.2fx below relative floor %.2fx (baseline %.2fx)"
+          label cur rel_floor base
+    end
+  in
+  ratio_gate ~min_cores:4 ~label:"stretch:par" ~section:"parallel"
+    ~field:"stretch_speedup" ~abs_floor:1.8
+    (par_speedup_of rows "stretch");
+  ratio_gate ~min_cores:4
+    ~label:(Printf.sprintf "mp:sharded at n=%d" gate_big_n)
+    ~section:"sharded" ~field:"speedup" ~abs_floor:1.5
+    (sharded_speedup_of rows);
+  ratio_gate ~min_cores:4 ~label:"oracle:query" ~section:"oracle"
+    ~field:"speedup" ~abs_floor:1.5
+    (par_speedup_of rows "oracle:query");
+  ratio_gate ~label:"dynamic repair-vs-rebuild" ~section:"dynamic"
+    ~field:"repair_speedup" ~abs_floor:1.2 (dyn_speedup_of rows);
   (* Efficiency gate: absolute floors on the fresh run's efficiency
      metrics — ratios of co-measured quantities, so no baseline scaling
      is needed (the recorded section documents what this machine saw). *)

@@ -33,8 +33,9 @@
 #               corruption is rejected, and the bench --verify gate passes
 #   oracle      serving layer: compile -> query round-trips end-to-end with
 #               local verification, the result file is byte-identical at
-#               -j 1 and -j 4, and a corrupted artifact is rejected with a
-#               one-line diagnostic and exit 1
+#               -j 1 and -j 4, a corrupted artifact is rejected with a
+#               one-line diagnostic and exit 1, and Q1 holds its bounds
+#               and matches its golden
 #   efficiency  perf efficiency gate against the committed BENCH_congest.json
 #               (includes the floors) plus its negative control
 #   perf        perf regression gate against BENCH_congest.json
@@ -199,10 +200,10 @@ stage_oracle() {
   # compile -> query round trip, with the spanner recertified on the
   # original graph and sampled answers spot-checked against exact distances
   dune exec bin/ultraspan_cli.exe -- compile --algo bs-derand --family gnp \
-    -n 300 --degree 8 --seed 3 -k 3 -o "$tmp/oracle.bin" >/dev/null
+    -n 1000 --degree 8 --seed 3 -k 3 -o "$tmp/oracle.bin" >/dev/null
   test -s "$tmp/oracle.bin"
-  dune exec bin/ultraspan_cli.exe -- query "$tmp/oracle.bin" --random 500 \
-    --seed 3 --family gnp -n 300 --degree 8 --verify local \
+  dune exec bin/ultraspan_cli.exe -- query "$tmp/oracle.bin" --random 2000 \
+    --seed 3 --family gnp -n 1000 --degree 8 --verify local \
     --emit-queries "$tmp/oracle-queries.txt" -o "$tmp/oracle-j1.txt" \
     >/dev/null
   # the emitted batch replayed over the pool must reproduce the result
@@ -219,6 +220,10 @@ stage_oracle() {
     exit 1
   fi
   grep -q "not an ultraspan-oracle/1 artifact" "$tmp/oracle-err.txt"
+  # Q1 (serving throughput + stretch contract): every bound must hold and
+  # the table must match its committed golden
+  dune exec bench/main.exe -- --quick --table q1 --strict \
+    --against bench/goldens >/dev/null
 }
 
 stage_efficiency() {
@@ -243,7 +248,7 @@ case "${1:-}" in
     exit 0
     ;;
   --help | -h)
-    sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
     exit 0
     ;;
 esac

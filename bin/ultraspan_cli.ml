@@ -925,9 +925,9 @@ let query oracle_path qfile random emitq jobs verify mfile input family n
     Printf.printf "queries         : %d (%d dist, %d mem, %d unreachable)\n"
       st.Query_engine.queries st.Query_engine.dist st.Query_engine.mem
       st.Query_engine.unreachable;
-    Printf.printf "sssp cache      : %d hit(s), %d miss(es), %d eviction(s)\n"
-      st.Query_engine.cache_hits st.Query_engine.cache_misses
-      st.Query_engine.cache_evictions;
+    Printf.printf "sssp trees      : %d built, serving %d tree-routed queries\n"
+      st.Query_engine.cache_misses
+      (st.Query_engine.cache_hits + st.Query_engine.cache_misses);
     (match output with
     | Some path ->
         Query_engine.save_results path qs answers;

@@ -27,9 +27,11 @@ val distances_to_targets :
     equal a full single-source run; entries of unsettled vertices are
     tentative and must not be read (except that once the queue empties,
     unsettled = unreachable).  [is_target] is consumed — settled targets
-    are flipped back to [false].  This is the early-exit countdown search
-    behind {!max_edge_stretch} and the oracle query engine's cached SSSP
-    trees. *)
+    are flipped back to [false]; unsettled ones (unreachable targets)
+    stay marked.  This is the early-exit countdown search behind
+    {!max_edge_stretch} and the oracle query engine's per-batch tree
+    plan, which builds one tree per hot source, targeting the partners
+    the batch asks it about. *)
 
 val max_edge_stretch : ?jobs:int -> Graph.t -> bool array -> float
 (** [max_edge_stretch g keep] is the exact stretch of the spanning subgraph

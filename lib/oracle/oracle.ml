@@ -249,11 +249,61 @@ let load path =
     done
   in
   check_range "orig_eid" orig_eid 0 orig_m;
-  check_range "comp" comp 0 (max clusters 1);
+  check_range "comp" comp 0 clusters;
   check_range "root" root 0 gn;
   check_range "parent" parent (-1) gn;
   check_range "parent_eid" parent_eid (-1) gm;
   check_range "depth_w" depth_w 0 max_int;
+  (* The cluster trees must agree with the graph: the engine seeds every
+     bidirectional search with [tree_bound], so a depth that is not a real
+     path length would turn into a wrong answer.  All O(n + m). *)
+  Graph.iter_edges graph (fun e ->
+      if comp.{e.Graph.u} <> comp.{e.Graph.v} then
+        bad path "edge %d joins clusters %d and %d" e.Graph.id comp.{e.Graph.u}
+          comp.{e.Graph.v});
+  for c = 0 to clusters - 1 do
+    let r = root.{c} in
+    if comp.{r} <> c then
+      bad path "root %d of cluster %d has comp %d" r c comp.{r};
+    if depth_w.{r} <> 0 then bad path "root %d has depth_w %d" r depth_w.{r}
+  done;
+  let is_root v = root.{comp.{v}} = v in
+  for v = 0 to gn - 1 do
+    if not (is_root v) then begin
+      let p = parent.{v} and e = parent_eid.{v} in
+      if p < 0 || e < 0 || Graph.endpoints graph e <> (min v p, max v p) then
+        bad path "parent_eid[%d] = %d does not join %d to its parent %d" v e v p
+    end
+  done;
+  (* every parent chain ends at its cluster's root: walk each chain until
+     a root or an already-cleared vertex, marking the walk; meeting the
+     current walk again is a cycle *)
+  let state = Bytes.make gn '\000' in
+  for v = 0 to gn - 1 do
+    let x = ref v in
+    while Bytes.get state !x = '\000' && not (is_root !x) do
+      Bytes.set state !x '\001';
+      x := parent.{!x}
+    done;
+    if Bytes.get state !x = '\001' then
+      bad path "parent chain of vertex %d cycles at %d" v !x;
+    let y = ref v in
+    while Bytes.get state !y = '\001' do
+      Bytes.set state !y '\002';
+      y := parent.{!y}
+    done
+  done;
+  for v = 0 to gn - 1 do
+    if not (is_root v) then begin
+      let p = parent.{v} in
+      let w = Graph.weight graph parent_eid.{v} in
+      if depth_w.{v} <> depth_w.{p} + w then
+        bad path
+          "depth_w[%d] = %d, but its parent %d is at %d over an edge of \
+           weight %d"
+          v depth_w.{v} p depth_w.{p} w
+    end
+  done;
   { k; orig_m; graph; orig_eid; clusters; comp; root; parent; parent_eid; depth_w }
 
 (* ------------------------------------------------------------------ *)

@@ -27,9 +27,10 @@ open! Import
     metadata vectors; the graph itself is reconstructed with
     {!Graph.of_edge_iter} streaming straight out of the arena, so the peak
     transient is the arena plus the CSR being built — no tuple lists.
-    Every load validates magic, version, header ranges and the checksum
-    and raises [Failure] with a one-line diagnostic on truncated or
-    corrupt files (the CLI turns that into exit 1). *)
+    Every load validates magic, version, header ranges, the checksum and
+    the cluster trees against the graph, and raises [Failure] with a
+    one-line diagnostic on truncated, corrupt or self-contradictory files
+    (the CLI turns that into exit 1). *)
 
 val schema : string
 (** ["ultraspan-oracle/1"]. *)
@@ -79,7 +80,13 @@ val save : string -> t -> int
 val load : string -> t
 (** Read an artifact back.  Raises [Failure] with a one-line diagnostic on
     a truncated, corrupt or wrong-version file (bad magic, short payload,
-    checksum mismatch, out-of-range structure). *)
+    checksum mismatch, out-of-range structure), and — in O(n + m) — on
+    cluster trees that contradict the graph: a spanner edge joining two
+    clusters, a root outside its cluster or at nonzero depth, a non-root
+    whose [parent_eid] does not join it to its [parent], a parent chain
+    that does not reach its root, or a [depth_w] that is not the parent's
+    plus the parent edge's weight.  Such a file could pass the checksum
+    and still make {!tree_bound} undercut real distances. *)
 
 val equal : t -> t -> bool
 (** Structural equality: parameters, graph (vertices, edges, weights, ids)

@@ -98,7 +98,7 @@ let save_results path qs answers = write_file path (render_results qs answers)
 let generate ~rng ~n ~count =
   if n < 1 then invalid_arg "Query_engine.generate: n must be >= 1";
   (* a small pool of hot sources receives most distance queries, so a
-     realistic batch actually exercises the SSSP-tree cache *)
+     realistic batch actually exercises the tree plan *)
   let hot = Array.init (min 8 n) (fun _ -> Rng.int rng n) in
   Array.init count (fun _ ->
       let r = Rng.int rng 100 in
@@ -144,8 +144,7 @@ let make_scratch n =
    spanner path), vertices at distance >= the best-known path are never
    expanded, and the two frontiers stop as soon as their tops certify no
    shorter meeting point exists.  The result is independent of the
-   expansion schedule, so answers match the SSSP-cache route bit for
-   bit. *)
+   expansion schedule, so answers match the tree route bit for bit. *)
 let bidi (o : Oracle.t) sc s t =
   sc.stamp <- sc.stamp + 1;
   let st = sc.stamp in
@@ -220,15 +219,12 @@ type stats = {
   cache_evictions : int;
 }
 
-(* A source is served from a cached SSSP tree once the batch queries it
-   this often; below that a bounded bidirectional search is cheaper than
-   building (and holding) a tree. *)
+(* A source is answered from a single-source tree once the batch queries
+   it this often; below that a bounded bidirectional search is cheaper
+   than building a tree. *)
 let hot_threshold = 4
 
-type cache_entry = { cdist : int array; csettled : Bitset.t }
-
-let run ?jobs ?(metrics = Metrics.disabled) ?(cache_capacity = 64)
-    (o : Oracle.t) (qs : query array) =
+let run ?jobs ?(metrics = Metrics.disabled) (o : Oracle.t) (qs : query array) =
   let n = Oracle.n o in
   Array.iteri
     (fun i q ->
@@ -241,10 +237,8 @@ let run ?jobs ?(metrics = Metrics.disabled) ?(cache_capacity = 64)
     qs;
   (* Routing is a pure function of the batch: count how often each vertex
      appears as a distance endpoint, call it hot past the threshold, and
-     for every same-cluster query send it to the hot endpoint's tree
-     (source first, then target) or to the bidirectional search.  The
-     partner lists collected here are exactly the targets each tree's
-     early-exit countdown build needs to settle. *)
+     send every same-cluster query to the hot endpoint's tree (source
+     first, then target) or to the bidirectional search. *)
   let freq = Array.make n 0 in
   Array.iter
     (function
@@ -253,81 +247,75 @@ let run ?jobs ?(metrics = Metrics.disabled) ?(cache_capacity = 64)
           freq.(t) <- freq.(t) + 1
       | Dist _ | Mem _ -> ())
     qs;
-  let partners : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let add_partner v u =
-    match Hashtbl.find_opt partners v with
-    | Some l -> l := u :: !l
-    | None -> Hashtbl.add partners v (ref [ u ])
-  in
   let route =
     Array.map
       (function
         | Mem _ -> -1
         | Dist (s, t) ->
             if s = t || o.Oracle.comp.{s} <> o.Oracle.comp.{t} then -1
-            else if freq.(s) >= hot_threshold then (add_partner s t; s)
-            else if freq.(t) >= hot_threshold then (add_partner t s; t)
+            else if freq.(s) >= hot_threshold then s
+            else if freq.(t) >= hot_threshold then t
             else -2)
       qs
   in
-  (* Bounded LRU of SSSP trees, Gcache-style: lookups and the build both
-     run under the lock, so per source the first access misses and the
-     rest hit — totals independent of the schedule as long as nothing is
-     evicted. *)
-  let cache_lock = Mutex.create () in
-  let cache : (int, cache_entry) Hashtbl.t = Hashtbl.create 16 in
-  let lru = ref [] in
-  let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
-  let tree_for v =
-    Mutex.protect cache_lock (fun () ->
-        match Hashtbl.find_opt cache v with
-        | Some e ->
-            incr hits;
-            lru := v :: List.filter (fun x -> x <> v) !lru;
-            e
-        | None ->
-            incr misses;
-            let is_target = Array.make n false in
-            let remaining = ref 0 in
-            (match Hashtbl.find_opt partners v with
-            | None -> ()
-            | Some l ->
-                List.iter
-                  (fun u ->
-                    if not is_target.(u) then begin
-                      is_target.(u) <- true;
-                      incr remaining
-                    end)
-                  !l);
-            let cdist, csettled =
-              Stretch.distances_to_targets o.Oracle.graph v ~is_target
-                ~remaining:!remaining
-            in
-            let e = { cdist; csettled } in
-            Hashtbl.add cache v e;
-            lru := v :: !lru;
-            if List.length !lru > cache_capacity then begin
-              match List.rev !lru with
-              | victim :: _ ->
-                  Hashtbl.remove cache victim;
-                  lru := List.filter (fun x -> x <> victim) !lru;
-                  incr evictions
-              | [] -> ()
-            end;
-            e)
-  in
+  (* The tree plan: tree-routed queries grouped by hot source, queries in
+     index order within each group. *)
   let nq = Array.length qs in
+  let members = Array.make n [] in
+  for i = nq - 1 downto 0 do
+    let r = route.(i) in
+    if r >= 0 then members.(r) <- i :: members.(r)
+  done;
+  let sources =
+    Array.of_list
+      (List.filter (fun v -> members.(v) <> []) (List.init n Fun.id))
+  in
+  let trees = Array.length sources in
+  let partner i =
+    match qs.(i) with
+    | Dist (s, t) -> if route.(i) = s then t else s
+    | Mem _ -> assert false
+  in
   let answers = Array.make nq (Dist_answer 0) in
-  let blocks = max 1 (Parallel.block_count nq) in
-  let b_dist = Array.make blocks 0 in
-  let b_mem = Array.make blocks 0 in
-  let b_unreach = Array.make blocks 0 in
-  Parallel.iter_blocks ?jobs nq (fun b lo hi ->
+  (* Tree section: each group builds its source's tree once, restricted by
+     the early-exit countdown to the partners the group asks about,
+     answers the group by index and drops the tree, so at most [jobs]
+     trees are live at once.  Skipped when no source is hot. *)
+  if trees > 0 then
+    Parallel.iter_blocks ?jobs trees (fun _ lo hi ->
+        let is_target = Array.make n false in
+        for c = lo to hi - 1 do
+          let v = sources.(c) in
+          let remaining = ref 0 in
+          List.iter
+            (fun i ->
+              let u = partner i in
+              if not is_target.(u) then begin
+                is_target.(u) <- true;
+                incr remaining
+              end)
+            members.(v);
+          let dist, settled =
+            Stretch.distances_to_targets o.Oracle.graph v ~is_target
+              ~remaining:!remaining
+          in
+          List.iter
+            (fun i ->
+              let u = partner i in
+              (* targets the search never settled are still marked *)
+              is_target.(u) <- false;
+              let d =
+                if Bitset.mem settled u then dist.(u) else Dijkstra.infinity
+              in
+              answers.(i) <- Dist_answer d)
+            members.(v)
+        done);
+  (* Everything else: membership, unreachable and bidirectional queries. *)
+  Parallel.iter_blocks ?jobs nq (fun _ lo hi ->
       let sc = make_scratch n in
       for i = lo to hi - 1 do
         match qs.(i) with
         | Mem (u, v) ->
-            b_mem.(b) <- b_mem.(b) + 1;
             let ans =
               if u = v then None
               else
@@ -337,40 +325,33 @@ let run ?jobs ?(metrics = Metrics.disabled) ?(cache_capacity = 64)
             in
             answers.(i) <- Mem_answer ans
         | Dist (s, t) ->
-            b_dist.(b) <- b_dist.(b) + 1;
-            let d =
-              if s = t then 0
-              else if o.Oracle.comp.{s} <> o.Oracle.comp.{t} then begin
-                b_unreach.(b) <- b_unreach.(b) + 1;
-                Dijkstra.infinity
-              end
-              else begin
-                let r = route.(i) in
-                if r >= 0 then begin
-                  let e = tree_for r in
-                  let u = if r = s then t else s in
-                  if Bitset.mem e.csettled u then e.cdist.(u)
-                  else Dijkstra.infinity
-                end
-                else bidi o sc s t
-              end
-            in
-            answers.(i) <- Dist_answer d
+            if route.(i) = -2 then answers.(i) <- Dist_answer (bidi o sc s t)
+            else if route.(i) = -1 then
+              answers.(i) <-
+                Dist_answer (if s = t then 0 else Dijkstra.infinity)
       done);
-  let sum = Array.fold_left ( + ) 0 in
+  let count p a =
+    Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 a
+  in
+  let dist = count (function Dist _ -> true | Mem _ -> false) qs in
   let stats =
     {
       queries = nq;
-      dist = sum b_dist;
-      mem = sum b_mem;
-      unreachable = sum b_unreach;
-      cache_hits = !hits;
-      cache_misses = !misses;
-      cache_evictions = !evictions;
+      dist;
+      mem = nq - dist;
+      unreachable =
+        count
+          (function
+            | Dist (s, t) -> o.Oracle.comp.{s} <> o.Oracle.comp.{t}
+            | Mem _ -> false)
+          qs;
+      cache_hits = count (fun r -> r >= 0) route - trees;
+      cache_misses = trees;
+      cache_evictions = 0;
     }
   in
-  (* registry updates happen here, on the calling domain, after the
-     parallel section's barrier (handle updates are unsynchronized) *)
+  (* registry updates happen here, on the calling domain (handle updates
+     are unsynchronized) *)
   Metrics.add (Metrics.counter metrics "oracle.queries_total") stats.queries;
   Metrics.add (Metrics.counter metrics "oracle.dist_total") stats.dist;
   Metrics.add (Metrics.counter metrics "oracle.mem_total") stats.mem;
@@ -383,9 +364,6 @@ let run ?jobs ?(metrics = Metrics.disabled) ?(cache_capacity = 64)
   Metrics.add
     (Metrics.counter metrics "timing.oracle.cache.misses_total")
     stats.cache_misses;
-  Metrics.add
-    (Metrics.counter metrics "timing.oracle.cache.evictions_total")
-    stats.cache_evictions;
   (answers, stats)
 
 (* ------------------------------------------------------------------ *)

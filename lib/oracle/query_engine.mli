@@ -18,12 +18,14 @@ open! Import
     and answers written by query index — result files are byte-identical
     for every [--jobs], which the test suite asserts by [cmp].
 
-    Sources that recur often enough in a batch are served from a bounded,
-    mutex-protected LRU of single-source shortest-path trees (built with
-    the early-exit countdown search {!Stretch.distances_to_targets},
-    targeting exactly the partners the batch will ask about).  A cached
-    answer equals what the bidirectional search would return, so caching
-    never changes output bytes — only throughput. *)
+    Sources that recur often enough in a batch are answered from
+    single-source shortest-path trees instead.  The tree plan is a pure
+    function of the batch: tree-routed queries are grouped by hot source,
+    each group builds its source's tree once (the early-exit countdown
+    search {!Stretch.distances_to_targets}, targeting exactly the partners
+    the group asks about), answers its queries by index and drops the
+    tree.  A tree answer equals what the bidirectional search would
+    return, so the plan never changes output bytes — only throughput. *)
 
 val queries_schema : string
 (** ["ultraspan-queries/1"] — header line of batch query files. *)
@@ -63,7 +65,7 @@ val save_results : string -> query array -> answer array -> unit
 
 val generate : rng:Rng.t -> n:int -> count:int -> query array
 (** Seeded mixed workload: ~60% distance queries from a small hot pool of
-    sources (exercising the SSSP cache), ~15% uniform distance queries,
+    sources (exercising the tree plan), ~15% uniform distance queries,
     ~25% membership queries.  Deterministic in [rng]. *)
 
 (** {1 Execution} *)
@@ -73,30 +75,29 @@ type stats = {
   dist : int;  (** distance queries answered *)
   mem : int;  (** membership queries answered *)
   unreachable : int;  (** distance queries across clusters *)
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
+  cache_hits : int;  (** tree-routed queries minus [cache_misses] *)
+  cache_misses : int;  (** trees built: distinct hot sources routed to a tree *)
+  cache_evictions : int;  (** always [0]: the plan holds no cache *)
 }
-(** [queries]/[dist]/[mem]/[unreachable] are functions of the batch and
-    oracle alone.  The cache totals are too as long as no eviction occurs
-    (per hot source: first access misses, the rest hit); under eviction
-    pressure with [jobs > 1] the interleaving decides them, which is why
-    their registry counters live in the [timing.*] execution namespace. *)
+(** Every field is a function of the batch and oracle alone, identical
+    for every job count.  [cache_hits] / [cache_misses] keep the names of
+    a per-source tree cache that never evicts: the first tree-routed
+    query of a source builds its tree, the rest reuse it. *)
 
 val run :
   ?jobs:int ->
   ?metrics:Metrics.t ->
-  ?cache_capacity:int ->
   Oracle.t ->
   query array ->
   answer array * stats
-(** Answer a batch.  [cache_capacity] bounds the SSSP-tree LRU (default
-    64 trees).  Registry counters: [oracle.queries_total] /
-    [oracle.dist_total] / [oracle.mem_total] / [oracle.unreachable_total]
-    (deterministic) and [timing.oracle.cache.hits_total] /
-    [misses_total] / [evictions_total]; all published from the calling
-    domain after the parallel section.  Raises [Failure] on out-of-range
-    query vertices (checked up front). *)
+(** Answer a batch in at most two {!Parallel.iter_blocks} sections: one
+    work item per hot source's tree group (skipped when no source is
+    hot), then every membership, unreachable and bidirectional query.
+    Registry counters: [oracle.queries_total] / [oracle.dist_total] /
+    [oracle.mem_total] / [oracle.unreachable_total] and
+    [timing.oracle.cache.hits_total] / [misses_total], all published from
+    the calling domain after the parallel sections.  Raises [Failure] on
+    out-of-range query vertices (checked up front). *)
 
 (** {1 Local verification} *)
 

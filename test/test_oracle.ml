@@ -5,8 +5,8 @@ open Helpers
    round-trips bit-for-bit, corrupt files are rejected with one-line
    diagnostics, the batch engine's answers are exactly the spanner
    distances (so the (2k-1) contract of a valid spanner transfers), result
-   files are byte-identical across job counts, and the SSSP-tree LRU is
-   deterministic under a fixed access trace. *)
+   files are byte-identical across job counts, and the per-batch tree plan
+   answers exactly with batch-derived hit/miss counts at any job count. *)
 
 let spanner_of ~k g = (Bs_derand.run ~k g).Bs_derand.spanner
 
@@ -78,6 +78,72 @@ let corruption_rejected () =
       write ("XXXXXXXX" ^ String.sub original 8 (bytes - 8));
       expect_failure "bad magic")
 
+(* Checksum-valid artifacts whose cluster trees contradict their graph:
+   [save] recomputes the checksum, so only the structural checks of
+   [load] stand between these files and wrong answers. *)
+let tree_contradictions_rejected () =
+  let copy (v : Oracle.ivec) =
+    let c =
+      Bigarray.Array1.create Bigarray.int Bigarray.c_layout
+        (Bigarray.Array1.dim v)
+    in
+    Bigarray.Array1.blit v c;
+    c
+  in
+  let expect_rejected what needle (o : Oracle.t) =
+    with_tmp (fun path ->
+        ignore (Oracle.save path o);
+        match Oracle.load path with
+        | _ -> Alcotest.failf "%s was accepted" what
+        | exception Failure msg ->
+            let contains s sub =
+              let n = String.length sub in
+              let rec go i =
+                i + n <= String.length s
+                && (String.sub s i n = sub || go (i + 1))
+              in
+              go 0
+            in
+            if not (contains msg needle) then
+              Alcotest.failf "%s: diagnostic %S does not mention %S" what msg
+                needle)
+  in
+  let g = unit_graph_of_seed 5 in
+  let o = Oracle.compile g ~k:3 (spanner_of ~k:3 g) in
+  (* every depth zeroed: tree_bound would seed the search with 0 *)
+  let zeros = copy o.Oracle.depth_w in
+  Bigarray.Array1.fill zeros 0;
+  expect_rejected "zeroed depth_w" "depth_w" { o with Oracle.depth_w = zeros };
+  (* a vertex two levels below its root made its parent's parent: v and
+     its parent p point at each other over the edge joining them *)
+  let n = Oracle.n o in
+  let v =
+    let rec find v =
+      if v >= n then Alcotest.fail "no vertex at tree depth 2"
+      else
+        let p = o.Oracle.parent.{v} in
+        if p >= 0 && o.Oracle.parent.{p} >= 0 then v else find (v + 1)
+    in
+    find 0
+  in
+  let p = o.Oracle.parent.{v} in
+  let parent = copy o.Oracle.parent and parent_eid = copy o.Oracle.parent_eid in
+  parent.{p} <- v;
+  parent_eid.{p} <- o.Oracle.parent_eid.{v};
+  expect_rejected "parent cycle" "parent chain"
+    { o with Oracle.parent; parent_eid };
+  (* a cluster label split across a spanner edge: two clusters {0, 1} and
+     {2, 3}, with vertex 1 relabelled into the second *)
+  let g2 = Graph.of_edges ~n:4 [ (0, 1, 1); (2, 3, 1) ] in
+  let o2 =
+    Oracle.compile g2 ~k:1
+      { Spanner.keep = [| true; true |]; rounds = Rounds.create () }
+  in
+  let comp = copy o2.Oracle.comp in
+  comp.{1} <- 1;
+  expect_rejected "comp split across an edge" "joins clusters"
+    { o2 with Oracle.comp }
+
 (* ---------- engine correctness ---------- *)
 
 let reference_answers (o : Oracle.t) qs =
@@ -102,9 +168,12 @@ let engine_exact =
       let qs =
         Query_engine.generate ~rng:(Rng.create seed) ~n:(Graph.n g) ~count:200
       in
-      let answers, stats = Query_engine.run ~jobs:1 o qs in
-      stats.Query_engine.queries = 200
-      && answers = reference_answers o qs)
+      let expected = reference_answers o qs in
+      List.for_all
+        (fun jobs ->
+          let answers, stats = Query_engine.run ~jobs o qs in
+          stats.Query_engine.queries = 200 && answers = expected)
+        [ 1; 4 ])
 
 let stretch_contract () =
   let g = unit_graph_of_seed 23 in
@@ -142,42 +211,40 @@ let jobs_invariance () =
       s1.Query_engine.unreachable ]
     [ s4.Query_engine.queries; s4.Query_engine.dist; s4.Query_engine.mem;
       s4.Query_engine.unreachable ];
-  (* no eviction at the default capacity, so the cache totals are
-     schedule-independent too *)
-  Alcotest.(check (list int)) "cache totals without eviction"
-    [ s1.Query_engine.cache_hits; s1.Query_engine.cache_misses; 0 ]
-    [ s4.Query_engine.cache_hits; s4.Query_engine.cache_misses;
-      s4.Query_engine.cache_evictions ]
+  Alcotest.(check (list int)) "tree totals"
+    [ s1.Query_engine.cache_hits; s1.Query_engine.cache_misses ]
+    [ s4.Query_engine.cache_hits; s4.Query_engine.cache_misses ]
 
-(* ---------- LRU determinism ---------- *)
+(* ---------- tree plan ---------- *)
 
-let lru_fixed_trace () =
-  let g = graph_of_seed ~n_max:90 41 in
-  let o = Oracle.compile g ~k:3 (spanner_of ~k:3 g) in
-  (* a fixed access trace with 12 distinct hot sources against a 4-entry
-     cache: evictions must occur, and at jobs:1 the whole trajectory —
-     hits, misses, evictions and every answer — is a pure function of the
-     trace, so two runs agree exactly *)
-  let n = Graph.n g in
-  let qs =
-    Array.init 480 (fun i ->
-        let src = i / 8 mod 12 in
-        Query_engine.Dist (src, (src + 1 + (i mod (n - 1))) mod n))
+let tree_plan_many_sources () =
+  let n = 200 in
+  let g =
+    Generators.weighted_connected_gnp ~rng:(Rng.create 41) ~n ~avg_degree:6.0
+      ~max_w:100
   in
-  let run () = Query_engine.run ~jobs:1 ~cache_capacity:4 o qs in
-  let a1, s1 = run () in
-  let a2, s2 = run () in
-  Alcotest.(check bool) "answers identical" true (a1 = a2);
-  Alcotest.(check (list int)) "cache trajectory identical"
-    [ s1.Query_engine.cache_hits; s1.Query_engine.cache_misses;
-      s1.Query_engine.cache_evictions ]
-    [ s2.Query_engine.cache_hits; s2.Query_engine.cache_misses;
-      s2.Query_engine.cache_evictions ];
-  Alcotest.(check bool) "evictions actually happened" true
-    (s1.Query_engine.cache_evictions > 0);
-  (* eviction pressure must not change answers, only throughput *)
-  let a3, _ = Query_engine.run ~jobs:1 ~cache_capacity:64 o qs in
-  Alcotest.(check bool) "answers independent of capacity" true (a1 = a3)
+  let o = Oracle.compile g ~k:3 (spanner_of ~k:3 g) in
+  Alcotest.(check int) "one cluster" 1 o.Oracle.clusters;
+  (* 120 distinct hot sources, each the source of 5 queries, interleaved:
+     more groups than the 64 blocks of a parallel section, so blocks
+     build several trees in turn.  Every query is same-cluster with
+     s <> t, so each is routed to its source's tree. *)
+  let sources = 120 and per_source = 5 in
+  let qs =
+    Array.init (sources * per_source) (fun i ->
+        let s = i mod sources and j = i / sources in
+        Query_engine.Dist (s, (s + 1 + (37 * j)) mod n))
+  in
+  let expected = reference_answers o qs in
+  let runs = List.map (fun jobs -> Query_engine.run ~jobs o qs) [ 1; 4 ] in
+  List.iter
+    (fun (answers, st) ->
+      Alcotest.(check bool) "answers exact" true (answers = expected);
+      Alcotest.(check (list int)) "batch-derived tree counts"
+        [ sources * (per_source - 1); sources; 0 ]
+        [ st.Query_engine.cache_hits; st.Query_engine.cache_misses;
+          st.Query_engine.cache_evictions ])
+    runs
 
 (* ---------- text formats ---------- *)
 
@@ -218,13 +285,15 @@ let suite =
     Alcotest.test_case "real-spanner save/load round-trip" `Quick
       real_spanner_roundtrip;
     Alcotest.test_case "corrupt artifacts rejected" `Quick corruption_rejected;
+    Alcotest.test_case "contradictory cluster trees rejected" `Quick
+      tree_contradictions_rejected;
     engine_exact;
     Alcotest.test_case "(2k-1) stretch contract + spot-check" `Quick
       stretch_contract;
     Alcotest.test_case "results byte-identical across jobs" `Quick
       jobs_invariance;
-    Alcotest.test_case "LRU deterministic under fixed trace" `Quick
-      lru_fixed_trace;
+    Alcotest.test_case "tree plan exact over 120 hot sources" `Quick
+      tree_plan_many_sources;
     Alcotest.test_case "query file round-trip" `Quick query_file_roundtrip;
     Alcotest.test_case "malformed query files rejected" `Quick
       malformed_queries_rejected;
