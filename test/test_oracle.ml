@@ -292,7 +292,7 @@ let suite =
       stretch_contract;
     Alcotest.test_case "results byte-identical across jobs" `Quick
       jobs_invariance;
-    Alcotest.test_case "tree plan exact over 120 hot sources" `Quick
+    Alcotest.test_case "tree plan exact over many hot sources" `Quick
       tree_plan_many_sources;
     Alcotest.test_case "query file round-trip" `Quick query_file_roundtrip;
     Alcotest.test_case "malformed query files rejected" `Quick
