@@ -17,9 +17,10 @@
 #               the timing.* namespace they are byte-identical for the same
 #               seed across engines (fast vs ref) and job counts (1 vs 4)
 #   tables      bench tables, strict: every declared paper bound must hold,
-#               the artifacts round-trip through the golden differ
-#   parallel    rerunning the tables over several domains (--jobs) must
-#               reproduce the sequential artifacts byte-for-byte
+#               the emitted artifacts load in the bound report, and a
+#               fresh run matches the committed goldens in bench/goldens
+#   parallel    rerunning the tables over several domains (--jobs), strict,
+#               must reproduce the sequential artifacts byte-for-byte
 #   stream      an emitted update stream replays through the repair engine
 #               recertified, and rerunning D1 from the same seed reproduces
 #               its artifact byte-for-byte
@@ -34,17 +35,19 @@
 #   oracle      serving layer: compile -> query round-trips end-to-end with
 #               local verification, the result file is byte-identical at
 #               -j 1 and -j 4, a corrupted artifact is rejected with a
-#               one-line diagnostic and exit 1, and Q1 holds its bounds
-#               and matches its golden
+#               one-line diagnostic and exit 1, the stripped metrics of
+#               the -j 1 and -j 4 query runs are byte-identical, and Q1
+#               holds its bounds and matches its golden
 #   efficiency  perf efficiency gate against the committed BENCH_congest.json
 #               (includes the floors) plus its negative control
 #   perf        perf regression gate against BENCH_congest.json
+#   benchtest   the perfbench self-tests (dune build @perfbench/benchtest)
 #
 # Every run ends with a per-stage wall-clock summary table.
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
-STAGES="build fmt lint trace metrics tables parallel stream xfail sharded verify oracle efficiency perf"
+STAGES="build fmt lint trace metrics tables parallel stream xfail sharded verify oracle efficiency perf benchtest"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -116,9 +119,9 @@ stage_metrics() {
 stage_tables() {
   ensure_ref_artifacts
   dune exec bin/ultraspan_cli.exe -- report "$tmp/artifacts" >/dev/null
-  # golden self-diff: t4 against the reference run
-  dune exec bench/main.exe -- --quick --table t4 \
-    --against "$tmp/artifacts" >/dev/null
+  # golden drift: a fresh strict run against the committed goldens
+  dune exec bench/main.exe -- --quick --all --strict \
+    --against bench/goldens >/dev/null
 }
 
 stage_parallel() {
@@ -128,7 +131,7 @@ stage_parallel() {
   ensure_ref_artifacts
   par_jobs=$(nproc 2>/dev/null || echo 4)
   [ "$par_jobs" -lt 4 ] && par_jobs=4
-  dune exec bench/main.exe -- --quick --all --jobs "$par_jobs" \
+  dune exec bench/main.exe -- --quick --all --strict --jobs "$par_jobs" \
     --against "$tmp/artifacts" >/dev/null
 }
 
@@ -205,13 +208,20 @@ stage_oracle() {
   dune exec bin/ultraspan_cli.exe -- query "$tmp/oracle.bin" --random 2000 \
     --seed 3 --family gnp -n 1000 --degree 8 --verify local \
     --emit-queries "$tmp/oracle-queries.txt" -o "$tmp/oracle-j1.txt" \
-    >/dev/null
+    --metrics "$tmp/oracle-m-j1.json" >/dev/null
   # the emitted batch replayed over the pool must reproduce the result
-  # file byte-for-byte
+  # file and the stripped metrics (tree-plan hits and misses included)
+  # byte-for-byte
   dune exec bin/ultraspan_cli.exe -- query "$tmp/oracle.bin" \
     --queries "$tmp/oracle-queries.txt" -j 4 -o "$tmp/oracle-j4.txt" \
-    >/dev/null
+    --metrics "$tmp/oracle-m-j4.json" >/dev/null
   cmp "$tmp/oracle-j1.txt" "$tmp/oracle-j4.txt"
+  for j in j1 j4; do
+    dune exec bin/ultraspan_cli.exe -- metrics "$tmp/oracle-m-$j.json" \
+      --expose --strip-timing >"$tmp/oracle-m-$j.prom"
+  done
+  grep -q "^oracle\.cache\.hits_total" "$tmp/oracle-m-j1.prom"
+  cmp "$tmp/oracle-m-j1.prom" "$tmp/oracle-m-j4.prom"
   # a truncated artifact must be rejected with exit 1, not a backtrace
   head -c 100 "$tmp/oracle.bin" >"$tmp/oracle-corrupt.bin"
   if dune exec bin/ultraspan_cli.exe -- query "$tmp/oracle-corrupt.bin" \
@@ -240,6 +250,10 @@ stage_perf() {
     --against BENCH_congest.json --tolerance 40
 }
 
+stage_benchtest() {
+  dune build @perfbench/benchtest
+}
+
 # ---------------------------------------------------------------------
 
 case "${1:-}" in
@@ -248,7 +262,7 @@ case "${1:-}" in
     exit 0
     ;;
   --help | -h)
-    sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,46p' "$0" | sed 's/^# \{0,1\}//'
     exit 0
     ;;
 esac

@@ -69,14 +69,6 @@ let neighbors g v = List.rev (fold_adj g v (fun acc u eid -> (u, eid) :: acc) []
 
 let arc_count g = Array.length g.adj_dst
 
-let arc_base g v = g.adj_off.(v)
-
-let arc_dst g a = g.adj_dst.(a)
-
-let arc_eid g a = g.adj_eid.(a)
-
-let arc_rev g a = g.adj_rev.(a)
-
 (* The view record is built once at construction time, so hot loops (the
    simulator fetches it per run, once, outside the round loop) get the raw
    arrays without allocating anything. *)
@@ -265,8 +257,11 @@ let canonicalize ~n triples =
     if u < v then (u, v, w) else (v, u, w)
   in
   let canon = Array.map check triples in
-  Array.sort
-    (fun (u1, v1, w1) (u2, v2, w2) -> compare (u1, v1, w1) (u2, v2, w2))
+  Array.stable_sort
+    (fun (u1, v1, w1) (u2, v2, w2) ->
+      if u1 <> u2 then compare (u1 : int) u2
+      else if v1 <> v2 then compare (v1 : int) v2
+      else compare (w1 : int) w2)
     canon;
   (* Merge parallel edges keeping the minimum weight (sort puts it first). *)
   let out = ref [] in
@@ -303,42 +298,23 @@ let with_weights g f =
 
 let with_unit_weights g = with_weights g (fun _ -> 1)
 
-let sub_by_eids g keep =
-  if Array.length keep <> m g then
-    invalid_arg "Graph.sub_by_eids: mask length mismatch";
-  let triples = ref [] in
-  Array.iter
-    (fun e -> if keep.(e.id) then triples := (e.u, e.v, e.w) :: !triples)
-    g.edges;
-  of_edge_array ~n:g.n (Array.of_list !triples)
-
 let sub_with_mapping g keep =
   if Array.length keep <> m g then
     invalid_arg "Graph.sub_with_mapping: mask length mismatch";
-  (* The canonical edge array is sorted by (u, v); a filtered subsequence
-     stays sorted, so [of_edge_array] assigns new ids in filtered order. *)
   let kept = ref [] in
   for id = m g - 1 downto 0 do
     if keep.(id) then kept := id :: !kept
   done;
   let mapping = Array.of_list !kept in
-  let triples =
-    Array.map
-      (fun id ->
-        let e = g.edges.(id) in
-        (e.u, e.v, e.w))
-      mapping
-  in
-  (of_edge_array ~n:g.n triples, mapping)
+  (* A filtered canonical edge sequence is itself canonical: index the kept
+     records directly, with new ids in filtered order. *)
+  let edges = Array.mapi (fun id eid -> { (g.edges.(eid)) with id }) mapping in
+  (index_edges g.n edges, mapping)
 
-let sub_by_eid_list g eids =
-  let keep = Array.make (m g) false in
-  List.iter
-    (fun id ->
-      if id < 0 || id >= m g then invalid_arg "Graph.sub_by_eid_list: bad id";
-      keep.(id) <- true)
-    eids;
-  sub_by_eids g keep
+let sub_by_eids g keep =
+  if Array.length keep <> m g then
+    invalid_arg "Graph.sub_by_eids: mask length mismatch";
+  fst (sub_with_mapping g keep)
 
 let pp fmt g =
   let lo, hi =
@@ -350,7 +326,3 @@ let pp fmt g =
         g.edges
   in
   Format.fprintf fmt "graph(n=%d, m=%d, w∈[%d,%d])" g.n (m g) lo hi
-
-let pp_edges fmt g =
-  pp fmt g;
-  Array.iter (fun e -> Format.fprintf fmt "@.%d -- %d (w=%d)" e.u e.v e.w) g.edges

@@ -24,7 +24,9 @@ val of_edges : n:int -> (int * int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] vertices from
     [(u, v, weight)] triples.  Orientation of the pairs is irrelevant.
     Raises [Invalid_argument] on out-of-range endpoints, self-loops, or
-    negative weights.  Parallel edges are merged (minimum weight kept). *)
+    negative weights.  Parallel edges are merged (minimum weight kept).
+    Edge ids follow the canonical (u, v) order, u < v, sorted by an int
+    merge sort in O(m log m). *)
 
 val of_edge_array : n:int -> (int * int * int) array -> t
 
@@ -83,28 +85,15 @@ val neighbors : t -> int -> (int * int) list
 
     Each undirected edge appears as two {e arcs} in the CSR index; arcs
     are addressed by their CSR position.  The arcs of vertex [v] occupy
-    [arc_base v .. arc_base (v+1) - 1], and within that range
+    [off.(v) .. off.(v+1) - 1] of the {!csr} view, and within that range
     destinations are {e strictly increasing} (a construction invariant of
-    {!of_edges}).  These accessors exist for performance-critical code —
+    {!of_edges}).  This access exists for performance-critical code —
     the CONGEST simulator's slot-based message plane maps the message
     [s -> t] to the arc [t -> s], a dense per-inbox slot — and for
     O(log deg) adjacency queries. *)
 
 val arc_count : t -> int
 (** [2 m]: total number of arcs. *)
-
-val arc_base : t -> int -> int
-(** First arc position of a vertex; index [n] gives [arc_count]. *)
-
-val arc_dst : t -> int -> int
-(** Destination vertex of an arc. *)
-
-val arc_eid : t -> int -> int
-(** Edge id of an arc. *)
-
-val arc_rev : t -> int -> int
-(** Position of the reverse arc, O(1): if arc [a] is [u -> v] then
-    [arc_rev a] is the arc [v -> u]. *)
 
 val arc_index : t -> int -> int -> int
 (** [arc_index g v u] is the position of the arc [v -> u], or [-1] when
@@ -120,9 +109,8 @@ type csr = {
 
 val csr : t -> csr
 (** Zero-copy view of the live CSR arrays, for tight inner loops that
-    cannot afford a call per arc (the compiler is not flambda; each
-    accessor above is a real function call).  The arrays are the graph's
-    own — treat them as read-only. *)
+    cannot afford a call per arc.  The arrays are the graph's own — treat
+    them as read-only. *)
 
 val iter_edges : t -> (edge -> unit) -> unit
 
@@ -148,20 +136,18 @@ val with_weights : t -> (int -> int) -> t
 val sub_by_eids : t -> bool array -> t
 (** [sub_by_eids g keep] is the spanning subgraph on the same vertex set
     keeping exactly the edges with [keep.(id) = true].  Edge ids in the
-    result are renumbered; use {!sub_orig_eid} metadata variant if the
-    mapping is needed. *)
-
-val sub_by_eid_list : t -> int list -> t
+    result are renumbered in ascending original-id order; use
+    {!sub_with_mapping} if the mapping is needed. *)
 
 val sub_with_mapping : t -> bool array -> t * int array
 (** Like {!sub_by_eids}, but also returns the map from new edge ids to the
     original ids (new id [i] corresponds to original edge [map.(i)]).  Used
     by the certificate algorithms, which peel spanners off shrinking
-    subgraphs and must translate the result back. *)
+    subgraphs and must translate the result back.  O(n + m), no sort: the
+    kept records are already canonical, so the result equals
+    [of_edge_array] over the kept (u, v, w) triples. *)
 
 (** {1 Pretty-printing} *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: [n] vertices, [m] edges, weight range. *)
-
-val pp_edges : Format.formatter -> t -> unit

@@ -359,10 +359,10 @@ let run ?jobs ?(metrics = Metrics.disabled) (o : Oracle.t) (qs : query array) =
     (Metrics.counter metrics "oracle.unreachable_total")
     stats.unreachable;
   Metrics.add
-    (Metrics.counter metrics "timing.oracle.cache.hits_total")
+    (Metrics.counter metrics "oracle.cache.hits_total")
     stats.cache_hits;
   Metrics.add
-    (Metrics.counter metrics "timing.oracle.cache.misses_total")
+    (Metrics.counter metrics "oracle.cache.misses_total")
     stats.cache_misses;
   (answers, stats)
 

@@ -95,9 +95,9 @@ val run :
     hot), then every membership, unreachable and bidirectional query.
     Registry counters: [oracle.queries_total] / [oracle.dist_total] /
     [oracle.mem_total] / [oracle.unreachable_total] and
-    [timing.oracle.cache.hits_total] / [misses_total], all published from
-    the calling domain after the parallel sections.  Raises [Failure] on
-    out-of-range query vertices (checked up front). *)
+    [oracle.cache.hits_total] / [misses_total], all batch functions
+    published from the calling domain after the parallel sections.  Raises
+    [Failure] on out-of-range query vertices (checked up front). *)
 
 (** {1 Local verification} *)
 

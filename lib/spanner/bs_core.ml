@@ -44,8 +44,6 @@ let graph t = t.g
 
 let n_clusters t = Array.length t.roots
 
-let n_alive t = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.alive
-
 let completed_iterations t = t.iter
 
 let cluster_of t = t.cluster_of
@@ -61,17 +59,19 @@ let death_iteration t = Array.copy t.death_iter
 let vertex_alive t v = t.alive.(v)
 
 (* Per-vertex sorted adjacent-cluster lists: for each alive vertex, the
-   minimum alive edge into each cluster it touches, ascending (w, eid). *)
+   minimum alive edge into each cluster it touches, ascending (w, eid);
+   eids are unique, so int comparisons on (w, eid) give a total order. *)
 let adjacency t =
   let n = Graph.n t.g in
   let nc = n_clusters t in
   let stamp = Array.make nc (-1) in
   let best_w = Array.make nc 0 in
   let best_e = Array.make nc 0 in
+  let touched = Array.make nc 0 in
   let out = Array.make n [||] in
   for v = 0 to n - 1 do
     if t.alive.(v) then begin
-      let touched = ref [] in
+      let k = ref 0 in
       Graph.iter_adj t.g v (fun u eid ->
           if t.edge_alive.(eid) && t.alive.(u) then begin
             let c = t.cluster_of.(u) in
@@ -80,17 +80,24 @@ let adjacency t =
               stamp.(c) <- v;
               best_w.(c) <- w;
               best_e.(c) <- eid;
-              touched := c :: !touched
+              touched.(!k) <- c;
+              incr k
             end
-            else if (w, eid) < (best_w.(c), best_e.(c)) then begin
+            else if w < best_w.(c) || (w = best_w.(c) && eid < best_e.(c))
+            then begin
               best_w.(c) <- w;
               best_e.(c) <- eid
             end
           end);
       let arr =
-        Array.of_list (List.map (fun c -> (best_w.(c), best_e.(c), c)) !touched)
+        Array.init !k (fun i ->
+            let c = touched.(i) in
+            (best_w.(c), best_e.(c), c))
       in
-      Array.sort compare arr;
+      Array.stable_sort
+        (fun (w1, e1, _) (w2, e2, _) ->
+          if w1 <> w2 then compare (w1 : int) w2 else compare (e1 : int) e2)
+        arr;
       out.(v) <- arr
     end
   done;

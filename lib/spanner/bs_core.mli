@@ -45,8 +45,6 @@ val graph : t -> Graph.t
 
 val n_clusters : t -> int
 
-val n_alive : t -> int
-
 val completed_iterations : t -> int
 
 val cluster_of : t -> int array

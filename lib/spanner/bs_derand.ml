@@ -20,18 +20,13 @@ let iota = 8.0
 (* ln g, floored at 1 so the g = 1 and g = 2 cases stay meaningful. *)
 let lng g = Float.max 1.0 (log (float_of_int g))
 
-(* Expected contribution of one vertex to the utility, under independent
-   sampling with the current per-cluster probabilities [qeff] (entries are
-   p/4 when unfixed, 0.0 or 1.0 when fixed).
-
-   Weighted (3.1):    b_v + n^5·h_v
-   Unweighted (3.2):  d·[dies]·[d >= tau] + n^5·h_v
-
-   where b_v = edges v adds, h_v = [d >= xi and v dies], and everything is
-   conditioned on v's own cluster being unsampled (otherwise v does
-   nothing), hence the (1 - q_own) outer factor and the forced 0
-   probability for own-cluster entries inside the walk. *)
-let vertex_contrib ~mode ~qeff ~n5 ~xi ~tau ~strict_before adj_v c_own =
+(* Expected contribution of one vertex to the weighted utility (3.1),
+   b_v + n^5·h_v (b_v = edges v adds, h_v = [d >= xi and v dies]), under
+   independent sampling with the per-cluster probabilities [qeff] (p/4
+   unfixed, 0.0 or 1.0 fixed), conditioned on v's own cluster being
+   unsampled: hence the (1 - q_own) factor and the 0 probability of
+   own-cluster entries.  E[b_v] is a prefix sum in (w, eid) order. *)
+let weighted_contrib ~qeff ~n5 ~xi ~strict_before adj_v c_own =
   let d = Array.length adj_v in
   let q_own = qeff.(c_own) in
   if q_own >= 1.0 then 0.0
@@ -41,21 +36,12 @@ let vertex_contrib ~mode ~qeff ~n5 ~xi ~tau ~strict_before adj_v c_own =
     Array.iteri
       (fun i (_, _, c_i) ->
         let q_i = if c_i = c_own then 0.0 else qeff.(c_i) in
-        (match mode with
-        | Weighted ->
-            e_b :=
-              !e_b +. (q_i *. !pnone *. float_of_int (strict_before.(i) + 1))
-        | Unweighted -> ());
+        e_b := !e_b +. (q_i *. !pnone *. float_of_int (strict_before.(i) + 1));
         pnone := !pnone *. (1.0 -. q_i))
       adj_v;
     let p_die = !pnone in
-    let b_term =
-      match mode with
-      | Weighted -> !e_b +. (p_die *. float_of_int d)
-      | Unweighted -> if d >= tau then p_die *. float_of_int d else 0.0
-    in
     let h_term = if d >= xi then n5 *. p_die else 0.0 in
-    (1.0 -. q_own) *. (b_term +. h_term)
+    (1.0 -. q_own) *. (!e_b +. (p_die *. float_of_int d) +. h_term)
   end
 
 (* For each vertex, strict_before.(i) = number of adjacency entries with
@@ -78,66 +64,95 @@ let seed_bits n0 =
 
 (* Choose the sampling vector for one iteration by conditional expectation. *)
 let choose_sampling ~mode ~ordering ~state ~adj ~q ~kappa ~n5 ~xi ~tau =
-  let g = Bs_core.graph state in
-  let n = Graph.n g in
+  let n = Graph.n (Bs_core.graph state) in
   let nc = Bs_core.n_clusters state in
   let cluster_of = Bs_core.cluster_of state in
   let qeff = Array.make nc q in
-  (* Affected vertices per cluster: members plus adjacency toucher. *)
-  let affected = Array.make nc [] in
-  let strict = Array.make n [||] in
-  for v = 0 to n - 1 do
-    if Bs_core.vertex_alive state v then begin
-      strict.(v) <- strict_before_of adj.(v);
-      affected.(cluster_of.(v)) <- v :: affected.(cluster_of.(v));
-      let last = ref (-1) in
-      Array.iter
-        (fun (_, _, c) ->
-          if c <> cluster_of.(v) && c <> !last then begin
-            affected.(c) <- v :: affected.(c);
-            last := c
-          end)
-        adj.(v)
-    end
-  done;
-  (* Deduplicate affected lists. *)
-  let dedup l = List.sort_uniq compare l in
-  let order =
+  (* Affected vertices per cluster, ascending: members plus adjacency
+     touchers ([adj] holds one entry per cluster, so none repeats), and
+     each vertex's count of non-own entries, all unfixed so far. *)
+  let scan f =
+    for v = 0 to n - 1 do
+      if Bs_core.vertex_alive state v then begin
+        f cluster_of.(v) v;
+        Array.iter (fun (_, _, c) -> if c <> cluster_of.(v) then f c v) adj.(v)
+      end
+    done
+  in
+  let fill = Array.make nc 0 and unfixed = Array.make n 0 in
+  scan (fun c v ->
+      fill.(c) <- fill.(c) + 1;
+      if c <> cluster_of.(v) then unfixed.(v) <- unfixed.(v) + 1);
+  let affected = Array.map (fun k -> Array.make k 0) fill in
+  Array.fill fill 0 nc 0;
+  scan (fun c v ->
+      affected.(c).(fill.(c)) <- v;
+      fill.(c) <- fill.(c) + 1);
+  let cluster_order, nd =
     match ordering with
-    | Simple -> (List.init nc (fun c -> c), None)
+    | Simple -> (Array.init nc Fun.id, None)
     | Network_decomposition ->
         let contraction = Bs_core.alive_quotient state in
-        let nd =
-          Network_decomposition.decompose ~separation:3
-            contraction.Contraction.quotient
-        in
-        let keyed =
-          List.init nc (fun c ->
-              ( nd.Network_decomposition.color_of_cluster.(nd
-                                                             .Network_decomposition
-                                                             .cluster_of
-                                                             .(c)),
-                c ))
-        in
-        (List.map snd (List.sort compare keyed), Some nd)
+        let open Network_decomposition in
+        let nd = decompose ~separation:3 contraction.Contraction.quotient in
+        let color c = nd.color_of_cluster.(nd.cluster_of.(c)) in
+        let order = Array.init nc Fun.id in
+        Array.stable_sort (fun a b -> compare (color a : int) (color b)) order;
+        (order, Some nd)
   in
-  let cluster_order, nd = order in
-  let eval_affected j =
-    List.fold_left
-      (fun acc v ->
-        acc
-        +. vertex_contrib ~mode ~qeff ~n5 ~xi ~tau ~strict_before:strict.(v)
-             adj.(v) cluster_of.(v))
-      0.0
-      (dedup affected.(j))
+  let fix_to_one =
+    match mode with
+    | Weighted ->
+        let strict = Array.map strict_before_of adj in
+        let eval_affected j =
+          Array.fold_left
+            (fun acc v ->
+              acc
+              +. weighted_contrib ~qeff ~n5 ~xi ~strict_before:strict.(v)
+                   adj.(v) cluster_of.(v))
+            0.0 affected.(j)
+        in
+        fun j ->
+          qeff.(j) <- 1.0;
+          let e1 = kappa +. eval_affected j in
+          qeff.(j) <- 0.0;
+          e1 < eval_affected j
+    | Unweighted ->
+        (* (3.2), d·[d >= tau] + n^5·[d >= xi], times P(v dies), given an
+           unsampled own cluster, in O(1) per affected vertex.  A fixed
+           cluster multiplies by exactly 1.0 or 0.0, so a term is 0 for good
+           once its own or a touched cluster is fixed to 1 ([dead]), else
+           p_die = pow.(unfixed v), the walk's left fold bit for bit.  X_j = 1
+           zeroes every affected term: e1 = kappa exactly. *)
+        let max_d = Array.fold_left (fun a r -> max a (Array.length r)) 0 adj in
+        let pow = Array.make (max_d + 1) 1.0 in
+        for u = 1 to max_d do
+          pow.(u) <- pow.(u - 1) *. (1.0 -. q)
+        done;
+        let dead = Array.make n false in
+        fun j ->
+          let aff = affected.(j) and e0 = ref 0.0 in
+          for i = 0 to Array.length aff - 1 do
+            let v = aff.(i) in
+            if not dead.(v) then begin
+              let own = cluster_of.(v) and d = Array.length adj.(v) in
+              let p_die = pow.(unfixed.(v) - if own = j then 0 else 1) in
+              let b = if d >= tau then p_die *. float_of_int d else 0.0 in
+              let h = if d >= xi then n5 *. p_die else 0.0 in
+              let q_own = if own = j then 0.0 else qeff.(own) in
+              e0 := !e0 +. ((1.0 -. q_own) *. (b +. h))
+            end
+          done;
+          let one = kappa < !e0 in
+          Array.iter
+            (fun v ->
+              if one then dead.(v) <- true
+              else if cluster_of.(v) <> j then unfixed.(v) <- unfixed.(v) - 1)
+            aff;
+          one
   in
-  List.iter
-    (fun j ->
-      qeff.(j) <- 1.0;
-      let e1 = kappa +. eval_affected j in
-      qeff.(j) <- 0.0;
-      let e0 = eval_affected j in
-      qeff.(j) <- (if e1 < e0 then 1.0 else 0.0))
+  Array.iter
+    (fun j -> qeff.(j) <- (if fix_to_one j then 1.0 else 0.0))
     cluster_order;
   (Array.map (fun x -> x >= 1.0) qeff, nd)
 

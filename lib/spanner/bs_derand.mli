@@ -9,7 +9,15 @@ open! Import
     DESIGN.md §3): we fix the sampling indicators X_j one cluster at a time
     with exact closed-form conditional expectations, instead of fixing the
     seed bits of the Gopalan–Yehudayoff distribution; this realizes the
-    identical guarantees of Lemma 3.3 in polynomial time.  Two constants
+    identical guarantees of Lemma 3.3 in polynomial time.
+
+    Evaluator cost per iteration: fixing X_j evaluates only j's members
+    and the vertices adjacent to j.  (3.2) is kept incrementally in closed
+    form, O(Σ_v deg v): a fixed cluster multiplies by exactly 1.0 or 0.0,
+    so a term depends only on q_own and the count u of unfixed entries,
+    via (1 - p/4)^u tabulated as the entry walk's own left fold; choices
+    are bit-identical to the walk.  (3.1) keeps the O(deg v) walk, since
+    its prefix sums must not be reordered.  Two constants
     deviate from the paper's prose, whose stated values are inconsistent
     with its own p/4 sampling rate: the high-degree threshold is
     ξ = 40·ln n / p (paper: 10·ln n / p) and the unweighted ignore

@@ -37,8 +37,6 @@ let union a b =
   Rounds.merge_into rounds b.rounds;
   { keep = Array.mapi (fun i k -> k || b.keep.(i)) a.keep; rounds }
 
-let add_eid t id = t.keep.(id) <- true
-
 let mem t id = t.keep.(id)
 
 let weight g t =

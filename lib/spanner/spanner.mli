@@ -26,8 +26,6 @@ val eids : t -> int list
 val union : t -> t -> t
 (** Edge-wise union; round accounts are summed (sequential composition). *)
 
-val add_eid : t -> int -> unit
-
 val mem : t -> int -> bool
 
 val weight : Graph.t -> t -> int

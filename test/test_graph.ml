@@ -603,6 +603,34 @@ let gen_lollipop () =
   Alcotest.(check bool) "connected" true (Connectivity.is_connected g);
   Alcotest.(check int) "diameter" 21 (Bfs.diameter_hops g)
 
+(* [sub_with_mapping] indexes the filtered canonical edge records
+   directly; it must build exactly what the triple route builds, i.e.
+   [of_edge_array] over the kept (u, v, w) triples: the same edges, ids
+   and CSR arrays, and the kept ids ascending as the mapping. *)
+let sub_with_mapping_matches_triple_route =
+  qcheck ~count:40 "sub_with_mapping == of_edge_array over kept triples"
+    seed_gen (fun seed ->
+      let g = graph_of_seed seed in
+      let rng = Rng.create (seed + 2) in
+      let keep = Array.init (Graph.m g) (fun _ -> Rng.int rng 3 > 0) in
+      let sub, mapping = Graph.sub_with_mapping g keep in
+      let kept =
+        List.filter (fun id -> keep.(id)) (List.init (Graph.m g) Fun.id)
+      in
+      let triples =
+        Array.of_list
+          (List.map
+             (fun id ->
+               let e = Graph.edge g id in
+               (e.Graph.u, e.Graph.v, e.Graph.w))
+             kept)
+      in
+      sub = Graph.of_edge_array ~n:(Graph.n g) triples
+      && mapping = Array.of_list kept
+      && Graph.sub_by_eids g keep = sub)
+
+let suite = suite @ [ sub_with_mapping_matches_triple_route ]
+
 (* ---------- streamed construction ---------- *)
 
 (* of_edge_iter must produce the exact structure of of_edge_array on the

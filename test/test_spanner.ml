@@ -671,3 +671,160 @@ let clustering_sparse_separation2 =
       && stretch_of g out.Clustering_spanner.spanner < Float.infinity)
 
 let suite = suite @ [ clustering_sparse_separation2 ]
+
+(* ---------- Bs_derand: the (3.2) evaluator against the entry walk ------- *)
+
+(* Test oracle: the unweighted (3.2) evaluator as an O(deg v) walk over
+   every affected vertex's adjacency entries, re-run for both values of
+   each X_j, with the constants of [Bs_derand.simulate].  The library
+   evaluates (3.2) incrementally in closed form; both must fix the same
+   sampling vector, hence the same spanner, bit for bit. *)
+let walk_sampling ~state ~adj ~q ~kappa ~n5 ~xi ~tau =
+  let nc = Bs_core.n_clusters state in
+  let cluster_of = Bs_core.cluster_of state in
+  let qeff = Array.make nc q in
+  let affected = Array.make nc [] in
+  Array.iteri
+    (fun v a ->
+      if Bs_core.vertex_alive state v then begin
+        affected.(cluster_of.(v)) <- v :: affected.(cluster_of.(v));
+        Array.iter
+          (fun (_, _, c) ->
+            if c <> cluster_of.(v) then affected.(c) <- v :: affected.(c))
+          a
+      end)
+    adj;
+  let contrib v =
+    let a = adj.(v) and c_own = cluster_of.(v) in
+    let d = Array.length a in
+    let q_own = qeff.(c_own) in
+    if q_own >= 1.0 then 0.0
+    else begin
+      let pnone =
+        Array.fold_left
+          (fun acc (_, _, c) ->
+            acc *. (1.0 -. if c = c_own then 0.0 else qeff.(c)))
+          1.0 a
+      in
+      let b = if d >= tau then pnone *. float_of_int d else 0.0 in
+      let h = if d >= xi then n5 *. pnone else 0.0 in
+      (1.0 -. q_own) *. (b +. h)
+    end
+  in
+  let eval j =
+    List.fold_left
+      (fun acc v -> acc +. contrib v)
+      0.0
+      (List.sort_uniq compare affected.(j))
+  in
+  for j = 0 to nc - 1 do
+    qeff.(j) <- 1.0;
+    let e1 = kappa +. eval j in
+    qeff.(j) <- 0.0;
+    let e0 = eval j in
+    qeff.(j) <- (if e1 < e0 then 1.0 else 0.0)
+  done;
+  Array.map (fun x -> x >= 1.0) qeff
+
+let walk_derand_mask ~k g =
+  let lng x = Float.max 1.0 (log (float_of_int x)) in
+  let state = Bs_core.create g in
+  if k > 1 then begin
+    let iters = k - 1 in
+    let p = float_of_int (max 2 (Graph.n g)) ** (-1.0 /. float_of_int k) in
+    let n0f = float_of_int (max 2 (Bs_core.n_clusters state)) in
+    let n5 = n0f ** 5.0 in
+    let xi = int_of_float (ceil (40.0 *. log n0f /. p)) in
+    let tau = int_of_float (ceil (4.0 *. lng iters /. p)) in
+    for i = 1 to iters do
+      let adj = Bs_core.adjacency state in
+      let kappa =
+        8.0 *. lng iters /. (float_of_int iters *. (p ** float_of_int (i + 1)))
+      in
+      let sampled =
+        walk_sampling ~state ~adj ~q:(p /. 4.0) ~kappa ~n5 ~xi ~tau
+      in
+      ignore (Bs_core.iteration ~adjacency:adj state ~sampled)
+    done
+  end;
+  ignore (Bs_core.finish state);
+  Bs_core.spanner_mask state
+
+let derand_closed_form_matches_walk =
+  qcheck ~count:25 "Bs_derand unweighted closed form == entry walk" seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 8 + Rng.int rng 150 in
+      let avg_degree = 2.0 +. Rng.float rng 40.0 in
+      let g = Generators.connected_gnp ~rng ~n ~avg_degree in
+      let k = 2 + (seed mod 4) in
+      (Bs_derand.run ~k g).Bs_derand.spanner.Spanner.keep
+      = walk_derand_mask ~k g)
+
+(* Output pin: one MD5 over the keep masks and [Rounds.total] of the
+   derandomized builds — Bs_derand on dense unit-weight and weighted
+   G(n,p), under the network-decomposition ordering, and through
+   Linear_size inside Ultra_sparse and Spanner_packing.  The literal was
+   computed with the entry-walk evaluator, so any change to a choice of
+   the conditional-expectation method shows up here. *)
+let derand_output_pin () =
+  let buf = Buffer.create 4096 in
+  let add (keep : bool array) rounds =
+    Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) keep;
+    Buffer.add_string buf (Printf.sprintf ";%d\n" (Rounds.total rounds))
+  in
+  let gnp seed n avg_degree =
+    Generators.connected_gnp ~rng:(Rng.create seed) ~n ~avg_degree
+  in
+  let derand ?ordering k g =
+    let sp = (Bs_derand.run ?ordering ~k g).Bs_derand.spanner in
+    add sp.Spanner.keep sp.Spanner.rounds
+  in
+  let g = gnp 11 256 32.0 in
+  List.iter (fun k -> derand k g) [ 2; 3; 5 ];
+  derand 3
+    (Generators.weighted_connected_gnp ~rng:(Rng.create 12) ~n:300
+       ~avg_degree:12.0 ~max_w:50);
+  derand ~ordering:Bs_derand.Network_decomposition 3 (gnp 13 150 8.0);
+  let bounded seed n =
+    Generators.Streamed.graph
+      (Generators.Streamed.degree_bounded ~seed ~n ~degree:8)
+  in
+  let us = (Ultra_sparse.run ~t:4 (bounded 14 400)).Ultra_sparse.spanner in
+  add us.Spanner.keep us.Spanner.rounds;
+  let c =
+    (Spanner_packing.run ~k:2 ~epsilon:0.25 (bounded 15 300))
+      .Spanner_packing.certificate
+  in
+  add c.Certificate.keep c.Certificate.rounds;
+  Alcotest.(check string)
+    "digest" "96e8034b5e19116ad8795f3c4b22c37b"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Deterministic work gate, independent of core count and timing:
+   minor-heap words of one Bs_derand.run ~k:3 on a dense seeded G(n,p)
+   (n = 256, average degree 64).  The entry-walk evaluator allocated
+   ~6.2 M words here (boxed float refs, closures, two sorts per cluster);
+   the incremental one with the monomorphic adjacency sort ~0.22 M.  The
+   ceiling sits well between, so only a return to per-entry allocation
+   trips it. *)
+let derand_minor_words_ceiling = 1.5e6
+
+let derand_work_gate () =
+  let g =
+    Generators.connected_gnp ~rng:(Rng.create 7) ~n:256 ~avg_degree:64.0
+  in
+  let w0 = Gc.minor_words () in
+  ignore (Bs_derand.run ~k:3 g);
+  let words = Gc.minor_words () -. w0 in
+  if words > derand_minor_words_ceiling then
+    Alcotest.failf "Bs_derand.run allocated %.0f minor words (ceiling %.0f)"
+      words derand_minor_words_ceiling
+
+let suite =
+  suite
+  @ [
+      derand_closed_form_matches_walk;
+      case "Bs_derand outputs match the pinned digest" derand_output_pin;
+      case "Bs_derand minor words under the work ceiling" derand_work_gate;
+    ]
