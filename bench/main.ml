@@ -2546,8 +2546,6 @@ let table_q1 ~quick () =
         ~render:(fun v -> Printf.sprintf "%.0f" (T.to_float v))
         "qps";
       T.col ~w:9 ~title:"stretch*" ~render:T.pretty "stretch";
-      T.col ~w:6 "hits";
-      T.col ~w:7 "misses";
     ]
   in
   (* Sequential on purpose (like t9/o1): the qps Time cells measure a
@@ -2646,8 +2644,6 @@ let table_q1 ~quick () =
                   ("queries", T.Int st.Query_engine.queries);
                   ("qps", T.Time (fi st.Query_engine.queries /. dt));
                   ("stretch", T.Float !stretch_obs);
-                  ("hits", T.Int st.Query_engine.cache_hits);
-                  ("misses", T.Int st.Query_engine.cache_misses);
                 ])
             ks
         in
@@ -2662,10 +2658,7 @@ let table_q1 ~quick () =
       [
         "(*) stretch observed over the served batch (hot-skewed dist + \
          membership mix); the (2k-1)";
-        "contract and the d_G floor are checked per answer.  misses = \
-         trees the tree plan built (one";
-        "per hot source), hits = the other tree-routed queries; both are \
-         functions of the batch alone.";
+        "contract and the d_G floor are checked per answer.";
       ]
     sections
 

@@ -13,7 +13,7 @@
      incremental repair engine vs the rebuild-every-batch baseline
      (dynamic:repair/dynamic:rebuild), measured in updates per second;
    - the distance-oracle serving layer (schema v6): compiling a built
-     spanner into the ultraspan-oracle/1 artifact (oracle:compile) and
+     spanner into the ultraspan-oracle/2 artifact (oracle:compile) and
      serving a hot-skewed batch of distance/membership queries from it at
      jobs=1 vs jobs=N (oracle:query:seq/oracle:query:par) — identical
      answers by construction, wall-clock (queries/sec) apart.
@@ -168,7 +168,7 @@ let dyn_workload ~quick =
   (g, stream, inc0, rb0)
 
 (* Oracle workload: one deterministic spanner compiled into the
-   ultraspan-oracle/1 artifact, then a hot-skewed batch of
+   ultraspan-oracle/2 artifact, then a hot-skewed batch of
    distance/membership queries served from it.  The compile suite measures
    the artifact build; the query suites measure batch throughput at jobs=1
    vs jobs=N — byte-identical answers either way, so only queries/sec

@@ -22,8 +22,9 @@
 #   parallel    rerunning the tables over several domains (--jobs), strict,
 #               must reproduce the sequential artifacts byte-for-byte
 #   stream      an emitted update stream replays through the repair engine
-#               recertified, and rerunning D1 from the same seed reproduces
-#               its artifact byte-for-byte
+#               recertified (default, local and probe recertification),
+#               and rerunning D1 from the same seed reproduces its artifact
+#               byte-for-byte
 #   xfail       negative control: a deliberately violated bound must fail
 #   sharded     a CLI run must leave byte-identical stripped metrics on the
 #               sharded Fast plane at -j 1 and -j 4 and under --engine ref,
@@ -34,7 +35,8 @@
 #               corruption is rejected, and the bench --verify gate passes
 #   oracle      serving layer: compile -> query round-trips end-to-end with
 #               local verification, the result file is byte-identical at
-#               -j 1 and -j 4, a corrupted artifact is rejected with a
+#               -j 1 and -j 4, a corrupted artifact and a header whose
+#               counts overflow the size computation are rejected with a
 #               one-line diagnostic and exit 1, the stripped metrics of
 #               the -j 1 and -j 4 query runs are byte-identical, and Q1
 #               holds its bounds and matches its golden
@@ -144,6 +146,8 @@ stage_stream() {
   # replaying with the local-checker recertification must also pass
   dune exec bin/ultraspan_cli.exe -- stream --replay "$tmp/stream.txt" \
     --family torus -n 64 --seed 9 --verify local >/dev/null
+  dune exec bin/ultraspan_cli.exe -- stream --replay "$tmp/stream.txt" \
+    --family torus -n 64 --seed 9 --verify probe >/dev/null
   ensure_ref_artifacts
   dune exec bench/main.exe -- --quick --table d1 \
     --artifacts "$tmp/d1-replay" >/dev/null
@@ -210,8 +214,7 @@ stage_oracle() {
     --emit-queries "$tmp/oracle-queries.txt" -o "$tmp/oracle-j1.txt" \
     --metrics "$tmp/oracle-m-j1.json" >/dev/null
   # the emitted batch replayed over the pool must reproduce the result
-  # file and the stripped metrics (tree-plan hits and misses included)
-  # byte-for-byte
+  # file and the stripped metrics byte-for-byte
   dune exec bin/ultraspan_cli.exe -- query "$tmp/oracle.bin" \
     --queries "$tmp/oracle-queries.txt" -j 4 -o "$tmp/oracle-j4.txt" \
     --metrics "$tmp/oracle-m-j4.json" >/dev/null
@@ -220,16 +223,30 @@ stage_oracle() {
     dune exec bin/ultraspan_cli.exe -- metrics "$tmp/oracle-m-$j.json" \
       --expose --strip-timing >"$tmp/oracle-m-$j.prom"
   done
-  grep -q "^oracle\.cache\.hits_total" "$tmp/oracle-m-j1.prom"
+  grep -q "^oracle\.queries_total" "$tmp/oracle-m-j1.prom"
   cmp "$tmp/oracle-m-j1.prom" "$tmp/oracle-m-j4.prom"
-  # a truncated artifact must be rejected with exit 1, not a backtrace
+  # A truncated artifact, and 64-byte headers (versions 1 and 2) that
+  # promise 2^58 edges so that the payload size wraps to 0, with the FNV
+  # offset basis as the checksum of that empty payload: each must be
+  # rejected with exit 1 and a one-line diagnostic, not a crash.
   head -c 100 "$tmp/oracle.bin" >"$tmp/oracle-corrupt.bin"
-  if dune exec bin/ultraspan_cli.exe -- query "$tmp/oracle-corrupt.bin" \
-      --random 10 >/dev/null 2>"$tmp/oracle-err.txt"; then
-    echo "ERROR: corrupted oracle artifact was accepted" >&2
-    exit 1
-  fi
-  grep -q "not an ultraspan-oracle/1 artifact" "$tmp/oracle-err.txt"
+  z='\000\000\000\000\000\000\000'
+  m58="$z\004"
+  for v in 1 2; do
+    # shellcheck disable=SC2059
+    printf "USPANORC\00$v$z\000$z$m58$m58\001$z\000$z\045\043\042\204\344\234\362\313" \
+      >"$tmp/oracle-hostile-$v.bin"
+  done
+  for bad in oracle-corrupt oracle-hostile-1 oracle-hostile-2; do
+    rc=0
+    dune exec bin/ultraspan_cli.exe -- query "$tmp/$bad.bin" --random 10 \
+      >/dev/null 2>"$tmp/oracle-err.txt" || rc=$?
+    if [ "$rc" -ne 1 ] || [ "$(wc -l <"$tmp/oracle-err.txt")" -ne 1 ]; then
+      echo "ERROR: $bad.bin: exit $rc, want 1 and a one-line diagnostic" >&2
+      exit 1
+    fi
+    grep -q "not an ultraspan-oracle/2 artifact" "$tmp/oracle-err.txt"
+  done
   # Q1 (serving throughput + stretch contract): every bound must hold and
   # the table must match its committed golden
   dune exec bench/main.exe -- --quick --table q1 --strict \
@@ -262,7 +279,7 @@ case "${1:-}" in
     exit 0
     ;;
   --help | -h)
-    sed -n '2,46p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
     exit 0
     ;;
 esac

@@ -885,17 +885,17 @@ let oracle_out_arg =
     required
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Write the compiled ultraspan-oracle/1 artifact to $(docv).")
+        ~doc:"Write the compiled ultraspan-oracle/2 artifact to $(docv).")
 
 let compile_cmd =
   Cmd.v
     (Cmd.info "compile"
        ~doc:
-         "Build a spanner and compile it into a servable ultraspan-oracle/1 \
+         "Build a spanner and compile it into a servable ultraspan-oracle/2 \
           binary artifact: CSR adjacency of the kept subgraph plus \
-          per-cluster shortest-path-tree metadata, checksummed.  The \
-          artifact is what the query subcommand serves from — the spanner \
-          is never rebuilt at query time.")
+          per-vertex cluster labels, checksummed.  The artifact is what the \
+          query subcommand serves from — the spanner is never rebuilt at \
+          query time.")
     Term.(
       const compile $ spanner_algo_arg
       $ k_arg "Stretch parameter k (stretch 2k-1)."
@@ -925,9 +925,6 @@ let query oracle_path qfile random emitq jobs verify mfile input family n
     Printf.printf "queries         : %d (%d dist, %d mem, %d unreachable)\n"
       st.Query_engine.queries st.Query_engine.dist st.Query_engine.mem
       st.Query_engine.unreachable;
-    Printf.printf "sssp trees      : %d built, serving %d tree-routed queries\n"
-      st.Query_engine.cache_misses
-      (st.Query_engine.cache_hits + st.Query_engine.cache_misses);
     (match output with
     | Some path ->
         Query_engine.save_results path qs answers;
@@ -974,7 +971,7 @@ let oracle_pos_arg =
     required
     & pos 0 (some string) None
     & info [] ~docv:"ORACLE"
-        ~doc:"Compiled ultraspan-oracle/1 artifact (from the compile \
+        ~doc:"Compiled ultraspan-oracle/2 artifact (from the compile \
               subcommand).")
 
 let queries_arg =

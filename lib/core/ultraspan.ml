@@ -57,12 +57,12 @@
 
     {1 Serving layer}
 
-    - {!Oracle} — spanners compiled into servable [ultraspan-oracle/1]
-      binary artifacts (CSR adjacency + per-cluster tree metadata,
+    - {!Oracle} — spanners compiled into servable [ultraspan-oracle/2]
+      binary artifacts (CSR adjacency + per-vertex cluster labels,
       checksummed, loaded through a zero-copy arena reader);
       {!Query_engine} — the batch approximate-distance / membership
-      query engine: bounded bidirectional Dijkstra, deterministic
-      parallel execution, and a bounded LRU of hot SSSP trees. *)
+      query engine: bounded bidirectional Dijkstra and deterministic
+      parallel execution. *)
 
 (* Utilities *)
 module Rng = Ultraspan_util.Rng

@@ -1,20 +1,16 @@
 module Parallel = Ultraspan_util.Parallel
 
-(* Restricted Dijkstra from [v] that stops as soon as every vertex in
-   [targets] is settled (their distances are then final), instead of
-   exhausting the whole subgraph.  Vertices the queue never reaches keep
-   [Dijkstra.infinity]: when the queue empties, every vertex with a finite
-   tentative distance has been settled, so unsettled targets are exactly
-   the unreachable ones.  Distances of settled vertices are identical to a
-   full single-source run — only unread entries differ. *)
-let distances_to_targets ?keep g v ~is_target ~remaining =
+(* Dijkstra from [v] over the kept edges that stops as soon as every
+   vertex marked in [is_target] is settled (their distances are then
+   final), instead of exhausting the whole subgraph.  Vertices the queue
+   never reaches keep [Dijkstra.infinity]: when the queue empties, every
+   vertex with a finite tentative distance has been settled, so unsettled
+   targets are exactly the unreachable ones.  [is_target] is consumed. *)
+let distances_to_targets ~keep g v ~is_target ~remaining =
   let n = Graph.n g in
   let dist = Array.make n Dijkstra.infinity in
   let settled = Ultraspan_util.Bitset.create n in
   let pq = Ultraspan_util.Pqueue.create ~cmp:compare () in
-  let allowed =
-    match keep with None -> fun _ -> true | Some mask -> fun eid -> mask.(eid)
-  in
   dist.(v) <- 0;
   Ultraspan_util.Pqueue.push pq 0 v;
   let remaining = ref remaining in
@@ -28,7 +24,7 @@ let distances_to_targets ?keep g v ~is_target ~remaining =
       end;
       if !remaining > 0 then
         Graph.iter_adj g x (fun u eid ->
-            if allowed eid then begin
+            if keep.(eid) then begin
               let nd = d + Graph.weight g eid in
               if nd < dist.(u) then begin
                 dist.(u) <- nd;
@@ -37,7 +33,7 @@ let distances_to_targets ?keep g v ~is_target ~remaining =
             end)
     end
   done;
-  (dist, settled)
+  dist
 
 let vertex_worst g keep v =
   (* Worst stretch among edges (v,u) with v < u (each edge charged once).
@@ -61,7 +57,7 @@ let vertex_worst g keep v =
           is_target.(u) <- true;
           incr remaining
         end);
-    let dist, _settled =
+    let dist =
       distances_to_targets ~keep g v ~is_target ~remaining:!remaining
     in
     let worst = ref 0.0 and total = ref 0.0 and count = ref 0 in

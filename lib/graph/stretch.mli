@@ -12,27 +12,6 @@
     or 1) and fans them across the domain pool.  Results are bit-identical
     for every job count. *)
 
-val distances_to_targets :
-  ?keep:bool array ->
-  Graph.t ->
-  int ->
-  is_target:bool array ->
-  remaining:int ->
-  int array * Ultraspan_util.Bitset.t
-(** [distances_to_targets g v ~is_target ~remaining] is a restricted
-    single-source Dijkstra from [v] that stops as soon as the [remaining]
-    marked targets are all settled, instead of exhausting the graph.
-    [?keep] restricts the search to a subgraph edge mask (absent = whole
-    graph).  Returns [(dist, settled)]: distances of {e settled} vertices
-    equal a full single-source run; entries of unsettled vertices are
-    tentative and must not be read (except that once the queue empties,
-    unsettled = unreachable).  [is_target] is consumed — settled targets
-    are flipped back to [false]; unsettled ones (unreachable targets)
-    stay marked.  This is the early-exit countdown search behind
-    {!max_edge_stretch} and the oracle query engine's per-batch tree
-    plan, which builds one tree per hot source, targeting the partners
-    the batch asks it about. *)
-
 val max_edge_stretch : ?jobs:int -> Graph.t -> bool array -> float
 (** [max_edge_stretch g keep] is the exact stretch of the spanning subgraph
     given by the edge mask [keep].  [Float.infinity] if some edge's

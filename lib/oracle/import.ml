@@ -3,13 +3,9 @@
 
 module Graph = Ultraspan_graph.Graph
 module Dijkstra = Ultraspan_graph.Dijkstra
-module Stretch = Ultraspan_graph.Stretch
 module Connectivity = Ultraspan_graph.Connectivity
 module Spanner = Ultraspan_spanner.Spanner
-module Witness = Ultraspan_verify.Witness
-module Util = Ultraspan_util
 module Rng = Ultraspan_util.Rng
 module Pqueue = Ultraspan_util.Pqueue
-module Bitset = Ultraspan_util.Bitset
 module Parallel = Ultraspan_util.Parallel
 module Metrics = Ultraspan_util.Metrics

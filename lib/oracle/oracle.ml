@@ -1,6 +1,6 @@
 open! Import
 
-let schema = "ultraspan-oracle/1"
+let schema = "ultraspan-oracle/2"
 
 type ivec = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -11,10 +11,6 @@ type t = {
   orig_eid : ivec;
   clusters : int;
   comp : ivec;
-  root : ivec;
-  parent : ivec;
-  parent_eid : ivec;
-  depth_w : ivec;
 }
 
 let n t = Graph.n t.graph
@@ -31,52 +27,12 @@ let ivec_of_array a =
 (* compile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One multi-source Dijkstra seeded at every cluster root grows all the
-   cluster trees in a single pass (per-cluster runs would cost a queue
-   setup per component; a spanner of a disconnected input can have many).
-   Deterministic: roots are pushed in increasing cluster order and the
-   heap's tie-breaking is a fixed function of the insertion sequence. *)
-let grow_trees g roots =
-  let n = Graph.n g in
-  let dist = Array.make n Dijkstra.infinity in
-  let parent = Array.make n (-1) in
-  let parent_eid = Array.make n (-1) in
-  let settled = Bitset.create n in
-  let pq = Pqueue.create ~cmp:compare () in
-  Array.iter
-    (fun r ->
-      dist.(r) <- 0;
-      Pqueue.push pq 0 r)
-    roots;
-  while not (Pqueue.is_empty pq) do
-    let d, x = Pqueue.pop_exn pq in
-    if not (Bitset.mem settled x) then begin
-      Bitset.add settled x;
-      Graph.iter_adj g x (fun u eid ->
-          let nd = d + Graph.weight g eid in
-          if nd < dist.(u) then begin
-            dist.(u) <- nd;
-            parent.(u) <- x;
-            parent_eid.(u) <- eid;
-            Pqueue.push pq nd u
-          end)
-    end
-  done;
-  (dist, parent, parent_eid)
-
 let compile g ~k (sp : Spanner.t) =
   if k < 1 then invalid_arg "Oracle.compile: k must be >= 1";
   if Array.length sp.Spanner.keep <> Graph.m g then
     invalid_arg "Oracle.compile: spanner mask does not match the graph";
   let sub, mapping = Graph.sub_with_mapping g sp.Spanner.keep in
   let comp, clusters = Connectivity.components sub in
-  (* component labels are assigned in order of smallest member, so the
-     root of a cluster is the first vertex carrying its label *)
-  let root = Array.make clusters (-1) in
-  for v = Graph.n sub - 1 downto 0 do
-    root.(comp.(v)) <- v
-  done;
-  let d, p, pe = grow_trees sub root in
   {
     k;
     orig_m = Graph.m g;
@@ -84,27 +40,17 @@ let compile g ~k (sp : Spanner.t) =
     orig_eid = ivec_of_array mapping;
     clusters;
     comp = ivec_of_array comp;
-    root = ivec_of_array root;
-    parent = ivec_of_array p;
-    parent_eid = ivec_of_array pe;
-    depth_w = ivec_of_array d;
   }
-
-let tree_bound t s u =
-  if t.comp.{s} <> t.comp.{u} then Dijkstra.infinity
-  else t.depth_w.{s} + t.depth_w.{u}
 
 (* ------------------------------------------------------------------ *)
 (* binary format                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let magic = "USPANORC"
-let version = 1
+let version = 2
 let header_words = 7
 
-let payload_words t =
-  let n = n t and m = m t in
-  (3 * m) + m + n + n + n + n + t.clusters
+let payload_words t = (4 * m t) + n t
 
 (* Serialize the payload once into bytes: the checksum, [save] and the
    tests all read from the same encoding. *)
@@ -127,10 +73,6 @@ let payload_bytes t =
   in
   put_vec t.orig_eid;
   put_vec t.comp;
-  put_vec t.parent;
-  put_vec t.parent_eid;
-  put_vec t.depth_w;
-  put_vec t.root;
   assert (!pos = words);
   b
 
@@ -200,11 +142,17 @@ let load path =
   want "k" k 1;
   want "clusters" clusters 0;
   if clusters > gn then bad path "clusters %d exceeds n %d" clusters gn;
-  let words = (3 * gm) + gm + (4 * gn) + clusters in
+  (* Bound the counts by the file size before any multiplication: an edge
+     takes 32 bytes (u, v, w, orig_eid) and a vertex 8 (comp), so a hostile
+     header cannot wrap the size computation below and pass it. *)
+  let len = Bytes.length b in
+  if gm > len / 32 then bad path "m %d exceeds what %d bytes can hold" gm len;
+  if gn > len / 8 then bad path "n %d exceeds what %d bytes can hold" gn len;
+  let words = (4 * gm) + gn in
   let expect = 8 + (8 * header_words) + (8 * words) in
-  if Bytes.length b <> expect then
-    bad path "truncated or oversized payload: %d bytes, header promises %d"
-      (Bytes.length b) expect;
+  if len <> expect then
+    bad path "truncated or oversized payload: %d bytes, header promises %d" len
+      expect;
   let payload = Bytes.sub b (8 + (8 * header_words)) (8 * words) in
   let sum = fnv1a payload in
   if not (Int64.equal sum (Bytes.get_int64_le b (8 + (8 * 6)))) then
@@ -224,10 +172,6 @@ let load path =
   let edges = view (3 * gm) in
   let orig_eid = view gm in
   let comp = view gn in
-  let parent = view gn in
-  let parent_eid = view gn in
-  let depth_w = view gn in
-  let root = view clusters in
   (* Streamed, replayable reconstruction: ids come out in canonical sorted
      order, which is exactly the order [payload_bytes] wrote them in, so
      edge ids round-trip bit-for-bit. *)
@@ -250,61 +194,13 @@ let load path =
   in
   check_range "orig_eid" orig_eid 0 orig_m;
   check_range "comp" comp 0 clusters;
-  check_range "root" root 0 gn;
-  check_range "parent" parent (-1) gn;
-  check_range "parent_eid" parent_eid (-1) gm;
-  check_range "depth_w" depth_w 0 max_int;
-  (* The cluster trees must agree with the graph: the engine seeds every
-     bidirectional search with [tree_bound], so a depth that is not a real
-     path length would turn into a wrong answer.  All O(n + m). *)
+  (* A spanner edge across two cluster labels would make the engine
+     answer unreachable for a connected pair.  O(m). *)
   Graph.iter_edges graph (fun e ->
       if comp.{e.Graph.u} <> comp.{e.Graph.v} then
         bad path "edge %d joins clusters %d and %d" e.Graph.id comp.{e.Graph.u}
           comp.{e.Graph.v});
-  for c = 0 to clusters - 1 do
-    let r = root.{c} in
-    if comp.{r} <> c then
-      bad path "root %d of cluster %d has comp %d" r c comp.{r};
-    if depth_w.{r} <> 0 then bad path "root %d has depth_w %d" r depth_w.{r}
-  done;
-  let is_root v = root.{comp.{v}} = v in
-  for v = 0 to gn - 1 do
-    if not (is_root v) then begin
-      let p = parent.{v} and e = parent_eid.{v} in
-      if p < 0 || e < 0 || Graph.endpoints graph e <> (min v p, max v p) then
-        bad path "parent_eid[%d] = %d does not join %d to its parent %d" v e v p
-    end
-  done;
-  (* every parent chain ends at its cluster's root: walk each chain until
-     a root or an already-cleared vertex, marking the walk; meeting the
-     current walk again is a cycle *)
-  let state = Bytes.make gn '\000' in
-  for v = 0 to gn - 1 do
-    let x = ref v in
-    while Bytes.get state !x = '\000' && not (is_root !x) do
-      Bytes.set state !x '\001';
-      x := parent.{!x}
-    done;
-    if Bytes.get state !x = '\001' then
-      bad path "parent chain of vertex %d cycles at %d" v !x;
-    let y = ref v in
-    while Bytes.get state !y = '\001' do
-      Bytes.set state !y '\002';
-      y := parent.{!y}
-    done
-  done;
-  for v = 0 to gn - 1 do
-    if not (is_root v) then begin
-      let p = parent.{v} in
-      let w = Graph.weight graph parent_eid.{v} in
-      if depth_w.{v} <> depth_w.{p} + w then
-        bad path
-          "depth_w[%d] = %d, but its parent %d is at %d over an edge of \
-           weight %d"
-          v depth_w.{v} p depth_w.{p} w
-    end
-  done;
-  { k; orig_m; graph; orig_eid; clusters; comp; root; parent; parent_eid; depth_w }
+  { k; orig_m; graph; orig_eid; clusters; comp }
 
 (* ------------------------------------------------------------------ *)
 
@@ -322,10 +218,7 @@ let equal a b =
   && Graph.n a.graph = Graph.n b.graph
   && Graph.edges a.graph = Graph.edges b.graph
   && vec_equal a.orig_eid b.orig_eid
-  && vec_equal a.comp b.comp && vec_equal a.root b.root
-  && vec_equal a.parent b.parent
-  && vec_equal a.parent_eid b.parent_eid
-  && vec_equal a.depth_w b.depth_w
+  && vec_equal a.comp b.comp
 
 let pp fmt t =
   Format.fprintf fmt "oracle: %d vertices, %d spanner edges, %d cluster(s), k=%d"

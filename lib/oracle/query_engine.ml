@@ -97,8 +97,8 @@ let save_results path qs answers = write_file path (render_results qs answers)
 
 let generate ~rng ~n ~count =
   if n < 1 then invalid_arg "Query_engine.generate: n must be >= 1";
-  (* a small pool of hot sources receives most distance queries, so a
-     realistic batch actually exercises the tree plan *)
+  (* a small pool of hot sources receives most distance queries, the
+     skew of a realistic serving batch *)
   let hot = Array.init (min 8 n) (fun _ -> Rng.int rng n) in
   Array.init count (fun _ ->
       let r = Rng.int rng 100 in
@@ -139,12 +139,10 @@ let make_scratch n =
     stamp = 0;
   }
 
-(* Exact d_H(s, t) for same-cluster endpoints.  The search radius is
-   bounded from the start by the cluster-tree path s->root->t (a real
-   spanner path), vertices at distance >= the best-known path are never
-   expanded, and the two frontiers stop as soon as their tops certify no
-   shorter meeting point exists.  The result is independent of the
-   expansion schedule, so answers match the tree route bit for bit. *)
+(* Exact d_H(s, t) for same-cluster endpoints.  Vertices at distance >=
+   the best-known meeting path [mu] are never expanded, and the two
+   frontiers stop as soon as their tops certify no shorter meeting point
+   exists.  The result is independent of the expansion schedule. *)
 let bidi (o : Oracle.t) sc s t =
   sc.stamp <- sc.stamp + 1;
   let st = sc.stamp in
@@ -153,7 +151,7 @@ let bidi (o : Oracle.t) sc s t =
   let g = o.Oracle.graph in
   let csr = Graph.csr g in
   let edges = Graph.edges g in
-  let mu = ref (Oracle.tree_bound o s t) in
+  let mu = ref Dijkstra.infinity in
   sc.sf.(s) <- st;
   sc.df.(s) <- 0;
   sc.sb.(t) <- st;
@@ -219,11 +217,6 @@ type stats = {
   cache_evictions : int;
 }
 
-(* A source is answered from a single-source tree once the batch queries
-   it this often; below that a bounded bidirectional search is cheaper
-   than building a tree. *)
-let hot_threshold = 4
-
 let run ?jobs ?(metrics = Metrics.disabled) (o : Oracle.t) (qs : query array) =
   let n = Oracle.n o in
   Array.iteri
@@ -235,100 +228,26 @@ let run ?jobs ?(metrics = Metrics.disabled) (o : Oracle.t) (qs : query array) =
       in
       match q with Dist (s, t) | Mem (s, t) -> check s; check t)
     qs;
-  (* Routing is a pure function of the batch: count how often each vertex
-     appears as a distance endpoint, call it hot past the threshold, and
-     send every same-cluster query to the hot endpoint's tree (source
-     first, then target) or to the bidirectional search. *)
-  let freq = Array.make n 0 in
-  Array.iter
-    (function
-      | Dist (s, t) when s <> t ->
-          freq.(s) <- freq.(s) + 1;
-          freq.(t) <- freq.(t) + 1
-      | Dist _ | Mem _ -> ())
-    qs;
-  let route =
-    Array.map
-      (function
-        | Mem _ -> -1
-        | Dist (s, t) ->
-            if s = t || o.Oracle.comp.{s} <> o.Oracle.comp.{t} then -1
-            else if freq.(s) >= hot_threshold then s
-            else if freq.(t) >= hot_threshold then t
-            else -2)
-      qs
-  in
-  (* The tree plan: tree-routed queries grouped by hot source, queries in
-     index order within each group. *)
   let nq = Array.length qs in
-  let members = Array.make n [] in
-  for i = nq - 1 downto 0 do
-    let r = route.(i) in
-    if r >= 0 then members.(r) <- i :: members.(r)
-  done;
-  let sources =
-    Array.of_list
-      (List.filter (fun v -> members.(v) <> []) (List.init n Fun.id))
-  in
-  let trees = Array.length sources in
-  let partner i =
-    match qs.(i) with
-    | Dist (s, t) -> if route.(i) = s then t else s
-    | Mem _ -> assert false
-  in
   let answers = Array.make nq (Dist_answer 0) in
-  (* Tree section: each group builds its source's tree once, restricted by
-     the early-exit countdown to the partners the group asks about,
-     answers the group by index and drops the tree, so at most [jobs]
-     trees are live at once.  Skipped when no source is hot. *)
-  if trees > 0 then
-    Parallel.iter_blocks ?jobs trees (fun _ lo hi ->
-        let is_target = Array.make n false in
-        for c = lo to hi - 1 do
-          let v = sources.(c) in
-          let remaining = ref 0 in
-          List.iter
-            (fun i ->
-              let u = partner i in
-              if not is_target.(u) then begin
-                is_target.(u) <- true;
-                incr remaining
-              end)
-            members.(v);
-          let dist, settled =
-            Stretch.distances_to_targets o.Oracle.graph v ~is_target
-              ~remaining:!remaining
-          in
-          List.iter
-            (fun i ->
-              let u = partner i in
-              (* targets the search never settled are still marked *)
-              is_target.(u) <- false;
-              let d =
-                if Bitset.mem settled u then dist.(u) else Dijkstra.infinity
-              in
-              answers.(i) <- Dist_answer d)
-            members.(v)
-        done);
-  (* Everything else: membership, unreachable and bidirectional queries. *)
   Parallel.iter_blocks ?jobs nq (fun _ lo hi ->
       let sc = make_scratch n in
       for i = lo to hi - 1 do
-        match qs.(i) with
-        | Mem (u, v) ->
-            let ans =
-              if u = v then None
-              else
-                match Graph.find_edge o.Oracle.graph u v with
-                | Some eid -> Some o.Oracle.orig_eid.{eid}
-                | None -> None
-            in
-            answers.(i) <- Mem_answer ans
-        | Dist (s, t) ->
-            if route.(i) = -2 then answers.(i) <- Dist_answer (bidi o sc s t)
-            else if route.(i) = -1 then
-              answers.(i) <-
-                Dist_answer (if s = t then 0 else Dijkstra.infinity)
+        answers.(i) <-
+          (match qs.(i) with
+          | Mem (u, v) ->
+              Mem_answer
+                (if u = v then None
+                 else
+                   Option.map
+                     (fun eid -> o.Oracle.orig_eid.{eid})
+                     (Graph.find_edge o.Oracle.graph u v))
+          | Dist (s, t) ->
+              Dist_answer
+                (if s = t then 0
+                 else if o.Oracle.comp.{s} <> o.Oracle.comp.{t} then
+                   Dijkstra.infinity
+                 else bidi o sc s t))
       done);
   let count p a =
     Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 a
@@ -345,8 +264,8 @@ let run ?jobs ?(metrics = Metrics.disabled) (o : Oracle.t) (qs : query array) =
             | Dist (s, t) -> o.Oracle.comp.{s} <> o.Oracle.comp.{t}
             | Mem _ -> false)
           qs;
-      cache_hits = count (fun r -> r >= 0) route - trees;
-      cache_misses = trees;
+      cache_hits = 0;
+      cache_misses = 0;
       cache_evictions = 0;
     }
   in
@@ -358,12 +277,6 @@ let run ?jobs ?(metrics = Metrics.disabled) (o : Oracle.t) (qs : query array) =
   Metrics.add
     (Metrics.counter metrics "oracle.unreachable_total")
     stats.unreachable;
-  Metrics.add
-    (Metrics.counter metrics "oracle.cache.hits_total")
-    stats.cache_hits;
-  Metrics.add
-    (Metrics.counter metrics "oracle.cache.misses_total")
-    stats.cache_misses;
   (answers, stats)
 
 (* ------------------------------------------------------------------ *)

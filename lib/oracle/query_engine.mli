@@ -6,9 +6,8 @@ open! Import
 
     - [dist s t] — the exact spanner distance [d_H(s, t)] (which the
       spanner contract bounds by [(2k-1) * d_G(s, t)]), computed by a
-      bounded bidirectional Dijkstra whose search radius is capped by the
-      cluster-tree upper bound {!Oracle.tree_bound}; cross-cluster pairs
-      short-circuit to unreachable in O(1) via the component labels.
+      bounded bidirectional Dijkstra; cross-cluster pairs short-circuit to
+      unreachable in O(1) via the component labels.
     - [mem u v] — spanner edge membership; a positive answer carries the
       edge id {e in the original graph}.
 
@@ -16,16 +15,10 @@ open! Import
     block schedule of {!Parallel.iter_blocks}, per-block scratch (stamped
     distance arrays, reusable heaps) hoisted out of the per-query loop,
     and answers written by query index — result files are byte-identical
-    for every [--jobs], which the test suite asserts by [cmp].
-
-    Sources that recur often enough in a batch are answered from
-    single-source shortest-path trees instead.  The tree plan is a pure
-    function of the batch: tree-routed queries are grouped by hot source,
-    each group builds its source's tree once (the early-exit countdown
-    search {!Stretch.distances_to_targets}, targeting exactly the partners
-    the group asks about), answers its queries by index and drops the
-    tree.  A tree answer equals what the bidirectional search would
-    return, so the plan never changes output bytes — only throughput. *)
+    for every [--jobs], which the test suite asserts by [cmp].  Every
+    distance query takes the same route, however often its source recurs
+    in the batch: on every workload the repository serves, bidirectional
+    search beats building per-source trees (EXPERIMENTS.md, Q1). *)
 
 val queries_schema : string
 (** ["ultraspan-queries/1"] — header line of batch query files. *)
@@ -65,8 +58,8 @@ val save_results : string -> query array -> answer array -> unit
 
 val generate : rng:Rng.t -> n:int -> count:int -> query array
 (** Seeded mixed workload: ~60% distance queries from a small hot pool of
-    sources (exercising the tree plan), ~15% uniform distance queries,
-    ~25% membership queries.  Deterministic in [rng]. *)
+    sources (the skew of a realistic serving batch), ~15% uniform distance
+    queries, ~25% membership queries.  Deterministic in [rng]. *)
 
 (** {1 Execution} *)
 
@@ -75,14 +68,14 @@ type stats = {
   dist : int;  (** distance queries answered *)
   mem : int;  (** membership queries answered *)
   unreachable : int;  (** distance queries across clusters *)
-  cache_hits : int;  (** tree-routed queries minus [cache_misses] *)
-  cache_misses : int;  (** trees built: distinct hot sources routed to a tree *)
-  cache_evictions : int;  (** always [0]: the plan holds no cache *)
+  cache_hits : int;  (** always [0] *)
+  cache_misses : int;  (** always [0] *)
+  cache_evictions : int;  (** always [0] *)
 }
 (** Every field is a function of the batch and oracle alone, identical
-    for every job count.  [cache_hits] / [cache_misses] keep the names of
-    a per-source tree cache that never evicts: the first tree-routed
-    query of a source builds its tree, the rest reuse it. *)
+    for every job count.  The engine holds no cache: the three [cache_*]
+    fields stay only because [perfbench/] reads them, and go with its next
+    change. *)
 
 val run :
   ?jobs:int ->
@@ -90,13 +83,11 @@ val run :
   Oracle.t ->
   query array ->
   answer array * stats
-(** Answer a batch in at most two {!Parallel.iter_blocks} sections: one
-    work item per hot source's tree group (skipped when no source is
-    hot), then every membership, unreachable and bidirectional query.
+(** Answer a batch in one {!Parallel.iter_blocks} section over every
+    membership, same-vertex, cross-cluster and bidirectional query.
     Registry counters: [oracle.queries_total] / [oracle.dist_total] /
-    [oracle.mem_total] / [oracle.unreachable_total] and
-    [oracle.cache.hits_total] / [misses_total], all batch functions
-    published from the calling domain after the parallel sections.  Raises
+    [oracle.mem_total] / [oracle.unreachable_total], all batch functions
+    published from the calling domain after the parallel section.  Raises
     [Failure] on out-of-range query vertices (checked up front). *)
 
 (** {1 Local verification} *)
