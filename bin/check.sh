@@ -33,6 +33,10 @@
 #   verify      verification plane: the corruption matrix transcript is
 #               byte-identical across engines and job counts, every
 #               corruption is rejected, and the bench --verify gate passes
+#   fullverify  the full (non-quick) corruption matrix on the ref engine and
+#               the fast engine at -j 1 and -j 4, transcripts byte-identical,
+#               then every quick table strict under local verification;
+#               leaves verify-*.txt and artifacts/ in the repository root
 #   oracle      serving layer: compile -> query round-trips end-to-end with
 #               local verification, the result file is byte-identical at
 #               -j 1 and -j 4, a corrupted artifact and a header whose
@@ -49,7 +53,7 @@
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
-STAGES="build fmt lint trace metrics tables parallel stream xfail sharded verify oracle efficiency perf benchtest"
+STAGES="build fmt lint trace metrics tables parallel stream xfail sharded verify fullverify oracle efficiency perf benchtest"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -203,6 +207,21 @@ stage_verify() {
     --artifacts "$tmp/verify-artifacts" >/dev/null
 }
 
+stage_fullverify() {
+  # Every valid artifact accepted and every seeded corruption rejected, in
+  # all three verification modes, on each engine and job count.
+  dune exec bin/ultraspan_cli.exe -- verify --engine ref >verify-ref.txt
+  cat verify-ref.txt
+  dune exec bin/ultraspan_cli.exe -- verify -j 1 >verify-fast1.txt
+  dune exec bin/ultraspan_cli.exe -- verify -j 4 >verify-fast4.txt
+  cmp verify-ref.txt verify-fast1.txt
+  cmp verify-ref.txt verify-fast4.txt
+  # every artifact the bench emits is re-verified by the O(k)-round local
+  # checkers before the strict gate reports success
+  dune exec bench/main.exe -- --quick --all --strict --verify local \
+    --artifacts artifacts
+}
+
 stage_oracle() {
   # compile -> query round trip, with the spanner recertified on the
   # original graph and sampled answers spot-checked against exact distances
@@ -279,7 +298,7 @@ case "${1:-}" in
     exit 0
     ;;
   --help | -h)
-    sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,52p' "$0" | sed 's/^# \{0,1\}//'
     exit 0
     ;;
 esac

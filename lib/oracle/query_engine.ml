@@ -110,10 +110,11 @@ let generate ~rng ~n ~count =
 (* bounded bidirectional Dijkstra                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-block scratch, allocated once per block and reused across its
-   queries (the per-query cost is O(touched), not O(n)): stamped distance
-   and settled arrays — bumping [stamp] invalidates everything in O(1) —
-   plus two heaps emptied with [Pqueue.clear]. *)
+(* Per-domain scratch, reused across every query, batch and oracle the
+   domain serves (the per-query cost is O(touched), not O(n)): stamped
+   distance and settled arrays — bumping [stamp] invalidates everything in
+   O(1), including entries left by an oracle of another size — plus two
+   heaps emptied with [Pqueue.clear]. *)
 type scratch = {
   df : int array;
   sf : int array;
@@ -138,6 +139,18 @@ let make_scratch n =
     pqb = Pqueue.create ~cmp:compare ();
     stamp = 0;
   }
+
+(* The calling domain's scratch, grown to the largest [n] it has served. *)
+let scratch_key = Domain.DLS.new_key (fun () -> make_scratch 0)
+
+let domain_scratch n =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.df >= n then sc
+  else begin
+    let sc = make_scratch n in
+    Domain.DLS.set scratch_key sc;
+    sc
+  end
 
 (* Exact d_H(s, t) for same-cluster endpoints.  Vertices at distance >=
    the best-known meeting path [mu] are never expanded, and the two
@@ -231,7 +244,7 @@ let run ?jobs ?(metrics = Metrics.disabled) (o : Oracle.t) (qs : query array) =
   let nq = Array.length qs in
   let answers = Array.make nq (Dist_answer 0) in
   Parallel.iter_blocks ?jobs nq (fun _ lo hi ->
-      let sc = make_scratch n in
+      let sc = domain_scratch n in
       for i = lo to hi - 1 do
         answers.(i) <-
           (match qs.(i) with

@@ -12,8 +12,9 @@ open! Import
       edge id {e in the original graph}.
 
     Batches fan out across the {!Parallel} domain pool with the fixed
-    block schedule of {!Parallel.iter_blocks}, per-block scratch (stamped
-    distance arrays, reusable heaps) hoisted out of the per-query loop,
+    block schedule of {!Parallel.iter_blocks}, one scratch per domain
+    (stamped distance arrays, reusable heaps, grown to the largest [n]
+    served) shared by all its queries, batches and oracles,
     and answers written by query index — result files are byte-identical
     for every [--jobs], which the test suite asserts by [cmp].  Every
     distance query takes the same route, however often its source recurs

@@ -21,7 +21,15 @@ open! Import
 
     Output is distributed, as the model demands: each node ends up knowing
     which of its incident edges are in the spanner; {!run} collects that
-    local knowledge into an edge mask. *)
+    local knowledge into an edge mask.
+
+    Local work per wake-up is O(deg) on ints: a node keeps its per-edge
+    knowledge (announced neighbour cluster, edge died, edge kept) indexed
+    by the edge's position in its sorted adjacency slice, folds its
+    sender-sorted inbox in with one forward merge, and decides by one scan
+    of its edges in (weight, edge-id) order — an order it sorts once per
+    run (O(deg log deg)), and never on unit weights, where it is the
+    slice order. *)
 
 type outcome = {
   spanner : Spanner.t;

@@ -2,13 +2,23 @@ let prime = 2147483647 (* 2^31 - 1, Mersenne prime *)
 
 type t = { coeffs : int array }
 
+(* [s mod p] for [0 <= s < 2p], branch-free (the two outcomes are equally
+   likely, so a branch would mispredict half the time): the sign of
+   [s - p] selects whether [p] is added back. *)
+let fold s =
+  let d = s - prime in
+  d + ((d asr 62) land prime)
+
+(* Mersenne reduction: 2^31 = 1 (mod p), so y = hi * 2^31 + lo reduces to
+   hi + lo.  For y <= (p-1)^2 that sum is below 2p, and [fold] finishes,
+   with no division. *)
+let reduce y = fold ((y land prime) + (y lsr 31))
+
 (* (p-1)^2 < 2^62 - 1 = max_int on 64-bit OCaml, so products of two reduced
    residues never overflow. *)
-let mul_mod a b = a * b mod prime
+let mul_mod a b = reduce (a * b)
 
-let add_mod a b =
-  let s = a + b in
-  if s >= prime then s - prime else s
+let add_mod a b = fold (a + b)
 
 let create ~degree rng =
   if degree < 0 then invalid_arg "Hash_family.create: negative degree";

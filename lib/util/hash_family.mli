@@ -19,6 +19,11 @@ type t
 val prime : int
 (** The field modulus (a 31-bit prime, [2^31 - 1]). *)
 
+val reduce : int -> int
+(** [reduce y] is [y mod prime] for [0 <= y <= (prime - 1)^2] (the range
+    of a product of two residues), computed by Mersenne folding instead
+    of a division.  Outside that range the result is unspecified. *)
+
 val create : degree:int -> Rng.t -> t
 (** [create ~degree rng] samples a uniformly random polynomial of the given
     degree (so the family is (degree+1)-wise independent).  [degree >= 0]. *)

@@ -231,6 +231,41 @@ let jobs_invariance () =
     [ s4.Query_engine.queries; s4.Query_engine.dist; s4.Query_engine.mem;
       s4.Query_engine.unreachable ]
 
+(* The bidirectional-search scratch is kept once per domain: two batches
+   of 64 membership queries (64 blocks each) at n = 2·10^4 allocate O(n)
+   words in all, where a scratch per block would cost 2 · 64 · 6n. *)
+let scratch_per_domain () =
+  let n = 20_000 in
+  let g = Generators.cycle n in
+  let keep = Array.make (Graph.m g) true in
+  let o = Oracle.compile g ~k:1 { Spanner.keep; rounds = Rounds.create () } in
+  let qs = Array.init 64 (fun i -> Query_engine.Mem (i, i + 1)) in
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to 2 do
+    ignore (Query_engine.run ~jobs:1 o qs)
+  done;
+  let words = (Gc.allocated_bytes () -. before) /. 8. in
+  if words > float_of_int (16 * n) then
+    Alcotest.failf "two 64-query batches allocated %.0f words (n = %d)" words n
+
+(* One domain serves oracles of different sizes in turn: the shared scratch
+   grows to the larger one and the answers stay exact at every job count. *)
+let scratch_across_sizes () =
+  let oracle n seed =
+    let g =
+      Generators.weighted_connected_gnp ~rng:(Rng.create seed) ~n
+        ~avg_degree:5.0 ~max_w:50
+    in
+    let o = Oracle.compile g ~k:3 (spanner_of ~k:3 g) in
+    (o, Query_engine.generate ~rng:(Rng.create seed) ~n ~count:300)
+  in
+  let small = oracle 40 3 and large = oracle 400 5 in
+  List.iteri
+    (fun i (o, qs) ->
+      Alcotest.(check bool) (Printf.sprintf "batch %d exact" i) true
+        (exact_at_jobs_1_and_4 o qs))
+    [ small; large; small; large; small ]
+
 (* ---------- text formats ---------- *)
 
 let query_file_roundtrip () =
@@ -279,6 +314,9 @@ let suite =
       stretch_contract;
     Alcotest.test_case "results byte-identical across jobs" `Quick
       jobs_invariance;
+    Alcotest.test_case "one scratch per domain" `Quick scratch_per_domain;
+    Alcotest.test_case "scratch shared across oracle sizes" `Quick
+      scratch_across_sizes;
     Alcotest.test_case "query file round-trip" `Quick query_file_roundtrip;
     Alcotest.test_case "malformed query files rejected" `Quick
       malformed_queries_rejected;

@@ -322,6 +322,46 @@ let hash_family_pairwise_independence () =
   let freq = float_of_int !both /. float_of_int trials in
   Alcotest.(check bool) "pairwise product" true (abs_float (freq -. 0.25) < 0.04)
 
+let mersenne_max = (Hash_family.prime - 1) * (Hash_family.prime - 1)
+
+let hash_family_reduce_edges () =
+  let p = Hash_family.prime in
+  List.iter
+    (fun y ->
+      Alcotest.(check int) (Printf.sprintf "reduce %d" y) (y mod p)
+        (Hash_family.reduce y))
+    [ 0; 1; p - 1; p; p + 1; (2 * p) - 1; 2 * p; 1 lsl 32; mersenne_max - 1;
+      mersenne_max ]
+
+let hash_family_reduce_matches_mod =
+  let p = Hash_family.prime in
+  qcheck ~count:500 "hash_family: Mersenne reduce = mod"
+    QCheck2.Gen.(
+      triple (int_range 0 (p - 1)) (int_range 0 (p - 1))
+        (int_range 0 mersenne_max))
+    (fun (a, b, y) ->
+      Hash_family.reduce (a * b) = a * b mod p
+      && Hash_family.reduce y = y mod p)
+
+let hash_family_eval_matches_mod_horner =
+  qcheck ~count:200 "hash_family: eval = Horner with mod" seed_gen (fun seed ->
+      let p = Hash_family.prime in
+      let rng = Rng.create seed in
+      let cs =
+        Array.init (1 + Rng.int rng 8) (fun _ ->
+            if Rng.int rng 4 = 0 then p - 1 else Rng.int rng p)
+      in
+      let h = Hash_family.of_coeffs cs in
+      List.for_all
+        (fun i ->
+          let x = ((i mod p) + p) mod p in
+          let acc = ref 0 in
+          for j = Array.length cs - 1 downto 0 do
+            acc := ((!acc * x mod p) + cs.(j)) mod p
+          done;
+          Hash_family.eval h i = !acc)
+        [ 0; 1; -1; p - 1; p; Rng.int rng max_int; -Rng.int rng max_int ])
+
 let hash_family_bad_args () =
   Alcotest.check_raises "negative degree"
     (Invalid_argument "Hash_family.create: negative degree") (fun () ->
@@ -358,4 +398,7 @@ let suite =
     case "hash_family: hitting events" hash_family_hitting_event;
     case "hash_family: pairwise independence" hash_family_pairwise_independence;
     case "hash_family: bad args" hash_family_bad_args;
+    case "hash_family: Mersenne reduce at the edges" hash_family_reduce_edges;
+    hash_family_reduce_matches_mod;
+    hash_family_eval_matches_mod_horner;
   ]
