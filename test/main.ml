@@ -15,7 +15,7 @@ let () =
       ("resilience", Test_resilience.suite);
       ("dynamic", Test_dynamic.suite);
       ("extensions", Test_extensions.suite);
-      ("bs-distributed", Test_bs_distributed.suite);
+      ("bs-dist", Test_bs_distributed.suite);
       ("misc", Test_misc.suite);
       ("artifacts", Test_artifacts.suite);
       ("oracle", Test_oracle.suite);
