@@ -10,7 +10,8 @@
 #
 # Stages:
 #   build       full build (libs, executables, docs) + test suite
-#   fmt         format check        (skipped when ocamlformat is missing)
+#   fmt         opam metadata lint  (skipped when opam is missing) and
+#               format check        (skipped when ocamlformat is missing)
 #   lint        shellcheck          (skipped when shellcheck is missing)
 #   trace       trace-exporter smoke test
 #   metrics     metrics plane: snapshots are emitted and render, and outside
@@ -73,6 +74,11 @@ stage_build() {
 }
 
 stage_fmt() {
+  if command -v opam >/dev/null 2>&1; then
+    opam lint ultraspan.opam
+  else
+    echo "   (skipped opam lint: opam not installed)"
+  fi
   if command -v ocamlformat >/dev/null 2>&1; then
     dune build @fmt
   else

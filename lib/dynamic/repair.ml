@@ -85,16 +85,33 @@ let meters_of reg =
     rm_debt = Metrics.gauge reg "dynamic.repair.recert_debt";
   }
 
+(* Dijkstra scratch, kept from call to call: [dist] reads [max_int]
+   everywhere between calls (each call resets what it reached).  [n] never
+   changes, so neither do the sizes. *)
+type scratch = {
+  dist : int array;
+  reached : int array;  (* vertices given a finite distance, in order *)
+  mutable nreached : int;
+  heap : Pqueue.Int.t;
+}
+
+let scratch n =
+  {
+    dist = Array.make n max_int;
+    reached = Array.make n 0;
+    nreached = 0;
+    heap = Pqueue.Int.create ~capacity:n ();
+  }
+
+(* The state is the immutable graph plus two masks over its edge ids. *)
 type t = {
   cfg : config;
-  n : int;
   mutable g : Graph.t;
-  mutable keep : bool array;
-  mutable edges : (int * int, int) Hashtbl.t;  (* live-edge model *)
-  mutable span : (int * int, unit) Hashtbl.t;  (* spanner as canonical pairs *)
-  mutable cert : (int * int, unit) Hashtbl.t;  (* certificate pairs *)
+  mutable keep : bool array;  (* spanner *)
+  mutable cert : bool array;  (* certificate; [||] when none is kept *)
   mutable debt : int;  (* certificate edges lost since its last build *)
   mutable batches : int;
+  sc : scratch;
   rm : meters;  (* shared with copies *)
 }
 
@@ -108,18 +125,6 @@ let validate (cfg : config) =
   | Some (_, ck) when ck < 1 -> invalid_arg "Repair.create: certificate k < 1"
   | _ -> ()
 
-let pairs_of_keep g keep =
-  let tbl = Hashtbl.create (2 * (Graph.m g + 1)) in
-  Graph.iter_edges g (fun e ->
-      if keep.(e.Graph.id) then Hashtbl.replace tbl (e.Graph.u, e.Graph.v) ());
-  tbl
-
-let keep_of_pairs g pairs =
-  let keep = Array.make (Graph.m g) false in
-  Graph.iter_edges g (fun e ->
-      if Hashtbl.mem pairs (e.Graph.u, e.Graph.v) then keep.(e.Graph.id) <- true);
-  keep
-
 let build_spanner (cfg : config) g = (Bs_derand.run ~k:cfg.k g).Bs_derand.spanner.Spanner.keep
 
 (* KECSS presumes a (ck + headroom)-connected input; a deletion stream can
@@ -127,181 +132,168 @@ let build_spanner (cfg : config) g = (Bs_derand.run ~k:cfg.k g).Bs_derand.spanne
    k-forest peeling, which certifies min(k, lambda) on any graph. *)
 let build_cert (cfg : config) g =
   match cfg.cert with
-  | None -> Hashtbl.create 1
-  | Some (algo, ck) ->
+  | None -> [||]
+  | Some (algo, ck) -> (
       let kk = ck + cfg.headroom in
-      let keep =
-        match algo with
-        | Thurimella -> (Thurimella.certificate ~k:kk g).Certificate.keep
-        | Kecss -> (
-            try (Kecss.approximate ~k:kk g).Kecss.certificate.Certificate.keep
-            with Invalid_argument _ ->
-              (Thurimella.certificate ~k:kk g).Certificate.keep)
-      in
-      pairs_of_keep g keep
+      match algo with
+      | Thurimella -> (Thurimella.certificate ~k:kk g).Certificate.keep
+      | Kecss -> (
+          try (Kecss.approximate ~k:kk g).Kecss.certificate.Certificate.keep
+          with Invalid_argument _ ->
+            (Thurimella.certificate ~k:kk g).Certificate.keep))
 
 let create ?(metrics = Metrics.disabled) cfg g =
   validate cfg;
-  let edges = Hashtbl.create (2 * (Graph.m g + 1)) in
-  Graph.iter_edges g (fun e ->
-      Hashtbl.replace edges (e.Graph.u, e.Graph.v) e.Graph.w);
-  let keep = build_spanner cfg g in
   {
     cfg;
-    n = Graph.n g;
     g;
-    keep;
-    edges;
-    span = pairs_of_keep g keep;
+    keep = build_spanner cfg g;
     cert = build_cert cfg g;
     debt = 0;
     batches = 0;
+    sc = scratch (Graph.n g);
     rm = meters_of metrics;
   }
+
+let count mask =
+  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask
+
+(* ascending indices [i < len] with [p i] *)
+let indices len p =
+  let ids = ref [] in
+  for i = len - 1 downto 0 do
+    if p i then ids := i :: !ids
+  done;
+  !ids
 
 let config t = t.cfg
 let graph t = t.g
 let spanner t = t.keep
-let spanner_size t = Hashtbl.length t.span
-let certificate_size t = Hashtbl.length t.cert
+let spanner_size t = count t.keep
+let certificate_size t = count t.cert
 let cert_debt t = t.debt
 
 let certificate t =
   match t.cfg.cert with
   | None -> None
   | Some (_, ck) ->
-      let eids = ref [] in
-      Graph.iter_edges t.g (fun e ->
-          if Hashtbl.mem t.cert (e.Graph.u, e.Graph.v) then
-            eids := e.Graph.id :: !eids);
-      Some (Certificate.of_eids t.g ~k:ck (List.rev !eids))
+      let eids = indices (Array.length t.cert) (Array.get t.cert) in
+      Some (Certificate.of_eids t.g ~k:ck eids)
 
 let copy t =
   {
     t with
-    edges = Hashtbl.copy t.edges;
-    span = Hashtbl.copy t.span;
-    cert = Hashtbl.copy t.cert;
     keep = Array.copy t.keep;
+    cert = Array.copy t.cert;
+    sc = scratch (Graph.n t.g);
   }
 
-(* Budget-truncated single/multi-purpose Dijkstra over the masked subgraph,
-   counting every scanned kept edge into [work].  [stop_at = -1] disables
-   the early exit.  Also returns the reached vertices (finite distance),
-   so callers can mark dirty balls without rescanning all [n] entries. *)
-let dijkstra_trunc ~work g keep ~src ~budget ~stop_at =
-  let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let settled = Bitset.create n in
-  let pq = Pqueue.create ~cmp:compare () in
+(* Budget-truncated Dijkstra over the [keep]-masked subgraph of [g] from
+   [src], counting every scanned kept arc into [work].  Distances land in
+   [dist] (all [max_int] on entry), the vertices it reached in
+   [sc.reached.(0 .. sc.nreached - 1)].  [stop_at = -1] disables the early
+   exit.  Pushes carry strictly decreasing distances per vertex, so the
+   pop with [d = dist.(v)] is the vertex's first and settles it; later
+   pops are stale.  Arcs are scanned in CSR order and [Pqueue.Int] breaks
+   ties as [Pqueue] does, so [work] counts what the polymorphic-heap
+   version with a settled bitset counted. *)
+let dijkstra sc ~work g keep ~dist ~src ~budget ~stop_at =
+  let { Graph.off; dst; eid; _ } = Graph.csr g and edges = Graph.edges g in
+  let pq = sc.heap in
+  Pqueue.Int.clear pq;
   dist.(src) <- 0;
-  let reached = ref [ src ] in
-  Pqueue.push pq 0 src;
+  sc.reached.(0) <- src;
+  sc.nreached <- 1;
+  Pqueue.Int.push pq 0 src;
   let finished = ref false in
-  while (not !finished) && not (Pqueue.is_empty pq) do
-    let d, v = Pqueue.pop_exn pq in
-    if not (Bitset.mem settled v) then begin
-      Bitset.add settled v;
+  while (not !finished) && not (Pqueue.Int.is_empty pq) do
+    let d = Pqueue.Int.min_prio pq in
+    let v = Pqueue.Int.pop pq in
+    if d = dist.(v) then begin
       if v = stop_at then finished := true
       else
-        Graph.iter_adj g v (fun u eid ->
-            if keep.(eid) then begin
-              incr work;
-              let nd = d + Graph.weight g eid in
-              if nd <= budget && nd < dist.(u) then begin
-                if dist.(u) = max_int then reached := u :: !reached;
-                dist.(u) <- nd;
-                Pqueue.push pq nd u
-              end
-            end)
+        for a = off.(v) to off.(v + 1) - 1 do
+          let e = eid.(a) in
+          if keep.(e) then begin
+            incr work;
+            let u = dst.(a) in
+            let nd = d + edges.(e).Graph.w in
+            if nd <= budget && nd < dist.(u) then begin
+              if dist.(u) = max_int then begin
+                sc.reached.(sc.nreached) <- u;
+                sc.nreached <- sc.nreached + 1
+              end;
+              dist.(u) <- nd;
+              Pqueue.Int.push pq nd u
+            end
+          end
+        done
     end
-  done;
-  (dist, !reached)
+  done
 
 let rebuild_work_proxy (cfg : config) g = ((cfg.k + 1) * Graph.m g) + Graph.n g
 
 let apply_batch t batch =
-  let cfg = t.cfg in
-  let n = t.n in
-  (* Stage the ops against copies so a malformed batch leaves the engine
-     unchanged; t.span / t.cert are only consulted, never written, until
-     the commit below. *)
-  let edges' = Hashtbl.copy t.edges in
-  let ins = Hashtbl.create 16 in (* inserted pairs still present at the end *)
-  let rem_span = Hashtbl.create 16 in (* deleted spanner pairs, with weight *)
-  let rem_cert = Hashtbl.create 16 in
-  let inserts = ref 0 and deletes = ref 0 in
-  List.iter
-    (fun op ->
-      (match op with
-      | Update_stream.Insert _ -> incr inserts
-      | Update_stream.Delete _ -> incr deletes);
-      (match op with
-      | Update_stream.Insert { u; v; _ } | Update_stream.Delete { u; v } ->
-          if v >= n then
-            failwith
-              (Printf.sprintf "Repair: op endpoint %d-%d outside [0, %d)" u v n));
-      match op with
-      | Update_stream.Insert { u; v; w } ->
-          if Hashtbl.mem edges' (u, v) then
-            failwith
-              (Printf.sprintf "Repair: insert of existing edge %d-%d" u v);
-          Hashtbl.replace edges' (u, v) w;
-          Hashtbl.replace ins (u, v) w
-      | Update_stream.Delete { u; v } -> (
-          match Hashtbl.find_opt edges' (u, v) with
-          | None ->
-              failwith
-                (Printf.sprintf "Repair: delete of absent edge %d-%d" u v)
-          | Some w ->
-              Hashtbl.remove edges' (u, v);
-              Hashtbl.remove ins (u, v);
-              if Hashtbl.mem t.span (u, v) && not (Hashtbl.mem rem_span (u, v))
-              then Hashtbl.replace rem_span (u, v) w;
-              if Hashtbl.mem t.cert (u, v) && not (Hashtbl.mem rem_cert (u, v))
-              then Hashtbl.replace rem_cert (u, v) ()))
-    batch;
-  (* the batch is valid: rebuild the graph (ids renumber, n is fixed) *)
-  let triples = Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) edges' [] in
-  let g' = Graph.of_edges ~n (List.sort compare triples) in
-  let m' = Graph.m g' in
-  let old_span_size = Hashtbl.length t.span in
-  let removed_list =
-    List.sort compare
-      (Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) rem_span [])
+  let cfg = t.cfg and g = t.g and sc = t.sc in
+  (* validates every op first: a bad batch raises before any state moves *)
+  let g', map = Update_stream.merge g batch in
+  let n = Graph.n g and m' = Graph.m g' in
+  let edges' = Graph.edges g' in
+  let inserts =
+    List.length
+      (List.filter (function Update_stream.Insert _ -> true | _ -> false) batch)
   in
-  let removed = List.length removed_list in
-  let inserted_list =
-    List.sort compare (Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) ins [])
+  let deletes = List.length batch - inserts in
+  (* old edges the batch deleted (a re-inserted pair's edge is new), and
+     the new edges with no old preimage — the batch's insertions *)
+  let deleted = indices (Graph.m g) (fun e -> map.(e) < 0) in
+  let fresh = Array.make m' true in
+  Array.iter (fun e' -> if e' >= 0 then fresh.(e') <- false) map;
+  let inserted = indices m' (Array.get fresh) in
+  let carry mask =
+    let mask' = Array.make m' false in
+    Array.iteri
+      (fun e e' -> if e' >= 0 && mask.(e) then mask'.(e') <- true)
+      map;
+    mask'
   in
+  let removed_ids = Array.of_list (List.filter (fun e -> t.keep.(e)) deleted) in
+  let removed = Array.length removed_ids in
   let rebuild_work = rebuild_work_proxy cfg g' in
   let k2 = (2 * cfg.k) - 1 in
   let work = ref 0 in
   (* ---------- spanner maintenance ---------- *)
-  let span' = Hashtbl.copy t.span in
-  List.iter (fun (u, v, _) -> Hashtbl.remove span' (u, v)) removed_list;
-  let do_rebuild () =
-    let keep' = build_spanner cfg g' in
-    (keep', pairs_of_keep g' keep', rebuild_work, 0, 0, 0)
-  in
+  let do_rebuild () = (build_spanner cfg g', rebuild_work, 0, 0, 0) in
   let do_repair () =
+    let span' = carry t.keep in
     (* one truncated Dijkstra in the *old* spanner per dirty vertex: any
        edge whose bound-length witness crossed a deleted spanner edge has
        both endpoints inside these balls (see repair.mli) *)
-    let maxw =
-      Array.fold_left (fun acc e -> max acc e.Graph.w) 1 (Graph.edges g')
-    in
+    let maxw = Array.fold_left (fun acc e -> max acc e.Graph.w) 1 edges' in
     let budget = k2 * maxw in
     let dirty = Hashtbl.create 16 in
-    List.iter
-      (fun (u, v, _) ->
-        if not (Hashtbl.mem dirty u) then
-          Hashtbl.replace dirty u
-            (dijkstra_trunc ~work t.g t.keep ~src:u ~budget ~stop_at:(-1));
-        if not (Hashtbl.mem dirty v) then
-          Hashtbl.replace dirty v
-            (dijkstra_trunc ~work t.g t.keep ~src:v ~budget ~stop_at:(-1)))
-      removed_list;
+    let in_ball = Bitset.create n in
+    let ball x =
+      match Hashtbl.find_opt dirty x with
+      | Some dist -> dist
+      | None ->
+          let dist = Array.make n max_int in
+          dijkstra sc ~work g t.keep ~dist ~src:x ~budget ~stop_at:(-1);
+          for i = 0 to sc.nreached - 1 do
+            incr work;
+            Bitset.add in_ball sc.reached.(i)
+          done;
+          Hashtbl.replace dirty x dist;
+          dist
+    in
+    let ra = Array.make removed [||] and rb = Array.make removed [||] in
+    Array.iteri
+      (fun i e ->
+        let a, b = Graph.endpoints g e in
+        ra.(i) <- ball a;
+        rb.(i) <- ball b)
+      removed_ids;
+    let rw = Array.map (Graph.weight g) removed_ids in
     let n_dirty = Hashtbl.length dirty in
     (* candidate filter: an edge of g' is suspect if some deleted spanner
        edge closes a bound-length detour between its endpoints.  Every
@@ -311,116 +303,106 @@ let apply_batch t batch =
        near the damage, instead of m' * |D| everywhere. *)
     let suspects = ref [] in
     if removed > 0 then begin
-      let in_ball = Bitset.create n in
-      Hashtbl.iter
-        (fun _ (_, reached) ->
-          List.iter
-            (fun v ->
-              incr work;
-              Bitset.add in_ball v)
-            reached)
-        dirty;
       work := !work + m';
-      Graph.iter_edges g' (fun e ->
-          let x = e.Graph.u and y = e.Graph.v and w = e.Graph.w in
+      Array.iter
+        (fun { Graph.u = x; v = y; w; id } ->
           if
             Bitset.mem in_ball x && Bitset.mem in_ball y
-            && (not (Hashtbl.mem span' (x, y)))
-            && not (Hashtbl.mem ins (x, y))
-          then
+            && (not span'.(id))
+            && not fresh.(id)
+          then begin
             let bound = k2 * w in
-            let hit =
-              List.exists
-                (fun (a, b, w_ab) ->
-                  incr work;
-                  let da, _ = Hashtbl.find dirty a
-                  and db, _ = Hashtbl.find dirty b in
-                  let via ds dt =
-                    ds.(x) < max_int && dt.(y) < max_int
-                    && ds.(x) + w_ab + dt.(y) <= bound
-                  in
-                  via da db || via db da)
-                removed_list
-            in
-            if hit then suspects := (w, x, y) :: !suspects)
+            let hit = ref false and i = ref 0 in
+            while (not !hit) && !i < removed do
+              incr work;
+              let da = ra.(!i) and db = rb.(!i) and w_ab = rw.(!i) in
+              hit :=
+                (da.(x) < max_int && db.(y) < max_int
+                && da.(x) + w_ab + db.(y) <= bound)
+                || (db.(x) < max_int && da.(y) < max_int
+                   && db.(x) + w_ab + da.(y) <= bound);
+              incr i
+            done;
+            if !hit then suspects := id :: !suspects
+          end)
+        edges';
+      Metrics.add t.rm.rm_filtered (m' - List.length !suspects)
     end;
-    if removed > 0 then
-      Metrics.add t.rm.rm_filtered (m' - List.length !suspects);
-    let candidates =
-      List.sort compare
-        (List.rev_append
-           (List.map (fun (u, v, w) -> (w, u, v)) inserted_list)
-           !suspects)
-    in
-    let n_cand = List.length candidates in
+    (* re-check order: ascending (weight, endpoints), i.e. (weight, id) *)
+    let candidates = Array.of_list (List.rev_append !suspects inserted) in
+    Array.sort
+      (fun a b ->
+        let c = Int.compare edges'.(a).Graph.w edges'.(b).Graph.w in
+        if c <> 0 then c else Int.compare a b)
+      candidates;
+    let n_cand = Array.length candidates in
     if float_of_int n_cand > cfg.max_affected *. float_of_int (max 1 m') then begin
-      let keep', span'', w, _, _, _ = do_rebuild () in
-      (keep', span'', !work + w, n_dirty, n_cand, -1)
+      let keep', w, _, _, _ = do_rebuild () in
+      (keep', !work + w, n_dirty, n_cand, -1)
     end
     else begin
       (* greedy re-check against the *current* spanner, lightest first *)
-      let keep' = keep_of_pairs g' span' in
+      let keep' = span' in
       let added = ref 0 in
-      List.iter
-        (fun (w, u, v) ->
-          if not (Hashtbl.mem span' (u, v)) then begin
+      Array.iter
+        (fun e ->
+          if not keep'.(e) then begin
+            let { Graph.u; v; w; _ } = edges'.(e) in
             let bound = k2 * w in
-            let dist, _ =
-              dijkstra_trunc ~work g' keep' ~src:u ~budget:bound ~stop_at:v
-            in
-            if dist.(v) > bound then begin
-              Hashtbl.replace span' (u, v) ();
-              (match Graph.find_edge g' u v with
-              | Some eid -> keep'.(eid) <- true
-              | None -> assert false);
+            dijkstra sc ~work g' keep' ~dist:sc.dist ~src:u ~budget:bound
+              ~stop_at:v;
+            let far = sc.dist.(v) > bound in
+            for i = 0 to sc.nreached - 1 do
+              sc.dist.(sc.reached.(i)) <- max_int
+            done;
+            if far then begin
+              keep'.(e) <- true;
               incr added
             end
           end)
         candidates;
-      (keep', span', !work, n_dirty, n_cand, !added)
+      (keep', !work, n_dirty, n_cand, !added)
     end
   in
   let force_rebuild =
     cfg.mode = `Rebuild
     || float_of_int removed
-       > cfg.max_affected *. float_of_int (max 1 old_span_size)
+       > cfg.max_affected *. float_of_int (max 1 (count t.keep))
   in
-  let keep', span', total_work, n_dirty, n_cand, added =
+  let keep', total_work, n_dirty, n_cand, added =
     if force_rebuild then do_rebuild () else do_repair ()
   in
   let action = if added < 0 || force_rebuild then `Rebuild else `Repair in
   let overflowed = added < 0 && not force_rebuild in
   let added = max added 0 in
   (* ---------- lazy recertification ---------- *)
-  let cert_removed = Hashtbl.length rem_cert in
-  let cert_rebuilt = ref false in
-  let cert' =
-    if t.cfg.cert = None then t.cert
-    else begin
-      let c = Hashtbl.copy t.cert in
-      Hashtbl.iter (fun key () -> if not (Hashtbl.mem ins key) then Hashtbl.remove c key) rem_cert;
-      List.iter (fun (u, v, _) -> Hashtbl.replace c (u, v) ()) inserted_list;
-      c
-    end
+  (* a certificate edge whose pair the batch re-inserted costs no debt:
+     the insertion puts it back *)
+  let cert_removed, lost =
+    match cfg.cert with
+    | None -> (0, 0)
+    | Some _ ->
+        List.fold_left
+          (fun (r, l) e ->
+            if not t.cert.(e) then (r, l)
+            else
+              let a, b = Graph.endpoints g e in
+              (r + 1, if Graph.mem_edge g' a b then l else l + 1))
+          (0, 0) deleted
   in
-  let debt' =
-    t.debt
-    + Hashtbl.fold
-        (fun key () acc -> if Hashtbl.mem ins key then acc else acc + 1)
-        rem_cert 0
-  in
-  let cert', debt' =
-    if t.cfg.cert <> None && debt' > cfg.headroom then begin
-      cert_rebuilt := true;
-      (build_cert cfg g', 0)
-    end
-    else (cert', debt')
+  let debt' = t.debt + lost in
+  let cert', debt', cert_rebuilt =
+    match cfg.cert with
+    | None -> (t.cert, debt', false)
+    | Some _ when debt' > cfg.headroom -> (build_cert cfg g', 0, true)
+    | Some _ ->
+        let c = carry t.cert in
+        List.iter (fun e -> c.(e) <- true) inserted;
+        (c, debt', false)
   in
   (* ---------- commit ---------- *)
-  t.edges <- edges';
   t.g <- g';
   t.keep <- keep';
-  t.span <- span';
   t.cert <- cert';
   t.debt <- debt';
   t.batches <- t.batches + 1;
@@ -435,12 +417,12 @@ let apply_batch t batch =
   Metrics.add rm.rm_work total_work;
   Metrics.add rm.rm_added added;
   Metrics.add rm.rm_removed removed;
-  if !cert_rebuilt then Metrics.incr rm.rm_cert_rebuilds;
+  if cert_rebuilt then Metrics.incr rm.rm_cert_rebuilds;
   Metrics.set rm.rm_debt debt';
   {
     batch = t.batches;
-    inserts = !inserts;
-    deletes = !deletes;
+    inserts;
+    deletes;
     action;
     dirty = n_dirty;
     candidates = n_cand;
@@ -450,16 +432,11 @@ let apply_batch t batch =
     rebuild_work;
     cert_removed;
     cert_debt = debt';
-    cert_rebuilt = !cert_rebuilt;
+    cert_rebuilt;
   }
 
 let apply_stream t stream =
   List.map (apply_batch t) stream.Update_stream.batches
-
-let spanner_of_keep g keep =
-  let eids = ref [] in
-  Array.iteri (fun e b -> if b then eids := e :: !eids) keep;
-  Spanner.of_eids g !eids
 
 (* Local recertification: witness + O(k)-round CONGEST checkers instead of
    the O(nm) ground truth.  An accepting run certifies the stretch bound
@@ -467,7 +444,9 @@ let spanner_of_keep g keep =
    certified bound on accept and [infinity] on reject. *)
 let recertify_local t =
   let alpha = float_of_int ((2 * t.cfg.k) - 1) in
-  let sp = spanner_of_keep t.g t.keep in
+  let sp =
+    Spanner.of_eids t.g (indices (Array.length t.keep) (Array.get t.keep))
+  in
   let v = Verify.spanner ~jobs:t.cfg.jobs ~mode:Verify.Local ~k:t.cfg.k t.g sp in
   let sp_ok = v.Verify.ok in
   let cert_ok =

@@ -44,6 +44,20 @@ open! Import
     gain edges); the certificate is rebuilt from scratch only when the
     debt exceeds the headroom.
 
+    {2 State and cost}
+
+    The state is the immutable current {!Graph.t} plus two masks over its
+    edge ids: the spanner and the certificate.  A batch is applied by
+    {!Update_stream.merge}, one merge of the batch's net edits into the
+    canonical edge array that also yields the old-id to new-id map; both
+    masks are carried through that map, so nothing is keyed by vertex
+    pairs.  Every Dijkstra (the dirty balls and the candidate re-checks)
+    is one kernel over the CSR arrays, with scratch kept across calls and
+    a {!Ultraspan_util.Pqueue.Int} heap whose ties pop in the order of the
+    polymorphic {!Ultraspan_util.Pqueue}; arcs are scanned in CSR order.
+    The [work] counter is therefore a deterministic function of the graph
+    and the stream.
+
     {2 Recertified recovery}
 
     {!recertify} re-runs the repo's ground-truth checkers on the current
@@ -140,7 +154,7 @@ val graph : t -> Graph.t
 (** The current graph (edge ids are renumbered after every batch). *)
 
 val spanner : t -> bool array
-(** Edge mask over {!graph}. *)
+(** Edge mask over {!graph}: the engine's own array, do not mutate. *)
 
 val spanner_size : t -> int
 
@@ -154,9 +168,13 @@ val certificate_size : t -> int
 val cert_debt : t -> int
 
 val apply_batch : t -> Update_stream.batch -> outcome
-(** Apply one batch strictly (the ops contract of {!Update_stream.apply};
-    [Failure] on an invalid op leaves the engine unchanged) and repair or
-    rebuild the structures. *)
+(** Apply one batch strictly (the ops contract of {!Update_stream.merge})
+    and repair or rebuild the structures.  Every invalid op — an endpoint
+    outside [0 <= u < v < n] (negative, out of range, a self-loop or a
+    non-canonical pair built with the raw constructors), an insert with
+    [w < 1] or of a present edge, a delete of an absent edge — raises a
+    one-line [Failure] before anything changes, so the engine is left as
+    it was. *)
 
 val apply_stream : t -> Update_stream.t -> outcome list
 

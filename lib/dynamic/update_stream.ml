@@ -129,32 +129,66 @@ let of_faults g spec =
 
 (* ---------- replay ---------- *)
 
-let apply_model n present op =
+(* The one op validator: the constructors are public, so a replayed op may
+   carry anything. *)
+let check_op n op =
+  let what, u, v =
+    match op with
+    | Insert { u; v; _ } -> ("insert", u, v)
+    | Delete { u; v } -> ("delete", u, v)
+  in
+  let bad why =
+    failwith (Printf.sprintf "Update_stream: %s %d-%d: %s" what u v why)
+  in
+  if not (0 <= u && u < v && v < n) then
+    bad (Printf.sprintf "not 0 <= u < v < %d" n);
   match op with
-  | Insert { u; v; w } ->
-      if v >= n then
-        failwith
-          (Printf.sprintf "Update_stream: insert %d-%d outside [0, %d)" u v n);
-      if Hashtbl.mem present (u, v) then
-        failwith
-          (Printf.sprintf "Update_stream: insert of existing edge %d-%d" u v);
-      Hashtbl.replace present (u, v) w
-  | Delete { u; v } ->
-      if v >= n then
-        failwith
-          (Printf.sprintf "Update_stream: delete %d-%d outside [0, %d)" u v n);
-      if not (Hashtbl.mem present (u, v)) then
-        failwith
-          (Printf.sprintf "Update_stream: delete of absent edge %d-%d" u v);
-      Hashtbl.remove present (u, v)
+  | Insert { w; _ } when w < 1 -> bad (Printf.sprintf "weight %d < 1" w)
+  | _ -> ()
 
-let apply g batch =
+(* Stage the batch in a table keyed [u * n + v] holding each touched
+   pair's final state ([w > 0]: present at inserted weight [w]; [0]:
+   absent).  A pair that [g] holds must be deleted before anything else,
+   so a staged pair that [g] holds has lost its original edge. *)
+let merge g batch =
   let n = Graph.n g in
-  let present = Hashtbl.create (2 * (Graph.m g + 1)) in
-  Graph.iter_edges g (fun e -> Hashtbl.replace present (e.Graph.u, e.Graph.v) e.Graph.w);
-  List.iter (apply_model n present) batch;
-  let triples = Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) present [] in
-  Graph.of_edges ~n (List.sort compare triples)
+  let staged = Hashtbl.create 16 in
+  List.iter
+    (fun op ->
+      check_op n op;
+      let u, v, w =
+        match op with
+        | Insert { u; v; w } -> (u, v, w)
+        | Delete { u; v } -> (u, v, 0)
+      in
+      let key = (u * n) + v in
+      let present =
+        match Hashtbl.find_opt staged key with
+        | Some w -> w > 0
+        | None -> Graph.mem_edge g u v
+      in
+      if present = (w > 0) then
+        failwith
+          (Printf.sprintf "Update_stream: %s edge %d-%d"
+             (if present then "insert of existing" else "delete of absent")
+             u v);
+      Hashtbl.replace staged key w)
+    batch;
+  let delete = ref [] and insert = ref [] in
+  Hashtbl.iter
+    (fun key w ->
+      let u = key / n and v = key mod n in
+      Option.iter (fun e -> delete := e :: !delete) (Graph.find_edge g u v);
+      if w > 0 then insert := (u, v, w) :: !insert)
+    staged;
+  let sorted l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a
+  in
+  Graph.splice g ~delete:(sorted !delete) ~insert:(sorted !insert)
+
+let apply g batch = fst (merge g batch)
 
 let apply_all g t = List.fold_left apply g t.batches
 

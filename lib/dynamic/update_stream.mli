@@ -34,7 +34,8 @@ type op =
   | Insert of { u : int; v : int; w : int }
   | Delete of { u : int; v : int }
       (** Endpoints are canonical: [u < v].  Use {!insert} / {!delete} to
-          build well-formed ops from unordered endpoints. *)
+          build well-formed ops from unordered endpoints; {!merge} rejects
+          a raw op that is not. *)
 
 type batch = op list
 
@@ -89,10 +90,19 @@ val of_faults : Graph.t -> Faults.spec -> t
     edge of [g].  The stream's [seed] is the plan's seed.
     Raises [Invalid_argument] on out-of-range nodes in the plan. *)
 
+val merge : Graph.t -> batch -> Graph.t * int array
+(** Apply one batch strictly (see the module comment): every op is
+    checked ([0 <= u < v < n], and [w >= 1] for an insert, whatever
+    constructor built it) and replayed against a small staged table, and
+    the net edit set is merged into the canonical edge array
+    ({!Graph.splice}).  Returns the new graph ([n] unchanged, edge ids
+    renumbered) and the map from old edge ids to new ones; an edge the
+    batch deleted maps to [-1], even when the batch re-inserted its pair
+    (the re-inserted edge is a new one).  Raises [Failure] with a one-line
+    diagnostic on the first invalid op, before anything is built. *)
+
 val apply : Graph.t -> batch -> Graph.t
-(** Apply one batch strictly (see the module comment) and rebuild the
-    graph; [n] is unchanged, edge ids are renumbered.  Raises [Failure]
-    with a one-line diagnostic on the first invalid op. *)
+(** [fst (merge g batch)]. *)
 
 val apply_all : Graph.t -> t -> Graph.t
 (** Fold {!apply} over all batches. *)

@@ -311,6 +311,59 @@ let sub_with_mapping g keep =
   let edges = Array.mapi (fun id eid -> { (g.edges.(eid)) with id }) mapping in
   (index_edges g.n edges, mapping)
 
+(* Merge an edit set into the canonical edge array: one pass, no sort.
+   Records before the first edit keep their ids and are shared with [g];
+   the strictly-increasing check on the emitted (u, v) sequence catches an
+   insert that joins a surviving edge's endpoints or arrives out of order. *)
+let splice g ~delete ~insert =
+  let m = m g and nd = Array.length delete and ni = Array.length insert in
+  let fail () = invalid_arg "Graph.splice: malformed edit set" in
+  Array.iteri
+    (fun i e ->
+      if e < 0 || e >= m || (i > 0 && delete.(i - 1) >= e) then fail ())
+    delete;
+  Array.iter
+    (fun (u, v, w) -> if u < 0 || u >= v || v >= g.n || w < 0 then fail ())
+    insert;
+  let map = Array.make m (-1) in
+  let edges = Array.make (m - nd + ni) { u = 0; v = 0; w = 0; id = 0 } in
+  let id = ref 0 in
+  let emit e =
+    (if !id > 0 then
+       let p = edges.(!id - 1) in
+       if p.u > e.u || (p.u = e.u && p.v >= e.v) then fail ());
+    edges.(!id) <- e;
+    incr id
+  in
+  let i = ref 0 and j = ref 0 and d = ref 0 in
+  while !i < m || !j < ni do
+    if !i < m && !d < nd && delete.(!d) = !i then begin
+      incr d;
+      incr i
+    end
+    else begin
+      let old_first =
+        !i < m
+        && (!j >= ni
+           ||
+           let e = g.edges.(!i) and u, v, _ = insert.(!j) in
+           e.u < u || (e.u = u && e.v < v))
+      in
+      if old_first then begin
+        let e = g.edges.(!i) in
+        map.(!i) <- !id;
+        emit (if e.id = !id then e else { e with id = !id });
+        incr i
+      end
+      else begin
+        let u, v, w = insert.(!j) in
+        emit { u; v; w; id = !id };
+        incr j
+      end
+    end
+  done;
+  (index_edges g.n edges, map)
+
 let sub_by_eids g keep =
   if Array.length keep <> m g then
     invalid_arg "Graph.sub_by_eids: mask length mismatch";

@@ -147,6 +147,18 @@ val sub_with_mapping : t -> bool array -> t * int array
     kept records are already canonical, so the result equals
     [of_edge_array] over the kept (u, v, w) triples. *)
 
+val splice :
+  t -> delete:int array -> insert:(int * int * int) array -> t * int array
+(** [splice g ~delete ~insert] edits [g] by merging the edit set into its
+    canonical edge array: the edges whose ids are in [delete] (strictly
+    increasing) are dropped and the [insert] triples (canonical [u < v],
+    strictly increasing in [(u, v)], weight [>= 0], none joining the
+    endpoints of a surviving edge) are merged in.  Returns the new graph
+    and the map from old edge ids to new ones ([-1] for a deleted edge);
+    the graph equals {!of_edges} over the surviving and inserted triples.
+    O(n + m + |insert|), no sort.  Raises [Invalid_argument] on an edit
+    set that breaks these rules. *)
+
 (** {1 Pretty-printing} *)
 
 val pp : Format.formatter -> t -> unit

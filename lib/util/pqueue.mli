@@ -30,3 +30,35 @@ val pop_exn : ('p, 'a) t -> 'p * 'a
 
 val clear : ('p, 'a) t -> unit
 (** Remove all elements, keeping the allocated storage. *)
+
+(** Monomorphic heap with [int] priorities and [int] payloads, for hot
+    loops: no closure call per comparison and no allocation per pop.  Its
+    sift functions are copies of the polymorphic ones, so a sequence of
+    pushes, pops and clears pops exactly the (priority, payload) pairs, in
+    exactly the order, that [create ~cmp:compare ()] would. *)
+module Int : sig
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  (** Fresh empty queue; storage grows by doubling past [capacity]
+      (default 16). *)
+
+  val length : t -> int
+
+  val is_empty : t -> bool
+
+  val push : t -> int -> int -> unit
+  (** [push t p x] inserts payload [x] at priority [p].  O(log n). *)
+
+  val min_prio : t -> int
+  (** Priority of the minimum element.  Raises [Invalid_argument] when
+      empty. *)
+
+  val pop : t -> int
+  (** Remove the minimum element and return its payload (read
+      {!min_prio} first for its priority).  Raises [Invalid_argument] when
+      empty.  O(log n). *)
+
+  val clear : t -> unit
+  (** Remove all elements, keeping the allocated storage. *)
+end

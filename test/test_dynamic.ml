@@ -190,14 +190,35 @@ let repair_matches_rebuild =
           && vi.Repair.spanning = vr.Repair.spanning)
         s.Update_stream.batches)
 
+(* Replay reference for the engine and [Update_stream.apply]: a plain pair
+   table rebuilt with [Graph.of_edges], sharing none of the merge code
+   both of them run. *)
+let model_replay g (s : Update_stream.t) =
+  let present = Hashtbl.create 64 in
+  Graph.iter_edges g (fun e ->
+      Hashtbl.replace present (e.Graph.u, e.Graph.v) e.Graph.w);
+  List.iter
+    (List.iter (function
+      | Update_stream.Insert { u; v; w } ->
+          assert (not (Hashtbl.mem present (u, v)));
+          Hashtbl.replace present (u, v) w
+      | Update_stream.Delete { u; v } ->
+          assert (Hashtbl.mem present (u, v));
+          Hashtbl.remove present (u, v)))
+    s.Update_stream.batches;
+  Graph.of_edges ~n:(Graph.n g)
+    (Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) present [])
+
 let engine_graph_matches_apply_all =
-  qcheck ~count:15 "engine graph == Update_stream.apply_all" seed_gen
+  qcheck ~count:15 "engine graph == Update_stream.apply_all == model" seed_gen
     (fun seed ->
       let g = graph_of_seed ~n_max:40 seed in
       let s = stream_of_seed g seed in
       let eng = Repair.create (Repair.defaults ~k:2) g in
       ignore (Repair.apply_stream eng s);
-      graph_bytes (Repair.graph eng) = graph_bytes (Update_stream.apply_all g s))
+      let want = graph_bytes (model_replay g s) in
+      graph_bytes (Repair.graph eng) = want
+      && graph_bytes (Update_stream.apply_all g s) = want)
 
 let weighted_streams_keep_bound =
   qcheck ~count:10 "weighted graphs: stretch bound survives batches" seed_gen
@@ -250,6 +271,116 @@ let bad_batch_leaves_engine_unchanged () =
     (graph_bytes (Repair.graph eng));
   Alcotest.(check int) "no batch counted" 1
     (Repair.apply_batch eng [ Update_stream.delete 0 1 ]).Repair.batch
+
+(* Ops built with the raw constructors skip [insert] / [delete]'s checks;
+   the shared validator must reject each with a one-line [Failure], and a
+   rejected batch (even after a valid op) must leave the engine as it was. *)
+let bad_ops_rejected_everywhere () =
+  let g = Generators.cycle 8 in
+  let bad : (string * Update_stream.op) list =
+    [
+      ("non-canonical insert of an edge", Insert { u = 1; v = 0; w = 7 });
+      ("insert of an edge", Insert { u = 0; v = 1; w = 7 });
+      ("self-loop insert", Insert { u = 2; v = 2; w = 1 });
+      ("negative endpoint", Insert { u = -1; v = 3; w = 1 });
+      ("endpoint >= n", Insert { u = 0; v = 8; w = 1 });
+      ("zero weight", Insert { u = 0; v = 2; w = 0 });
+      ("negative weight", Insert { u = 0; v = 2; w = -3 });
+      ("non-canonical delete", Delete { u = 1; v = 0 });
+      ("self-loop delete", Delete { u = 3; v = 3 });
+      ("negative delete", Delete { u = -1; v = 0 });
+      ("delete of a non-edge", Delete { u = 0; v = 2 });
+    ]
+  in
+  let one_line_failure f =
+    match f () with
+    | exception Failure msg ->
+        String.length msg > 14
+        && String.sub msg 0 14 = "Update_stream:"
+        && not (String.contains msg '\n')
+    | _ -> false
+  in
+  let cfg =
+    { (Repair.defaults ~k:2) with Repair.cert = Some (Repair.Thurimella, 1) }
+  in
+  let eng = Repair.create cfg g in
+  let state () =
+    ( graph_bytes (Repair.graph eng),
+      Repair.spanner eng,
+      Option.map (fun c -> c.Certificate.keep) (Repair.certificate eng),
+      Repair.cert_debt eng )
+  in
+  let before = state () in
+  List.iter
+    (fun (name, op) ->
+      Alcotest.(check bool) ("apply: " ^ name) true
+        (one_line_failure (fun () -> Update_stream.apply g [ op ]));
+      Alcotest.(check bool) ("engine: " ^ name) true
+        (one_line_failure (fun () ->
+             Repair.apply_batch eng [ Update_stream.delete 4 5; op ]));
+      Alcotest.(check bool) ("engine unchanged: " ^ name) true
+        (state () = before))
+    bad;
+  Alcotest.(check int) "no batch counted" 1
+    (Repair.apply_batch eng [ Update_stream.delete 4 5 ]).Repair.batch
+
+(* Words allocated per batch on a churn-shaped input (n = 512, average
+   degree 8, 16 ops, k = 3), minor plus direct-major (major minus
+   promoted), with a minor collection on both sides so the counters are
+   exact.  The pair-table engine allocated 435k-686k words per batch here;
+   the array engine allocates about 40k (the new graph, its masks and one
+   distance row per dirty vertex).  The ceiling sits between the two. *)
+let alloc_per_batch_bounded () =
+  let g =
+    Generators.connected_gnp ~rng:(Rng.create 5) ~n:512 ~avg_degree:8.0
+  in
+  let eng =
+    Repair.create { (Repair.defaults ~k:3) with Repair.jobs = 1 } g
+  in
+  let s = Update_stream.generate ~rng:(Rng.create 6) ~batches:8 ~ops:16 g in
+  List.iter
+    (fun b ->
+      Gc.minor ();
+      let mi0, pr0, ma0 = Gc.counters () in
+      let o = Repair.apply_batch eng b in
+      Gc.minor ();
+      let mi1, pr1, ma1 = Gc.counters () in
+      let words = mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "batch %d: %.0f words <= 100000" o.Repair.batch words)
+        true (words <= 100_000.))
+    s.Update_stream.batches
+
+(* A graph of girth > 2k is its own only (2k-1)-spanner: dropping any edge
+   leaves its endpoints >= 2k apart.  Deletions cannot lower the girth, so
+   after every deletion-only batch the maintained spanner must still hold
+   every edge, in both modes.  The start graph is a greedy (2k-1)-spanner
+   of a unit-weight G(n,p). *)
+let tight_girth_keeps_every_edge =
+  qcheck ~count:10 "tight: girth > 2k keeps every edge under deletions"
+    seed_gen (fun seed ->
+      let k = 2 + (seed mod 2) in
+      let g0 = unit_graph_of_seed ~n_max:60 seed in
+      let g = Graph.sub_by_eids g0 (Greedy.run ~k g0).Spanner.keep in
+      assert (Greedy.girth_exceeds g (Array.make (Graph.m g) true) (2 * k));
+      let s =
+        stream_of_seed ~batches:4 ~ops:(max 1 (Graph.m g / 8))
+          ~insert_frac:0.0 g seed
+      in
+      Update_stream.insert_count s = 0
+      && List.for_all
+           (fun mode ->
+             let eng =
+               Repair.create { (Repair.defaults ~k) with Repair.mode } g
+             in
+             let full () = Array.for_all Fun.id (Repair.spanner eng) in
+             full ()
+             && List.for_all
+                  (fun b ->
+                    ignore (Repair.apply_batch eng b);
+                    full ())
+                  s.Update_stream.batches)
+           [ `Incremental; `Rebuild ])
 
 (* ---------- lazy recertification ---------- *)
 
@@ -350,6 +481,154 @@ let kecss_cert_degrades_gracefully () =
     Alcotest.(check (option bool)) "still certified" (Some true) v.Repair.cert_ok
   done
 
+(* ---------- output pin ---------- *)
+
+(* One digest over every observable output of the engine: each outcome
+   field (all of them are printed by [pp_outcome]), the spanner and
+   certificate masks and the serialized graph after every batch, then the
+   engine's [dynamic.repair.*] counters.  The matrix spans unit-weight and
+   weighted G(n,p) and the D1 torus, k in {1, 2, 3}, no / Thurimella /
+   KECSS certificates and both modes; each run replays a seeded stream and
+   then batches that delete and re-insert the same pair, insert and then
+   delete a pair, overflow the candidate threshold (inserts only, so the
+   repair path falls back) and delete enough spanner edges to force a
+   rebuild.  [pin_expected] was recorded when the engine still kept its
+   state in (u, v) pair tables; the array-based engine must reproduce
+   every count and choice. *)
+let pin_expected = "ed23389a98171c7fd11557b6ee12959c"
+
+let mask_string mask =
+  String.init (Array.length mask) (fun i -> if mask.(i) then '1' else '0')
+
+(* Batches built against the model graph [g] and the engine's masks. *)
+let pin_special_batches g spanner =
+  let m = Graph.m g and n = Graph.n g in
+  let edges = Graph.edges g in
+  let span_ids = List.filter (fun e -> spanner.(e)) (List.init m Fun.id) in
+  let non_span = List.filter (fun e -> not spanner.(e)) (List.init m Fun.id) in
+  (* a strided walk over the vertex pairs, keeping the absent ones *)
+  let absent =
+    let seen = Hashtbl.create 64 and acc = ref [] and i = ref 0 in
+    while Hashtbl.length seen < (m / 3) + 8 && !i < n * n do
+      let a = !i * 37 mod n in
+      let b = (a + 2 + (!i / n)) mod n in
+      let p = (min a b, max a b) in
+      if a <> b && (not (Graph.mem_edge g a b)) && not (Hashtbl.mem seen p)
+      then begin
+        Hashtbl.replace seen p ();
+        acc := p :: !acc
+      end;
+      incr i
+    done;
+    Array.of_list (List.rev !acc)
+  in
+  let reinsert e w =
+    let { Graph.u; v; _ } = edges.(e) in
+    [ Update_stream.delete u v; Update_stream.insert u v w ]
+  in
+  let del_reins =
+    (match span_ids with
+    | e :: _ -> reinsert e (edges.(e).Graph.w + 2)
+    | [] -> [])
+    @ match non_span with e :: _ -> reinsert e 1 | [] -> []
+  in
+  let ins_del =
+    let a, b = absent.(1) and c, d = absent.(2) in
+    [
+      Update_stream.insert a b 1;
+      Update_stream.delete a b;
+      Update_stream.insert c d 2;
+    ]
+  in
+  (* pairs untouched by the two batches above *)
+  let overflow =
+    List.init ((m / 3) + 2) (fun i ->
+        let u, v = absent.(i + 3) in
+        Update_stream.insert u v 1)
+  in
+  [ del_reins; ins_del; overflow ]
+
+let pin_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let record eng o =
+    Buffer.add_string buf (Format.asprintf "%a\n" Repair.pp_outcome o);
+    Buffer.add_string buf (mask_string (Repair.spanner eng));
+    Buffer.add_char buf '\n';
+    (match Repair.certificate eng with
+    | Some c -> Buffer.add_string buf (mask_string c.Certificate.keep)
+    | None -> Buffer.add_char buf '-');
+    Buffer.add_string buf
+      (Printf.sprintf "\n%d %d %d\n" (Repair.spanner_size eng)
+         (Repair.certificate_size eng) (Repair.cert_debt eng));
+    Buffer.add_string buf (Graph_io.to_string (Repair.graph eng))
+  in
+  let gnp =
+    Generators.weighted_connected_gnp ~rng:(Rng.create 41) ~n:36
+      ~avg_degree:5.0 ~max_w:9
+  in
+  let graphs =
+    [
+      ("unit-gnp", Graph.with_unit_weights gnp, 1);
+      ("weighted-gnp", gnp, 9);
+      ("d1-torus", Generators.torus 28 28, 1);
+    ]
+  in
+  List.iter
+    (fun (name, g, max_w) ->
+      let stream =
+        Update_stream.generate ~rng:(Rng.create 83) ~batches:3 ~ops:6
+          ~insert_frac:0.5 ~max_w g
+      in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun cert ->
+              List.iter
+                (fun mode ->
+                  Buffer.add_string buf
+                    (Printf.sprintf "== %s k=%d mode=%s cert=%s\n" name k
+                       (match mode with
+                       | `Incremental -> "inc"
+                       | `Rebuild -> "rb")
+                       (match cert with
+                       | None -> "none"
+                       | Some (Repair.Thurimella, _) -> "thurimella"
+                       | Some (Repair.Kecss, _) -> "kecss"));
+                  let cfg =
+                    { (Repair.defaults ~k) with Repair.mode; cert; jobs = 1 }
+                  in
+                  let reg = Metrics.create () in
+                  let eng = Repair.create ~metrics:reg cfg g in
+                  List.iter
+                    (fun b -> record eng (Repair.apply_batch eng b))
+                    stream.Update_stream.batches;
+                  let model = Update_stream.apply_all g stream in
+                  List.iter
+                    (fun b -> record eng (Repair.apply_batch eng b))
+                    (pin_special_batches model (Repair.spanner eng));
+                  (* delete 40% of the spanner: past max_affected, so the
+                     batch rebuilds from scratch *)
+                  let g_now = Repair.graph eng and sp = Repair.spanner eng in
+                  let dels = ref [] and seen = ref 0 in
+                  Graph.iter_edges g_now (fun e ->
+                      if sp.(e.Graph.id) then begin
+                        if !seen mod 5 < 2 then
+                          dels :=
+                            Update_stream.delete e.Graph.u e.Graph.v :: !dels;
+                        incr seen
+                      end);
+                  record eng (Repair.apply_batch eng (List.rev !dels));
+                  Buffer.add_string buf
+                    (Metrics.exposition ~strip:true (Metrics.snapshot reg)))
+                [ `Incremental; `Rebuild ])
+            [ None; Some (Repair.Thurimella, 2); Some (Repair.Kecss, 2) ])
+        [ 1; 2; 3 ])
+    graphs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let outputs_match_pin () =
+  Alcotest.(check string) "engine output digest" pin_expected (pin_digest ())
+
 let suite =
   [
     round_trip_is_identity;
@@ -371,6 +650,11 @@ let suite =
     case "repair: copy is independent" copy_is_independent;
     case "repair: bad batch leaves engine unchanged"
       bad_batch_leaves_engine_unchanged;
+    case "repair: output digest matches the pin" outputs_match_pin;
+    case "repair: every bad op rejected, engine unchanged"
+      bad_ops_rejected_everywhere;
+    case "repair: allocation per batch bounded" alloc_per_batch_bounded;
+    tight_girth_keeps_every_edge;
     case "cert: debt > headroom triggers rebuild" debt_triggers_cert_rebuild;
     cert_preserved_under_streams;
     case "cert: fault plan replays recertified" fault_plan_replays_recertified;

@@ -629,7 +629,85 @@ let sub_with_mapping_matches_triple_route =
       && mapping = Array.of_list kept
       && Graph.sub_by_eids g keep = sub)
 
-let suite = suite @ [ sub_with_mapping_matches_triple_route ]
+(* [splice] merges an edit set into the canonical edge array; it must
+   build exactly what [of_edge_array] builds over the surviving and
+   inserted triples (re-inserting a deleted pair included), and map each
+   old id to its edge's new id, or to -1 when deleted. *)
+let splice_matches_triple_route =
+  qcheck ~count:40 "splice == of_edge_array over surviving + inserted"
+    seed_gen (fun seed ->
+      let g = graph_of_seed ~n_max:60 seed in
+      let n = Graph.n g and m = Graph.m g in
+      let rng = Rng.create (seed + 3) in
+      let gone = Array.init m (fun _ -> Rng.int rng 4 = 0) in
+      let triple id =
+        let e = Graph.edge g id in
+        (e.Graph.u, e.Graph.v, e.Graph.w)
+      in
+      let fresh_pairs =
+        List.filter_map
+          (fun _ ->
+            let a = Rng.int rng n and b = Rng.int rng n in
+            if a = b || Graph.mem_edge g a b then None
+            else Some (min a b, max a b))
+          (List.init 12 Fun.id)
+      in
+      let reinserted =
+        List.filter_map
+          (fun id ->
+            if gone.(id) && Rng.int rng 2 = 0 then
+              let u, v, _ = triple id in
+              Some (u, v)
+            else None)
+          (List.init m Fun.id)
+      in
+      let insert =
+        List.map
+          (fun (u, v) -> (u, v, 1 + ((u + v) mod 9)))
+          (List.sort_uniq compare (fresh_pairs @ reinserted))
+      in
+      let ids = List.init m Fun.id in
+      let delete = List.filter (fun id -> gone.(id)) ids in
+      let survivors = List.filter (fun id -> not gone.(id)) ids in
+      let g', map =
+        Graph.splice g ~delete:(Array.of_list delete)
+          ~insert:(Array.of_list insert)
+      in
+      g'
+      = Graph.of_edge_array ~n
+          (Array.of_list (List.map triple survivors @ insert))
+      && List.for_all (fun id -> map.(id) = -1) delete
+      && List.for_all
+           (fun id ->
+             let e = Graph.edge g' map.(id) in
+             (e.Graph.u, e.Graph.v, e.Graph.w) = triple id)
+           survivors)
+
+let splice_rejects_malformed () =
+  let g = Generators.cycle 6 in
+  let rejects name ~delete ~insert =
+    Alcotest.(check bool) name true
+      (match Graph.splice g ~delete ~insert with
+      | exception Invalid_argument _ -> true
+      | _ -> false)
+  in
+  rejects "insert joins a surviving edge" ~delete:[||] ~insert:[| (0, 1, 2) |];
+  rejects "inserts out of order" ~delete:[||]
+    ~insert:[| (1, 4, 1); (0, 2, 1) |];
+  rejects "non-canonical insert" ~delete:[||] ~insert:[| (2, 0, 1) |];
+  rejects "deletes out of order" ~delete:[| 3; 1 |] ~insert:[||];
+  rejects "delete out of range" ~delete:[| 6 |] ~insert:[||];
+  let g', _ = Graph.splice g ~delete:[| 0 |] ~insert:[| (0, 1, 5) |] in
+  Alcotest.(check (option int)) "re-insert of a deleted pair" (Some 5)
+    (Option.map (Graph.weight g') (Graph.find_edge g' 0 1))
+
+let suite =
+  suite
+  @ [
+      sub_with_mapping_matches_triple_route;
+      splice_matches_triple_route;
+      case "splice: malformed edit sets rejected" splice_rejects_malformed;
+    ]
 
 (* ---------- streamed construction ---------- *)
 

@@ -116,6 +116,48 @@ let pqueue_custom_order () =
   List.iter (fun x -> Pqueue.push pq x x) [ 5; 1; 9; 3 ];
   Alcotest.(check (pair int int)) "max-heap" (9, 9) (Pqueue.pop_exn pq)
 
+(* Random push / pop / clear interleavings over a narrow priority range
+   (many ties): the int heap pops exactly the (priority, payload) sequence
+   of the polymorphic heap, since their sift code is the same. *)
+let pqueue_int_matches_poly =
+  qcheck ~count:200 "pqueue: Int pops what Pqueue ~cmp:compare pops"
+    QCheck2.Gen.(
+      list_size (int_bound 300)
+        (frequency
+           [ (6, map2 (fun p x -> `Push (p, x)) (int_bound 6) (int_bound 1000));
+             (3, return `Pop); (1, return `Clear) ]))
+    (fun ops ->
+      let poly = Pqueue.create ~cmp:compare () in
+      let mono = Pqueue.Int.create ~capacity:1 () in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Push (p, x) ->
+              Pqueue.push poly p x;
+              Pqueue.Int.push mono p x;
+              Pqueue.length poly = Pqueue.Int.length mono
+          | `Clear ->
+              Pqueue.clear poly;
+              Pqueue.Int.clear mono;
+              Pqueue.Int.is_empty mono
+          | `Pop -> (
+              match Pqueue.pop poly with
+              | None -> Pqueue.Int.is_empty mono
+              | Some (p, x) ->
+                  let p' = Pqueue.Int.min_prio mono in
+                  let x' = Pqueue.Int.pop mono in
+                  p = p' && x = x'))
+        ops)
+
+let pqueue_int_empty () =
+  let pq = Pqueue.Int.create () in
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Pqueue.Int.pop: empty queue") (fun () ->
+      ignore (Pqueue.Int.pop pq : int));
+  Alcotest.check_raises "min_prio on empty"
+    (Invalid_argument "Pqueue.Int.min_prio: empty queue") (fun () ->
+      ignore (Pqueue.Int.min_prio pq : int))
+
 (* ---------- Bitset ---------- *)
 
 let bitset_basics () =
@@ -382,6 +424,8 @@ let suite =
     case "pqueue: basics" pqueue_basics;
     case "pqueue: pop_exn empty" pqueue_pop_exn_empty;
     case "pqueue: custom order" pqueue_custom_order;
+    pqueue_int_matches_poly;
+    case "pqueue: Int raises on empty" pqueue_int_empty;
     case "bitset: basics" bitset_basics;
     case "bitset: bounds" bitset_bounds;
     bitset_matches_naive;
