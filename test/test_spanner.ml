@@ -801,6 +801,75 @@ let derand_output_pin () =
     "digest" "96e8034b5e19116ad8795f3c4b22c37b"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Output pin for the Thm 1.6 / Thm G.1 construction path: one MD5 over
+   the keep masks, [attempts], [t_inner], [partition_clusters] and
+   [Rounds.total] of Ultra_sparse (t = 1, 2, 4, 8 on a unit-weight
+   degree-bounded graph, a weighted G(n,p) and a weighted G(n,p) with
+   weights in 1..3, so weight ties are common), of the retrying second
+   packing layer at t = 8, of Linear_size on the same inputs and of
+   Spanner_packing for k = 2, 3.  The literal was recorded on the
+   hash-table contraction and the tuple-keyed stretch-friendly partition,
+   so the array kernels must reproduce every choice they made. *)
+let construction_output_pin () =
+  let buf = Buffer.create 16384 in
+  let add_keep (keep : bool array) =
+    Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) keep
+  in
+  let add_ints xs =
+    List.iter (fun x -> Buffer.add_string buf (Printf.sprintf ";%d" x)) xs;
+    Buffer.add_char buf '\n'
+  in
+  let ultra ~t g =
+    let o = Ultra_sparse.run ~t g in
+    let sp = o.Ultra_sparse.spanner in
+    add_keep sp.Spanner.keep;
+    add_ints
+      [
+        o.Ultra_sparse.attempts;
+        o.Ultra_sparse.t_inner;
+        o.Ultra_sparse.partition_clusters;
+        Rounds.total sp.Spanner.rounds;
+      ];
+    o
+  in
+  let bounded seed =
+    Generators.Streamed.graph
+      (Generators.Streamed.degree_bounded ~seed ~n:400 ~degree:8)
+  in
+  let weighted seed max_w =
+    Generators.weighted_connected_gnp ~rng:(Rng.create seed) ~n:300
+      ~avg_degree:8.0 ~max_w
+  in
+  let inputs = [ bounded 21; weighted 22 20; weighted 23 3 ] in
+  List.iter
+    (fun g -> List.iter (fun t -> ignore (ultra ~t g)) [ 1; 2; 4; 8 ])
+    inputs;
+  let g = bounded 24 in
+  let first = ultra ~t:8 g in
+  let rest = Array.map not first.Ultra_sparse.spanner.Spanner.keep in
+  let second = ultra ~t:8 (Graph.sub_by_eids g rest) in
+  if second.Ultra_sparse.attempts < 2 then
+    Alcotest.fail "second layer no longer retries";
+  List.iter
+    (fun g ->
+      let sp = (Linear_size.run g).Linear_size.spanner in
+      add_keep sp.Spanner.keep;
+      add_ints [ Rounds.total sp.Spanner.rounds ])
+    inputs;
+  List.iter
+    (fun g ->
+      List.iter
+        (fun (k, epsilon) ->
+          let o = Spanner_packing.run ~k ~epsilon g in
+          let c = o.Spanner_packing.certificate in
+          add_keep c.Certificate.keep;
+          add_ints (Rounds.total c.Certificate.rounds :: o.Spanner_packing.layers))
+        [ (2, 0.25); (3, 0.25); (2, 0.125); (3, 0.5) ])
+    (g :: inputs);
+  Alcotest.(check string)
+    "digest" "741914e3a649780c3f1c27de8fff022e"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* Deterministic work gate, independent of core count and timing:
    minor-heap words of one Bs_derand.run ~k:3 on a dense seeded G(n,p)
    (n = 256, average degree 64).  The entry-walk evaluator allocated
@@ -826,5 +895,6 @@ let suite =
   @ [
       derand_closed_form_matches_walk;
       case "Bs_derand outputs match the pinned digest" derand_output_pin;
+      case "ultra-sparse/packing outputs pinned" construction_output_pin;
       case "Bs_derand minor words under the work ceiling" derand_work_gate;
     ]
