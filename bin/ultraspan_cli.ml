@@ -794,7 +794,7 @@ let metrics_cmd =
        ~doc:
          "Render an ultraspan-metrics/1 snapshot: top-k counters (split \
           deterministic vs execution namespace), gauges, histogram \
-          sparklines and per-phase timers with GC quick_stat deltas — or, \
+          sparklines and per-phase timers with GC word deltas — or, \
           with --expose, a Prometheus-style text exposition.")
     Term.(
       const metrics_report $ metrics_file_pos_arg $ expose_arg

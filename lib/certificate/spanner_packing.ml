@@ -25,12 +25,14 @@ let run ~k ~epsilon g =
       let layer_size = Spanner.size out.Ultra_sparse.spanner in
       layers := layer_size :: !layers;
       Rounds.merge_into rounds out.Ultra_sparse.spanner.Spanner.rounds;
-      List.iter
-        (fun sub_eid ->
-          let orig = mapping.(sub_eid) in
-          keep.(orig) <- true;
-          remaining.(orig) <- false)
-        (Spanner.eids out.Ultra_sparse.spanner)
+      Array.iteri
+        (fun sub_eid kept ->
+          if kept then begin
+            let orig = mapping.(sub_eid) in
+            keep.(orig) <- true;
+            remaining.(orig) <- false
+          end)
+        out.Ultra_sparse.spanner.Spanner.keep
     end
   done;
   { certificate = { Certificate.keep; rounds; k }; layers = List.rev !layers }

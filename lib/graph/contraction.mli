@@ -24,7 +24,17 @@ val of_cluster_of : ?allow:(int -> bool) -> Graph.t -> int array -> int -> t
     ([-1] = dropped); clusters need not be connected here.  [allow eid]
     restricts which base edges induce quotient edges (default: all) — the
     linear-size spanner uses this to drop the edges already "dead" in the
-    Baswana–Sen sense. *)
+    Baswana–Sen sense.
+
+    The representative of a cluster pair is its lightest base edge, the
+    smallest edge id among equally light ones.  O(n + m + count) on flat
+    int arrays: two stable counting passes sort the inter-cluster edge ids
+    by (smaller cluster, larger cluster, id), one scan keeps a
+    representative per run, and the quotient is built from that already
+    canonical sequence.  The temporaries live in a per-domain scratch, so
+    [allow] must not itself call [of_cluster_of].  Raises
+    [Invalid_argument] on a length mismatch or a cluster id outside
+    [-1 .. count-1]. *)
 
 val pull_back : t -> int list -> int list
 (** Map quotient edge ids to their representative base edge ids. *)

@@ -96,15 +96,15 @@ let is_unit_weighted g = Array.for_all (fun e -> e.w = 1) g.edges
    constructs [edges] without ever materializing a tuple list. *)
 let index_edges n edges =
   let m = Array.length edges in
-  let deg = Array.make n 0 in
+  (* Degrees counted at [v + 1], then summed into offsets in place. *)
+  let adj_off = Array.make (n + 1) 0 in
   Array.iter
     (fun e ->
-      deg.(e.u) <- deg.(e.u) + 1;
-      deg.(e.v) <- deg.(e.v) + 1)
+      adj_off.(e.u + 1) <- adj_off.(e.u + 1) + 1;
+      adj_off.(e.v + 1) <- adj_off.(e.v + 1) + 1)
     edges;
-  let adj_off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    adj_off.(v + 1) <- adj_off.(v) + deg.(v)
+    adj_off.(v + 1) <- adj_off.(v + 1) + adj_off.(v)
   done;
   let cursor = Array.copy adj_off in
   let adj_dst = Array.make (2 * m) 0 in
@@ -301,15 +301,31 @@ let with_unit_weights g = with_weights g (fun _ -> 1)
 let sub_with_mapping g keep =
   if Array.length keep <> m g then
     invalid_arg "Graph.sub_with_mapping: mask length mismatch";
-  let kept = ref [] in
-  for id = m g - 1 downto 0 do
-    if keep.(id) then kept := id :: !kept
-  done;
-  let mapping = Array.of_list !kept in
-  (* A filtered canonical edge sequence is itself canonical: index the kept
-     records directly, with new ids in filtered order. *)
-  let edges = Array.mapi (fun id eid -> { (g.edges.(eid)) with id }) mapping in
-  (index_edges g.n edges, mapping)
+  let kept = Array.fold_left (fun k b -> if b then k + 1 else k) 0 keep in
+  (* [t] is immutable, so a mask that keeps every edge can share [g]. *)
+  if kept = m g then (g, Array.init kept Fun.id)
+  else begin
+    let mapping = Array.make kept 0 in
+    let k = ref 0 in
+    Array.iteri
+      (fun id b ->
+        if b then begin
+          mapping.(!k) <- id;
+          incr k
+        end)
+      keep;
+    (* A filtered canonical edge sequence is itself canonical: index the
+       kept records directly, with new ids in filtered order (records
+       before the first dropped edge keep theirs and are shared). *)
+    let edges =
+      Array.mapi
+        (fun id eid ->
+          let e = g.edges.(eid) in
+          if e.id = id then e else { e with id })
+        mapping
+    in
+    (index_edges g.n edges, mapping)
+  end
 
 (* Merge an edit set into the canonical edge array: one pass, no sort.
    Records before the first edit keep their ids and are shared with [g];

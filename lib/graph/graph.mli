@@ -145,7 +145,9 @@ val sub_with_mapping : t -> bool array -> t * int array
     by the certificate algorithms, which peel spanners off shrinking
     subgraphs and must translate the result back.  O(n + m), no sort: the
     kept records are already canonical, so the result equals
-    [of_edge_array] over the kept (u, v, w) triples. *)
+    [of_edge_array] over the kept (u, v, w) triples.  A mask that keeps
+    every edge returns [g] itself (a [t] is immutable) with the identity
+    map. *)
 
 val splice :
   t -> delete:int array -> insert:(int * int * int) array -> t * int array

@@ -109,8 +109,7 @@ let radius t c =
   !best
 
 let max_radius t =
-  let depth = depths t in
-  Array.fold_left max 0 (Array.map (fun d -> max d 0) depth)
+  Array.fold_left max 0 (depths t)
 
 let is_partition t = Array.for_all (fun c -> c >= 0) t.cluster_of
 

@@ -4,8 +4,7 @@ type t = {
   g : Graph.t;
   spanner : bool array;
   alive : bool array;
-  edge_alive : bool array;
-  death_iter : int array;
+  death_iter : int array;  (* -1 while the edge is alive *)
   mutable cluster_of : int array;
   mutable roots : int array;
   parent : int array;
@@ -13,7 +12,12 @@ type t = {
   mutable iter : int;
 }
 
-type adjacency = (int * int * int) array array
+type adjacency = {
+  off : int array;
+  w : int array;
+  eid : int array;
+  cluster : int array;
+}
 
 type iteration_stats = {
   edges_added : int;
@@ -31,7 +35,6 @@ let create g =
     g;
     spanner = Array.make (Graph.m g) false;
     alive = Array.make n true;
-    edge_alive = Array.make (Graph.m g) true;
     death_iter = Array.make (Graph.m g) (-1);
     cluster_of = Array.init n (fun v -> v);
     roots = Array.init n (fun v -> v);
@@ -52,28 +55,112 @@ let roots t = t.roots
 
 let spanner_mask t = t.spanner
 
-let edge_alive t eid = t.edge_alive.(eid)
+let edge_alive t eid = t.death_iter.(eid) < 0
 
 let death_iteration t = Array.copy t.death_iter
 
 let vertex_alive t v = t.alive.(v)
 
-(* Per-vertex sorted adjacent-cluster lists: for each alive vertex, the
-   minimum alive edge into each cluster it touches, ascending (w, eid);
-   eids are unique, so int comparisons on (w, eid) give a total order. *)
+(* Per-domain scratch, grown to the largest graph served: the adjacency
+   rows (at most one entry per arc) and the per-cluster minimum table the
+   rows are gathered with.  Keeping them out of the minor heap means a
+   minor collection during an iteration has nothing of them to promote. *)
+type scratch = {
+  mutable adj : adjacency;
+  mutable stamp : int array;
+  mutable best_w : int array;
+  mutable best_e : int array;
+  mutable touched : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        adj = { off = [||]; w = [||]; eid = [||]; cluster = [||] };
+        stamp = [||];
+        best_w = [||];
+        best_e = [||];
+        touched = [||];
+      })
+
+let domain_scratch ~n ~arcs =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.adj.off <= n || Array.length s.adj.w < arcs then
+    s.adj <-
+      {
+        off = Array.make (max (n + 1) (Array.length s.adj.off)) 0;
+        w = Array.make (max arcs (Array.length s.adj.w)) 0;
+        eid = Array.make (max arcs (Array.length s.adj.w)) 0;
+        cluster = Array.make (max arcs (Array.length s.adj.w)) 0;
+      };
+  if Array.length s.stamp < n then begin
+    s.stamp <- Array.make n 0;
+    s.best_w <- Array.make n 0;
+    s.best_e <- Array.make n 0;
+    s.touched <- Array.make n 0
+  end;
+  s
+
+(* Sort row slice [lo, hi] of [a] by (weight, eid): quicksort with an
+   insertion cutoff.  Edge ids are unique, so the order is total and any
+   correct sort yields the same row. *)
+let sort_row a lo hi =
+  let w = a.w and e = a.eid and c = a.cluster in
+  let lt i j = w.(i) < w.(j) || (w.(i) = w.(j) && e.(i) < e.(j)) in
+  let swap i j =
+    let tw = w.(i) and te = e.(i) and tc = c.(i) in
+    w.(i) <- w.(j);
+    e.(i) <- e.(j);
+    c.(i) <- c.(j);
+    w.(j) <- tw;
+    e.(j) <- te;
+    c.(j) <- tc
+  in
+  let rec go lo hi =
+    if hi - lo <= 12 then
+      for i = lo + 1 to hi do
+        let j = ref i in
+        while !j > lo && lt !j (!j - 1) do
+          swap !j (!j - 1);
+          decr j
+        done
+      done
+    else begin
+      let mid = (lo + hi) lsr 1 in
+      if lt mid lo then swap mid lo;
+      if lt hi lo then swap hi lo;
+      if lt hi mid then swap hi mid;
+      swap mid hi;
+      let i = ref lo in
+      for j = lo to hi - 1 do
+        if lt j hi then begin
+          swap !i j;
+          incr i
+        end
+      done;
+      swap !i hi;
+      go lo (!i - 1);
+      go (!i + 1) hi
+    end
+  in
+  if hi > lo then go lo hi
+
+(* Per-vertex sorted adjacent-cluster rows: for each alive vertex, the
+   minimum alive edge into each cluster it touches, ascending (w, eid). *)
 let adjacency t =
   let n = Graph.n t.g in
   let nc = n_clusters t in
-  let stamp = Array.make nc (-1) in
-  let best_w = Array.make nc 0 in
-  let best_e = Array.make nc 0 in
-  let touched = Array.make nc 0 in
-  let out = Array.make n [||] in
+  let s = domain_scratch ~n:(max n nc) ~arcs:(Graph.arc_count t.g) in
+  let a = s.adj and stamp = s.stamp and best_w = s.best_w in
+  let best_e = s.best_e and touched = s.touched in
+  Array.fill stamp 0 nc (-1);
+  let pos = ref 0 in
   for v = 0 to n - 1 do
+    a.off.(v) <- !pos;
     if t.alive.(v) then begin
       let k = ref 0 in
       Graph.iter_adj t.g v (fun u eid ->
-          if t.edge_alive.(eid) && t.alive.(u) then begin
+          if edge_alive t eid && t.alive.(u) then begin
             let c = t.cluster_of.(u) in
             let w = Graph.weight t.g eid in
             if stamp.(c) <> v then begin
@@ -89,19 +176,18 @@ let adjacency t =
               best_e.(c) <- eid
             end
           end);
-      let arr =
-        Array.init !k (fun i ->
-            let c = touched.(i) in
-            (best_w.(c), best_e.(c), c))
-      in
-      Array.stable_sort
-        (fun (w1, e1, _) (w2, e2, _) ->
-          if w1 <> w2 then compare (w1 : int) w2 else compare (e1 : int) e2)
-        arr;
-      out.(v) <- arr
+      for i = 0 to !k - 1 do
+        let c = touched.(i) in
+        a.w.(!pos + i) <- best_w.(c);
+        a.eid.(!pos + i) <- best_e.(c);
+        a.cluster.(!pos + i) <- c
+      done;
+      sort_row a !pos (!pos + !k - 1);
+      pos := !pos + !k
     end
   done;
-  out
+  a.off.(n) <- !pos;
+  a
 
 let iteration ?adjacency:adj ?(high_degree_threshold = max_int)
     ?(tally_death_threshold = max_int) t ~sampled =
@@ -141,31 +227,25 @@ let iteration ?adjacency:adj ?(high_degree_threshold = max_int)
       let c = old_cluster_of.(v) in
       if sampled.(c) then new_cluster_of.(v) <- new_id.(c)
       else begin
-        let a = adj.(v) in
-        let d = Array.length a in
+        let lo = adj.off.(v) and hi = adj.off.(v + 1) in
+        let d = hi - lo in
         if d > !max_adjacent then max_adjacent := d;
         (* First sampled cluster in (w, eid) order. *)
-        let first_sampled = ref (-1) in
-        (try
-           Array.iteri
-             (fun j (_, _, cj) ->
-               if sampled.(cj) then begin
-                 first_sampled := j;
-                 raise Exit
-               end)
-             a
-         with Exit -> ());
-        if !first_sampled >= 0 then begin
+        let first_sampled = ref lo in
+        while !first_sampled < hi && not sampled.(adj.cluster.(!first_sampled))
+        do
+          incr first_sampled
+        done;
+        if !first_sampled < hi then begin
           let i = !first_sampled in
-          let w_i, e_i, c_i = a.(i) in
+          let w_i = adj.w.(i) and e_i = adj.eid.(i) and c_i = adj.cluster.(i) in
           (* Add e_j for strictly smaller weights, and e_i itself; all
              edges between v and those clusters die. *)
           let to_kill = ref [ c_i ] in
-          for j = 0 to i - 1 do
-            let w_j, e_j, c_j = a.(j) in
-            if w_j < w_i then begin
-              add_edge e_j;
-              to_kill := c_j :: !to_kill
+          for j = lo to i - 1 do
+            if adj.w.(j) < w_i then begin
+              add_edge adj.eid.(j);
+              to_kill := adj.cluster.(j) :: !to_kill
             end
           done;
           add_edge e_i;
@@ -178,7 +258,9 @@ let iteration ?adjacency:adj ?(high_degree_threshold = max_int)
         else begin
           (* No sampled neighbour: v dies, adding its minimum edge into
              every adjacent cluster. *)
-          Array.iter (fun (_, e_j, _) -> add_edge e_j) a;
+          for j = lo to hi - 1 do
+            add_edge adj.eid.(j)
+          done;
           kills := (v, `All) :: !kills;
           t.alive.(v) <- false;
           t.parent.(v) <- -1;
@@ -191,25 +273,23 @@ let iteration ?adjacency:adj ?(high_degree_threshold = max_int)
       end
     end
   done;
-  (* Apply edge deaths. *)
+  (* Apply edge deaths.  [marks.(c) = v]: v's edges into old cluster c
+     die. *)
+  let marks = Array.make nc (-1) in
   let this_iter = t.iter + 1 in
   let kill_edge eid =
-    if t.edge_alive.(eid) then begin
-      t.edge_alive.(eid) <- false;
-      t.death_iter.(eid) <- this_iter
-    end
+    if edge_alive t eid then t.death_iter.(eid) <- this_iter
   in
   List.iter
     (fun (v, what) ->
       match what with
       | `All -> Graph.iter_adj t.g v (fun _ eid -> kill_edge eid)
       | `Into clusters ->
-          let marks = Hashtbl.create 8 in
-          List.iter (fun c -> Hashtbl.replace marks c ()) clusters;
+          List.iter (fun c -> marks.(c) <- v) clusters;
           Graph.iter_adj t.g v (fun u eid ->
-              if t.edge_alive.(eid) then begin
+              if edge_alive t eid then begin
                 let cu = old_cluster_of.(u) in
-                if cu >= 0 && Hashtbl.mem marks cu then kill_edge eid
+                if cu >= 0 && marks.(cu) = v then kill_edge eid
               end))
     !kills;
   (* New roots: one per sampled cluster, same root vertices. *)
@@ -244,8 +324,8 @@ let partition t =
 let alive_quotient t =
   Contraction.of_cluster_of
     ~allow:(fun eid ->
-      t.edge_alive.(eid)
+      edge_alive t eid
       &&
-      let u, v = Graph.endpoints t.g eid in
-      t.alive.(u) && t.alive.(v))
+      let e = Graph.edge t.g eid in
+      t.alive.(e.Graph.u) && t.alive.(e.Graph.v))
     t.g t.cluster_of (n_clusters t)

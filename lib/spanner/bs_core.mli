@@ -18,11 +18,16 @@ open! Import
 
 type t
 
-type adjacency = (int * int * int) array array
-(** Per-vertex sorted array of [(weight, eid, cluster)] triples: the
-    minimum alive edge into each adjacent cluster, ascending by
-    (weight, eid).  Empty for dead vertices.  A vertex's own cluster
-    appears if it has an alive edge into it. *)
+type adjacency = {
+  off : int array;  (** vertex [v]'s row is [off.(v) .. off.(v + 1) - 1] *)
+  w : int array;  (** entry weight *)
+  eid : int array;  (** entry edge id *)
+  cluster : int array;  (** entry cluster *)
+}
+(** Per-vertex sorted rows of (weight, eid, cluster) entries: the minimum
+    alive edge into each adjacent cluster, ascending by (weight, eid).
+    Empty for dead vertices.  A vertex's own cluster appears if it has an
+    alive edge into it.  The arrays may be longer than the rows use. *)
 
 type iteration_stats = {
   edges_added : int;
@@ -55,7 +60,9 @@ val roots : t -> int array
 val adjacency : t -> adjacency
 (** Compute the per-vertex adjacent-cluster structure of the current state
     (an O(m + n log n) scan).  Only unsampled-cluster vertices consult it
-    during an iteration, but it is defined for every alive vertex. *)
+    during an iteration, but it is defined for every alive vertex.  The
+    rows live in a per-domain scratch: they are valid until the next
+    [adjacency], {!iteration} or {!finish} call in the same domain. *)
 
 val iteration :
   ?adjacency:adjacency ->

@@ -25,38 +25,42 @@ let lng g = Float.max 1.0 (log (float_of_int g))
    independent sampling with the per-cluster probabilities [qeff] (p/4
    unfixed, 0.0 or 1.0 fixed), conditioned on v's own cluster being
    unsampled: hence the (1 - q_own) factor and the 0 probability of
-   own-cluster entries.  E[b_v] is a prefix sum in (w, eid) order. *)
-let weighted_contrib ~qeff ~n5 ~xi ~strict_before adj_v c_own =
-  let d = Array.length adj_v in
+   own-cluster entries.  E[b_v] is a prefix sum in (w, eid) order; an
+   entry adds itself and the entries of strictly smaller weight before it
+   (the row is sorted, so those are exactly the entries before the first
+   one of its weight). *)
+let weighted_contrib ~qeff ~n5 ~xi (adj : Bs_core.adjacency) v c_own =
+  let lo = adj.off.(v) and hi = adj.off.(v + 1) in
+  let d = hi - lo in
   let q_own = qeff.(c_own) in
   if q_own >= 1.0 then 0.0
   else begin
     let e_b = ref 0.0 in
     let pnone = ref 1.0 in
-    Array.iteri
-      (fun i (_, _, c_i) ->
-        let q_i = if c_i = c_own then 0.0 else qeff.(c_i) in
-        e_b := !e_b +. (q_i *. !pnone *. float_of_int (strict_before.(i) + 1));
-        pnone := !pnone *. (1.0 -. q_i))
-      adj_v;
+    let block_start = ref 0 in
+    for i = lo to hi - 1 do
+      if i > lo && adj.w.(i) > adj.w.(i - 1) then block_start := i - lo;
+      let c_i = adj.cluster.(i) in
+      let q_i = if c_i = c_own then 0.0 else qeff.(c_i) in
+      e_b := !e_b +. (q_i *. !pnone *. float_of_int (!block_start + 1));
+      pnone := !pnone *. (1.0 -. q_i)
+    done;
     let p_die = !pnone in
     let h_term = if d >= xi then n5 *. p_die else 0.0 in
     (1.0 -. q_own) *. (!e_b +. (p_die *. float_of_int d) +. h_term)
   end
 
-(* For each vertex, strict_before.(i) = number of adjacency entries with
-   weight strictly below entry i's weight (= index of the first entry with
-   the same weight, since the array is sorted). *)
-let strict_before_of adj_v =
-  let d = Array.length adj_v in
-  let out = Array.make d 0 in
-  let block_start = ref 0 in
-  for i = 1 to d - 1 do
-    let w_prev, _, _ = adj_v.(i - 1) and w_i, _, _ = adj_v.(i) in
-    if w_i > w_prev then block_start := i;
-    out.(i) <- !block_start
-  done;
-  out
+(* Per-domain scratch of [choose_sampling]: the affected vertices of every
+   cluster as rows of one array ([aff_off] has nc + 1 entries). *)
+type scratch = { mutable aff_off : int array; mutable aff : int array }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { aff_off = [||]; aff = [||] })
+
+let domain_scratch ~nc ~entries =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.aff_off <= nc then s.aff_off <- Array.make (nc + 1) 0;
+  if Array.length s.aff < entries then s.aff <- Array.make entries 0;
+  s
 
 let seed_bits n0 =
   let l = Float.log2 (float_of_int (n0 + 2)) in
@@ -75,18 +79,26 @@ let choose_sampling ~mode ~ordering ~state ~adj ~q ~kappa ~n5 ~xi ~tau =
     for v = 0 to n - 1 do
       if Bs_core.vertex_alive state v then begin
         f cluster_of.(v) v;
-        Array.iter (fun (_, _, c) -> if c <> cluster_of.(v) then f c v) adj.(v)
+        for i = adj.Bs_core.off.(v) to adj.Bs_core.off.(v + 1) - 1 do
+          let c = adj.Bs_core.cluster.(i) in
+          if c <> cluster_of.(v) then f c v
+        done
       end
     done
   in
-  let fill = Array.make nc 0 and unfixed = Array.make n 0 in
+  let unfixed = Array.make n 0 in
+  let sc = domain_scratch ~nc ~entries:(n + adj.Bs_core.off.(n)) in
+  let aff_off = sc.aff_off and aff = sc.aff in
+  Array.fill aff_off 0 (nc + 1) 0;
   scan (fun c v ->
-      fill.(c) <- fill.(c) + 1;
+      aff_off.(c + 1) <- aff_off.(c + 1) + 1;
       if c <> cluster_of.(v) then unfixed.(v) <- unfixed.(v) + 1);
-  let affected = Array.map (fun k -> Array.make k 0) fill in
-  Array.fill fill 0 nc 0;
+  for c = 1 to nc do
+    aff_off.(c) <- aff_off.(c) + aff_off.(c - 1)
+  done;
+  let fill = Array.sub aff_off 0 nc in
   scan (fun c v ->
-      affected.(c).(fill.(c)) <- v;
+      aff.(fill.(c)) <- v;
       fill.(c) <- fill.(c) + 1);
   let cluster_order, nd =
     match ordering with
@@ -103,14 +115,13 @@ let choose_sampling ~mode ~ordering ~state ~adj ~q ~kappa ~n5 ~xi ~tau =
   let fix_to_one =
     match mode with
     | Weighted ->
-        let strict = Array.map strict_before_of adj in
         let eval_affected j =
-          Array.fold_left
-            (fun acc v ->
-              acc
-              +. weighted_contrib ~qeff ~n5 ~xi ~strict_before:strict.(v)
-                   adj.(v) cluster_of.(v))
-            0.0 affected.(j)
+          let acc = ref 0.0 in
+          for i = aff_off.(j) to aff_off.(j + 1) - 1 do
+            let v = aff.(i) in
+            acc := !acc +. weighted_contrib ~qeff ~n5 ~xi adj v cluster_of.(v)
+          done;
+          !acc
         in
         fun j ->
           qeff.(j) <- 1.0;
@@ -124,18 +135,23 @@ let choose_sampling ~mode ~ordering ~state ~adj ~q ~kappa ~n5 ~xi ~tau =
            once its own or a touched cluster is fixed to 1 ([dead]), else
            p_die = pow.(unfixed v), the walk's left fold bit for bit.  X_j = 1
            zeroes every affected term: e1 = kappa exactly. *)
-        let max_d = Array.fold_left (fun a r -> max a (Array.length r)) 0 adj in
+        let row_length v = adj.Bs_core.off.(v + 1) - adj.Bs_core.off.(v) in
+        let max_d = ref 0 in
+        for v = 0 to n - 1 do
+          max_d := max !max_d (row_length v)
+        done;
+        let max_d = !max_d in
         let pow = Array.make (max_d + 1) 1.0 in
         for u = 1 to max_d do
           pow.(u) <- pow.(u - 1) *. (1.0 -. q)
         done;
         let dead = Array.make n false in
         fun j ->
-          let aff = affected.(j) and e0 = ref 0.0 in
-          for i = 0 to Array.length aff - 1 do
+          let e0 = ref 0.0 in
+          for i = aff_off.(j) to aff_off.(j + 1) - 1 do
             let v = aff.(i) in
             if not dead.(v) then begin
-              let own = cluster_of.(v) and d = Array.length adj.(v) in
+              let own = cluster_of.(v) and d = row_length v in
               let p_die = pow.(unfixed.(v) - if own = j then 0 else 1) in
               let b = if d >= tau then p_die *. float_of_int d else 0.0 in
               let h = if d >= xi then n5 *. p_die else 0.0 in
@@ -144,11 +160,11 @@ let choose_sampling ~mode ~ordering ~state ~adj ~q ~kappa ~n5 ~xi ~tau =
             end
           done;
           let one = kappa < !e0 in
-          Array.iter
-            (fun v ->
-              if one then dead.(v) <- true
-              else if cluster_of.(v) <> j then unfixed.(v) <- unfixed.(v) - 1)
-            aff;
+          for i = aff_off.(j) to aff_off.(j + 1) - 1 do
+            let v = aff.(i) in
+            if one then dead.(v) <- true
+            else if cluster_of.(v) <> j then unfixed.(v) <- unfixed.(v) - 1
+          done;
           one
   in
   Array.iter
@@ -269,7 +285,8 @@ let run ?(ordering = Simple) ?k g =
         guarantees)
   in
   let spanner =
-    { Spanner.keep = Array.copy (Bs_core.spanner_mask state); rounds }
+    (* [state] dies here, so its mask needs no copy. *)
+    { Spanner.keep = Bs_core.spanner_mask state; rounds }
   in
   { spanner; guarantees }
 

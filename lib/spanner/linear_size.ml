@@ -54,9 +54,11 @@ let run ?(variant = Deterministic) g0 =
   let spanner_keep = Array.make (Graph.m g0) false in
   let phases = ref [] in
   let stretch_bound = ref 1.0 in
-  (* to_base.(eid of current graph) = eid of g0 *)
+  (* base eid = the g0 edge id of edge [eid] of the current graph
+     ([to_base] is [None] while the current graph is g0). *)
   let current = ref g0 in
-  let to_base = ref (Array.init (Graph.m g0) (fun i -> i)) in
+  let to_base = ref None in
+  let base eid = match !to_base with None -> eid | Some a -> a.(eid) in
   let radius_bound = ref 0 in
   let stop = ref false in
   Rounds.span rounds "linear-size" (fun () ->
@@ -112,7 +114,7 @@ let run ?(variant = Deterministic) g0 =
           (Rounds.total phase_rounds * ((2 * !radius_bound) + 1));
         (* Collect this phase's spanner edges, translated back to g0. *)
         Array.iteri
-          (fun eid kept -> if kept then spanner_keep.(!to_base.(eid)) <- true)
+          (fun eid kept -> if kept then spanner_keep.(base eid) <- true)
           (Bs_core.spanner_mask state);
         if not last_phase then begin
           let contraction = Bs_core.alive_quotient state in
@@ -123,16 +125,12 @@ let run ?(variant = Deterministic) g0 =
             ignore (Bs_core.finish state);
             Array.iteri
               (fun eid kept ->
-                if kept then spanner_keep.(!to_base.(eid)) <- true)
+                if kept then spanner_keep.(base eid) <- true)
               (Bs_core.spanner_mask state);
             stop := true
           end
           else begin
-            let old_to_base = !to_base in
-            to_base :=
-              Array.map
-                (fun base_eid -> old_to_base.(base_eid))
-                contraction.Contraction.repr_eid;
+            to_base := Some (Array.map base contraction.Contraction.repr_eid);
             current := q;
             radius_bound := ((2 * g_iters) + 1) * (!radius_bound + 1)
           end

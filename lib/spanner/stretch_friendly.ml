@@ -16,9 +16,82 @@ let reroot parent parent_eid new_root =
   in
   go new_root (-1) (-1)
 
+(* Per-domain scratch of [partition_with_strategy], grown to the largest
+   graph served.  Every array is indexed by the clusters of the current
+   iteration (at most n of them), of which it uses the first [nc]. *)
+type scratch = {
+  size : int array;
+  best_w : int array;  (* weight of the minimum boundary edge *)
+  out_eid : int array;  (* its id, -1 when the cluster has none *)
+  mate : int array;
+  proposer : int array;  (* smallest proposer of the current colour *)
+  new_of : int array;
+  new_root : int array;
+  merge_src : bool array;
+}
+
+let make_scratch n =
+  {
+    size = Array.make n 0;
+    best_w = Array.make n 0;
+    out_eid = Array.make n 0;
+    mate = Array.make n 0;
+    proposer = Array.make n 0;
+    new_of = Array.make n 0;
+    new_root = Array.make n 0;
+    merge_src = Array.make n false;
+  }
+
+let scratch_key = Domain.DLS.new_key (fun () -> make_scratch 0)
+
+let domain_scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.size >= n then s
+  else begin
+    let s = make_scratch n in
+    Domain.DLS.set scratch_key s;
+    s
+  end
+
+(* Step (2) of an iteration: the minimum boundary edge of every cluster
+   [c < nc] in (weight, edge id) order, or -1.  Edges arrive in id order,
+   so on a weight tie the first one stays. *)
+let fill_min_boundary edges cluster_of ~best_w ~out_eid nc =
+  Array.fill out_eid 0 nc (-1);
+  Array.iter
+    (fun e ->
+      let cu = cluster_of.(e.Graph.u) and cv = cluster_of.(e.Graph.v) in
+      if cu <> cv then begin
+        let w = e.Graph.w in
+        if out_eid.(cu) < 0 || w < best_w.(cu) then begin
+          best_w.(cu) <- w;
+          out_eid.(cu) <- e.Graph.id
+        end;
+        if out_eid.(cv) < 0 || w < best_w.(cv) then begin
+          best_w.(cv) <- w;
+          out_eid.(cv) <- e.Graph.id
+        end
+      end)
+    edges
+
+let min_boundary_edges g cluster_of nc =
+  if Array.length cluster_of <> Graph.n g then
+    invalid_arg "Stretch_friendly.min_boundary_edges: length mismatch";
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= nc then
+        invalid_arg
+          "Stretch_friendly.min_boundary_edges: cluster id out of range")
+    cluster_of;
+  let out_eid = Array.make nc (-1) in
+  fill_min_boundary (Graph.edges g) cluster_of ~best_w:(Array.make nc 0)
+    ~out_eid nc;
+  out_eid
+
 let partition_with_strategy ~strategy ~t g =
   if t < 1 then invalid_arg "Stretch_friendly.partition: t >= 1";
   let n = Graph.n g in
+  let edges = Graph.edges g in
   let rounds = Rounds.create () in
   let cluster_of = Array.init n (fun v -> v) in
   let parent = Array.make n (-1) in
@@ -29,30 +102,27 @@ let partition_with_strategy ~strategy ~t g =
     if t = 1 then 0
     else int_of_float (ceil (Float.log2 (float_of_int t)))
   in
+  let s = domain_scratch n in
+  let size = s.size and best_w = s.best_w and out_eid = s.out_eid in
+  let mate = s.mate and proposer = s.proposer and new_of = s.new_of in
+  let new_root = s.new_root and merge_src = s.merge_src in
+  (* The cluster across edge [eid] from cluster [c]. *)
+  let across c eid =
+    let e = edges.(eid) in
+    if cluster_of.(e.Graph.u) = c then cluster_of.(e.Graph.v)
+    else cluster_of.(e.Graph.u)
+  in
   for i = 1 to iterations do
     let nc = Array.length !roots in
     (* (1) sizes *)
-    let size = Array.make nc 0 in
+    Array.fill size 0 nc 0;
     Array.iter (fun c -> size.(c) <- size.(c) + 1) cluster_of;
     (* (2) minimum boundary edge per cluster, oriented out *)
-    let best : (int * int) array = Array.make nc (max_int, max_int) in
-    Graph.iter_edges g (fun e ->
-        let cu = cluster_of.(e.Graph.u) and cv = cluster_of.(e.Graph.v) in
-        if cu <> cv then begin
-          let key = (e.Graph.w, e.Graph.id) in
-          if key < best.(cu) then best.(cu) <- key;
-          if key < best.(cv) then best.(cv) <- key
-        end);
-    let succ = Array.make nc (-1) in
-    let out_eid = Array.make nc (-1) in
-    for c = 0 to nc - 1 do
-      let _, eid = best.(c) in
-      if eid <> max_int then begin
-        out_eid.(c) <- eid;
-        let u, v = Graph.endpoints g eid in
-        succ.(c) <- (if cluster_of.(u) = c then cluster_of.(v) else cluster_of.(u))
-      end
-    done;
+    fill_min_boundary edges cluster_of ~best_w ~out_eid nc;
+    let succ =
+      Array.init nc (fun c ->
+          if out_eid.(c) < 0 then -1 else across c out_eid.(c))
+    in
     (* (3) 3-colouring of the pointer graph *)
     let coloring = Coloring.three_color ~n:nc ~succ in
     cv_total := !cv_total + coloring.Coloring.iterations;
@@ -61,26 +131,26 @@ let partition_with_strategy ~strategy ~t g =
     let small c = size.(c) < threshold && succ.(c) >= 0 in
     (* (4) maximal matching between small clusters along pointer edges,
        one colour class at a time (proposer and target always differ in
-       colour since the colouring is proper on pointer edges). *)
-    let mate = Array.make nc (-1) in
+       colour since the colouring is proper on pointer edges).  Each
+       target takes its smallest proposer. *)
+    Array.fill mate 0 nc (-1);
     (match strategy with
     | Naive_star -> ()
     | Matched ->
         for q = 0 to 2 do
-          let proposals = Array.make nc [] in
+          Array.fill proposer 0 nc (-1);
           for c = 0 to nc - 1 do
             if colors.(c) = q && small c && mate.(c) = -1 then begin
               let d = succ.(c) in
-              if small d && mate.(d) = -1 then proposals.(d) <- c :: proposals.(d)
+              if small d && mate.(d) = -1 && proposer.(d) < 0 then
+                proposer.(d) <- c
             end
           done;
           for d = 0 to nc - 1 do
-            if mate.(d) = -1 then begin
-              match List.sort compare proposals.(d) with
-              | [] -> ()
-              | c :: _ ->
-                  mate.(d) <- c;
-                  mate.(c) <- d
+            let c = proposer.(d) in
+            if mate.(d) = -1 && c >= 0 then begin
+              mate.(d) <- c;
+              mate.(c) <- d
             end
           done
         done);
@@ -90,16 +160,15 @@ let partition_with_strategy ~strategy ~t g =
        pointer (in the Matched strategy the target is immediately a
        standing cluster; in Naive_star pointers may chain, so we resolve
        them to their sink). *)
-    let new_of = Array.make nc (-1) in
+    Array.fill new_of 0 nc (-1);
     (* merge_src.(c): cluster c merges along its own pointer edge, so its
        tree is re-rooted at its endpoint and hung off the other side. *)
-    let merge_src = Array.make nc false in
-    let new_roots = ref [] in
+    Array.fill merge_src 0 nc false;
     let n_new = ref 0 in
     let fresh root =
       let id = !n_new in
       incr n_new;
-      new_roots := root :: !new_roots;
+      new_root.(id) <- root;
       id
     in
     (* Standing clusters: large/exempt ones stand alone. *)
@@ -162,8 +231,11 @@ let partition_with_strategy ~strategy ~t g =
     for c = 0 to nc - 1 do
       if merge_src.(c) then begin
         let eid = out_eid.(c) in
-        let u, v = Graph.endpoints g eid in
-        let mine, theirs = if cluster_of.(u) = c then (u, v) else (v, u) in
+        let e = edges.(eid) in
+        let mine, theirs =
+          if cluster_of.(e.Graph.u) = c then (e.Graph.u, e.Graph.v)
+          else (e.Graph.v, e.Graph.u)
+        in
         reroot parent parent_eid mine;
         parent.(mine) <- theirs;
         parent_eid.(mine) <- eid
@@ -173,12 +245,11 @@ let partition_with_strategy ~strategy ~t g =
     for v = 0 to n - 1 do
       cluster_of.(v) <- new_of.(cluster_of.(v))
     done;
-    roots := Array.of_list (List.rev !new_roots);
+    roots := Array.sub new_root 0 !n_new;
     Rounds.span rounds "stretch-friendly" (fun () ->
         Rounds.span rounds (Printf.sprintf "iter-%d" i) (fun () ->
             Rounds.charge ~label:"sf:iteration" rounds
-              ((2 * 3 * (1 lsl i)) + (coloring.Coloring.iterations + 6))));
-    ignore coloring
+              ((2 * 3 * (1 lsl i)) + (coloring.Coloring.iterations + 6))))
   done;
   let p =
     {

@@ -39,6 +39,12 @@ val is_stretch_friendly_subset :
 
 val is_stretch_friendly_alive : Graph.t -> Bs_core.t -> bool
 
+val min_boundary_edges : Graph.t -> int array -> int -> int array
+(** [min_boundary_edges g cluster_of nc]: for each cluster [c < nc] of a
+    complete assignment ([0 <= cluster_of.(v) < nc]), the id of its
+    minimum boundary edge in (weight, edge id) order, or [-1] when it has
+    none — step (2) of every merging iteration, exposed for tests. *)
+
 type merge_strategy = Matched | Naive_star
 (** Ablation knob: [Matched] is Lemma 4.1's matching-based merge;
     [Naive_star] skips the matching and merges every small cluster straight

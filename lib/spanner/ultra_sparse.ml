@@ -35,10 +35,12 @@ let run ?(sparse = default_sparse) ~t g =
       Rounds.charge ~label:"ultra:quotient-spanner" rounds
         (Spanner.total_rounds qspanner * ((2 * radius) + 1));
       let keep = Array.make (Graph.m g) false in
-      List.iter (fun eid -> keep.(eid) <- true) (Partition.tree_edges part);
-      List.iter
-        (fun eid -> keep.(eid) <- true)
-        (Contraction.pull_back contraction (Spanner.eids qspanner));
+      Array.iter (fun eid -> if eid >= 0 then keep.(eid) <- true)
+        part.Partition.parent_eid;
+      let repr = contraction.Contraction.repr_eid in
+      Array.iteri
+        (fun qid kept -> if kept then keep.(repr.(qid)) <- true)
+        qspanner.Spanner.keep;
       let spanner = { Spanner.keep; rounds } in
       {
         spanner;

@@ -76,9 +76,14 @@ val timer_set :
 (** Absolute overwrite — for exporting externally-aggregated phase data
     (e.g. [Profile]) idempotently. *)
 
+val gc_words : unit -> float * float * float
+(** [(minor, promoted, major)] words this domain has allocated so far,
+    exact at any instant: minor words from [Gc.minor_words], promoted and
+    major words (which include the promoted ones) from [Gc.counters]. *)
+
 val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, accumulating wall-clock seconds and [Gc.quick_stat]
-    word deltas.  On a dead handle this is exactly the thunk. *)
+(** Run the thunk, accumulating wall-clock seconds and {!gc_words}
+    deltas.  On a dead handle this is exactly the thunk. *)
 
 val value : counter -> int
 val gauge_value : gauge -> int

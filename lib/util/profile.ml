@@ -73,7 +73,7 @@ let record t label dt =
 let time t label f =
   let path = path_of t label in
   let e = entry t path in
-  let g0 = Gc.quick_stat () in
+  let mi0, pr0, ma0 = Metrics.gc_words () in
   let t0 = Unix.gettimeofday () in
   t.stack <- path :: t.stack;
   Fun.protect
@@ -82,13 +82,12 @@ let time t label f =
       | p :: rest when p == path -> t.stack <- rest
       | _ -> () (* unbalanced exit via exception already popped us *));
       let dt = Unix.gettimeofday () -. t0 in
-      let g1 = Gc.quick_stat () in
+      let mi1, pr1, ma1 = Metrics.gc_words () in
       e.seconds <- e.seconds +. dt;
       e.calls <- e.calls + 1;
-      e.minor_words <- e.minor_words +. (g1.Gc.minor_words -. g0.Gc.minor_words);
-      e.major_words <- e.major_words +. (g1.Gc.major_words -. g0.Gc.major_words);
-      e.promoted_words <-
-        e.promoted_words +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
+      e.minor_words <- e.minor_words +. (mi1 -. mi0);
+      e.major_words <- e.major_words +. (ma1 -. ma0);
+      e.promoted_words <- e.promoted_words +. (pr1 -. pr0);
       add_span t path (t0 -. t.epoch) dt)
     f
 

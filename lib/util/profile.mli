@@ -1,7 +1,7 @@
 (** Wall-clock phase timers for the bench harness and the CLI.
 
-    A [Profile.t] accumulates elapsed wall-clock seconds (and GC
-    [quick_stat] word deltas) under named phases.  Wrap each phase in
+    A [Profile.t] accumulates elapsed wall-clock seconds (and GC word
+    deltas, read with {!Metrics.gc_words}) under named phases.  Wrap each phase in
     {!time} (or feed durations measured elsewhere to {!record}) and print
     the ledger with {!pp}.  Phases keep first-use order; re-entering a
     label accumulates into it.

@@ -34,6 +34,25 @@ let k_connected_graph ?(n = 60) ~k seed =
   in
   Graph.of_edges ~n (base @ !extra)
 
+(* Words allocated by [f ()]: minor words, and the major words split into
+   direct major allocations (blocks too large for the minor heap) and
+   promotions.  [total_words] counts each allocated word once.  Every
+   allocation gate of the suite reads its words here. *)
+type words = { minor : float; direct_major : float; promoted : float }
+
+let alloc_words f =
+  let mi0, pr0, ma0 = Metrics.gc_words () in
+  let r = f () in
+  let mi1, pr1, ma1 = Metrics.gc_words () in
+  let promoted = pr1 -. pr0 in
+  (r, { minor = mi1 -. mi0; direct_major = ma1 -. ma0 -. promoted; promoted })
+
+let total_words w = w.minor +. w.direct_major
+
+let check_words what ~ceiling words =
+  if words > ceiling then
+    Alcotest.failf "%s: %.0f words, ceiling %.0f" what words ceiling
+
 let check_ok name = function
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: %s" name e

@@ -297,12 +297,8 @@ let minor_words_gate () =
   in
   let run () = ignore (Bs_distributed.run ~jobs:1 ~seed:1 ~k:4 g) in
   run ();
-  let before = Gc.minor_words () in
-  run ();
-  let words = Gc.minor_words () -. before in
-  if words > minor_words_bound then
-    Alcotest.failf "one run allocated %.0f minor words, bound %.0f" words
-      minor_words_bound
+  let (), w = alloc_words run in
+  check_words "one run, minor" ~ceiling:minor_words_bound w.minor
 
 let suite =
   [

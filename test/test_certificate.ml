@@ -218,6 +218,29 @@ let non_connected_graph_certificates () =
       ("Pack", (Spanner_packing.run ~k:2 ~epsilon:0.5 g).Spanner_packing.certificate);
     ]
 
+(* Allocation gate for Thm G.1's packing, independent of core count and
+   timing: Spanner_packing.run ~k:2 ~epsilon:0.25 on a degree-bounded
+   graph, n = 400, degree 8 (m = 2751).  With the hash-table contraction,
+   the tuple-keyed partition and the tuple adjacency rows one call
+   allocated 519k minor words and 227k major words (121k direct, 106k
+   promoted); on flat arrays and per-domain scratch it allocates 75k
+   minor and 70k major words (67k direct, 3k promoted).  Each ceiling
+   sits between the two, well clear of both, so only a return to
+   per-edge boxing or per-call temporaries trips it.  The warm-up call
+   grows the per-domain scratch first. *)
+let packing_alloc_gate () =
+  let g =
+    Generators.Streamed.graph
+      (Generators.Streamed.degree_bounded ~seed:1 ~n:400 ~degree:8)
+  in
+  let run () = Spanner_packing.run ~k:2 ~epsilon:0.25 g in
+  ignore (run ());
+  Gc.minor ();
+  let _, w = alloc_words run in
+  check_words "Spanner_packing.run minor" ~ceiling:200_000. w.minor;
+  check_words "Spanner_packing.run major" ~ceiling:130_000.
+    (w.direct_major +. w.promoted)
+
 let suite =
   [
     case "certificate: basics" certificate_basics;
@@ -241,4 +264,5 @@ let suite =
     karger_size_reasonable;
     case "cross: all certify hararys" all_certify_hararys;
     case "cross: bridges preserved" non_connected_graph_certificates;
+    case "packing: words under the ceilings" packing_alloc_gate;
   ]

@@ -340,15 +340,10 @@ let alloc_per_batch_bounded () =
   let s = Update_stream.generate ~rng:(Rng.create 6) ~batches:8 ~ops:16 g in
   List.iter
     (fun b ->
-      Gc.minor ();
-      let mi0, pr0, ma0 = Gc.counters () in
-      let o = Repair.apply_batch eng b in
-      Gc.minor ();
-      let mi1, pr1, ma1 = Gc.counters () in
-      let words = mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0) in
-      Alcotest.(check bool)
-        (Printf.sprintf "batch %d: %.0f words <= 100000" o.Repair.batch words)
-        true (words <= 100_000.))
+      let o, w = alloc_words (fun () -> Repair.apply_batch eng b) in
+      check_words
+        (Printf.sprintf "batch %d" o.Repair.batch)
+        ~ceiling:100_000. (total_words w))
     s.Update_stream.batches
 
 (* A graph of girth > 2k is its own only (2k-1)-spanner: dropping any edge

@@ -801,3 +801,66 @@ let suite =
       case "streamed: bad input rejected" streamed_rejects_bad_input;
       case "streamed: families connected" streamed_connected;
     ]
+
+(* ---------- contraction against the hash-table oracle ---------- *)
+
+(* The hash-table contraction the radix version replaced: the best
+   (weight, base eid) per unordered cluster pair, sorted. *)
+let hashtbl_contraction ?(allow = fun _ -> true) g cluster_of count =
+  let best : (int * int, int * int) Hashtbl.t = Hashtbl.create 97 in
+  Graph.iter_edges g (fun e ->
+      let cu = cluster_of.(e.Graph.u) and cv = cluster_of.(e.Graph.v) in
+      if allow e.Graph.id && cu >= 0 && cv >= 0 && cu <> cv then begin
+        let key = if cu < cv then (cu, cv) else (cv, cu) in
+        match Hashtbl.find_opt best key with
+        | Some (w, eid) when (w, eid) <= (e.Graph.w, e.Graph.id) -> ()
+        | _ -> Hashtbl.replace best key (e.Graph.w, e.Graph.id)
+      end);
+  let sorted =
+    List.sort compare
+      (Hashtbl.fold (fun (cu, cv) (w, eid) acc -> (cu, cv, w, eid) :: acc) best [])
+  in
+  ( Graph.of_edges ~n:count (List.map (fun (u, v, w, _) -> (u, v, w)) sorted),
+    Array.of_list (List.map (fun (_, _, _, eid) -> eid) sorted) )
+
+(* Random assignments with dropped vertices (-1) and empty clusters (ids
+   up to twice the number used), an optional allow filter, and weights in
+   1..3 half of the time so that equal-weight pairs must fall to the
+   smallest edge id. *)
+let contraction_matches_hashtbl =
+  qcheck ~count:200 "contraction == hash-table oracle" seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let max_w = if seed mod 2 = 0 then 3 else 100 in
+      let g = graph_of_seed ~n_max:80 ~max_w seed in
+      let n = Graph.n g in
+      let count = 1 + Rng.int rng (max 1 (n / 2)) in
+      let used = 1 + Rng.int rng count in
+      let cluster_of =
+        Array.init n (fun _ ->
+            if Rng.int rng 8 = 0 then -1 else Rng.int rng used * (count / used))
+      in
+      let allow =
+        if seed mod 3 = 0 then None
+        else
+          let mask = Array.init (Graph.m g) (fun _ -> Rng.int rng 4 > 0) in
+          Some (fun eid -> mask.(eid))
+      in
+      let c = Contraction.of_cluster_of ?allow g cluster_of count in
+      let q, repr = hashtbl_contraction ?allow g cluster_of count in
+      c.Contraction.quotient = q && c.Contraction.repr_eid = repr)
+
+(* A mask that keeps every edge returns the graph itself. *)
+let sub_with_mapping_full_mask () =
+  let g = graph_of_seed 7 in
+  let g', map = Graph.sub_with_mapping g (Array.make (Graph.m g) true) in
+  Alcotest.(check bool) "same graph" true (g' == g);
+  Alcotest.(check bool) "identity map" true
+    (map = Array.init (Graph.m g) Fun.id)
+
+let suite =
+  suite
+  @ [
+      contraction_matches_hashtbl;
+      case "sub_with_mapping: full mask shares the graph"
+        sub_with_mapping_full_mask;
+    ]

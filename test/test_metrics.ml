@@ -88,17 +88,17 @@ let disabled_hot_path_allocates_nothing () =
   (* warm up so any one-time allocation is done *)
   Metrics.incr c;
   Metrics.observe h 1;
-  let before = Gc.minor_words () in
-  for i = 0 to 99_999 do
-    Metrics.incr c;
-    Metrics.add c i;
-    Metrics.set g i;
-    Metrics.set_max g i;
-    Metrics.observe h i
-  done;
-  let delta = Gc.minor_words () -. before in
-  if delta > 256.0 then
-    Alcotest.failf "no-op hot path allocated %.0f minor words" delta;
+  let (), w =
+    alloc_words (fun () ->
+        for i = 0 to 99_999 do
+          Metrics.incr c;
+          Metrics.add c i;
+          Metrics.set g i;
+          Metrics.set_max g i;
+          Metrics.observe h i
+        done)
+  in
+  check_words "no-op hot path, minor" ~ceiling:256.0 w.minor;
   Alcotest.(check int) "dead counter never counts" 0 (Metrics.value c)
 
 (* ---------- snapshots and artifacts ---------- *)
@@ -284,6 +284,40 @@ let profile_nested_scopes () =
         Alcotest.failf "not a complete event: %s" e)
     events
 
+(* A span that allocates 10,000 conses (30,000 words) and one
+   100,000-word array with no collection inside must report at least
+   those words, through Metrics.time and through Profile.time alike:
+   [Gc.quick_stat] read 0 minor words for such a span on OCaml 5.1. *)
+let span_words_without_collection () =
+  let build () =
+    let l = List.init 10_000 Fun.id and a = Array.make 100_000 0 in
+    ignore (Sys.opaque_identity (l, a))
+  in
+  let check_timer what = function
+    | None -> Alcotest.failf "%s: timer missing" what
+    | Some d ->
+        if d.Metrics.tminor_words < 30_000. then
+          Alcotest.failf "%s: %.0f minor words, want >= 30000" what
+            d.Metrics.tminor_words;
+        if d.Metrics.tmajor_words < 100_000. then
+          Alcotest.failf "%s: %.0f major words, want >= 100000" what
+            d.Metrics.tmajor_words
+  in
+  (* An emptied minor heap holds the conses without a collection. *)
+  let r = Metrics.create () in
+  let tm = Metrics.timer r "alloc" in
+  Gc.minor ();
+  Metrics.time tm build;
+  check_timer "Metrics.time"
+    (Metrics.find_timer (Metrics.snapshot r) "timing.alloc");
+  let p = Profile.create () in
+  Gc.minor ();
+  Profile.time p "alloc" build;
+  let r = Metrics.create () in
+  Profile.export p r;
+  check_timer "Profile.time"
+    (Metrics.find_timer (Metrics.snapshot r) "timing.profile.alloc")
+
 let suite =
   [
     case "registry semantics" registry_semantics;
@@ -303,4 +337,5 @@ let suite =
     case "arena counters match delivered payload words" arena_counters_recorded;
     case "profile: nested scopes, export, chrome events"
       profile_nested_scopes;
+    case "span GC words without a collection" span_words_without_collection;
   ]

@@ -240,13 +240,14 @@ let scratch_per_domain () =
   let keep = Array.make (Graph.m g) true in
   let o = Oracle.compile g ~k:1 { Spanner.keep; rounds = Rounds.create () } in
   let qs = Array.init 64 (fun i -> Query_engine.Mem (i, i + 1)) in
-  let before = Gc.allocated_bytes () in
-  for _ = 1 to 2 do
-    ignore (Query_engine.run ~jobs:1 o qs)
-  done;
-  let words = (Gc.allocated_bytes () -. before) /. 8. in
-  if words > float_of_int (16 * n) then
-    Alcotest.failf "two 64-query batches allocated %.0f words (n = %d)" words n
+  let (), w =
+    alloc_words (fun () ->
+        for _ = 1 to 2 do
+          ignore (Query_engine.run ~jobs:1 o qs)
+        done)
+  in
+  check_words "two 64-query batches" ~ceiling:(float_of_int (16 * n))
+    (total_words w)
 
 (* One domain serves oracles of different sizes in turn: the shared scratch
    grows to the larger one and the answers stay exact at every job count. *)

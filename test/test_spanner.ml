@@ -726,6 +726,16 @@ let walk_sampling ~state ~adj ~q ~kappa ~n5 ~xi ~tau =
   done;
   Array.map (fun x -> x >= 1.0) qeff
 
+(* The adjacency rows as per-vertex (w, eid, cluster) arrays. *)
+let tuple_rows (adj : Bs_core.adjacency) n =
+  Array.init n (fun v ->
+      let lo = adj.Bs_core.off.(v) in
+      Array.init
+        (adj.Bs_core.off.(v + 1) - lo)
+        (fun i ->
+          (adj.Bs_core.w.(lo + i), adj.Bs_core.eid.(lo + i),
+           adj.Bs_core.cluster.(lo + i))))
+
 let walk_derand_mask ~k g =
   let lng x = Float.max 1.0 (log (float_of_int x)) in
   let state = Bs_core.create g in
@@ -742,7 +752,8 @@ let walk_derand_mask ~k g =
         8.0 *. lng iters /. (float_of_int iters *. (p ** float_of_int (i + 1)))
       in
       let sampled =
-        walk_sampling ~state ~adj ~q:(p /. 4.0) ~kappa ~n5 ~xi ~tau
+        walk_sampling ~state ~adj:(tuple_rows adj (Graph.n g)) ~q:(p /. 4.0)
+          ~kappa ~n5 ~xi ~tau
       in
       ignore (Bs_core.iteration ~adjacency:adj state ~sampled)
     done
@@ -863,32 +874,73 @@ let construction_output_pin () =
           let o = Spanner_packing.run ~k ~epsilon g in
           let c = o.Spanner_packing.certificate in
           add_keep c.Certificate.keep;
-          add_ints (Rounds.total c.Certificate.rounds :: o.Spanner_packing.layers))
+          add_ints
+            (Rounds.total c.Certificate.rounds :: o.Spanner_packing.layers))
         [ (2, 0.25); (3, 0.25); (2, 0.125); (3, 0.5) ])
     (g :: inputs);
   Alcotest.(check string)
     "digest" "741914e3a649780c3f1c27de8fff022e"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The stretch-friendly minimum boundary edge against the boxed-tuple
+   rule it replaced: the smallest (w, id) pair by polymorphic compare.
+   Weights in 1..3 half of the time make ties the common case. *)
+let sf_min_edge_matches_tuple_rule =
+  qcheck ~count:200 "sf min boundary edge == (w, id) tuple min" seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let max_w = if seed mod 2 = 0 then 3 else 100 in
+      let g = graph_of_seed ~n_max:80 ~max_w seed in
+      let nc = 1 + Rng.int rng (Graph.n g) in
+      let cluster_of = Array.init (Graph.n g) (fun _ -> Rng.int rng nc) in
+      let best = Array.make nc (max_int, max_int) in
+      Graph.iter_edges g (fun e ->
+          let cu = cluster_of.(e.Graph.u) and cv = cluster_of.(e.Graph.v) in
+          if cu <> cv then begin
+            let key = (e.Graph.w, e.Graph.id) in
+            if key < best.(cu) then best.(cu) <- key;
+            if key < best.(cv) then best.(cv) <- key
+          end);
+      Stretch_friendly.min_boundary_edges g cluster_of nc
+      = Array.map (fun (_, id) -> if id = max_int then -1 else id) best)
+
+(* Tight instance: the greedy (2k-1)-spanner of a seeded G(n,p) has girth
+   above 2k.  Then a vertex meets a cluster of radius < k through at most
+   one edge, and no edge joins two vertices of one cluster except its
+   tree edge, so Bs_derand.run ~k can drop nothing, with unit weights or
+   with weights. *)
+let derand_keeps_girth_tight_graphs =
+  qcheck ~count:10 "Bs_derand keeps every edge when girth > 2k" seed_gen
+    (fun seed ->
+      List.for_all
+        (fun (k, g0) ->
+          let g = Graph.sub_by_eids g0 (Greedy.run ~k g0).Spanner.keep in
+          Greedy.girth_exceeds g (Array.make (Graph.m g) true) (2 * k)
+          && Array.for_all Fun.id
+               (Bs_derand.run ~k g).Bs_derand.spanner.Spanner.keep)
+        [
+          (2, unit_graph_of_seed ~n_max:80 seed);
+          (3, unit_graph_of_seed ~n_max:80 seed);
+          (2, graph_of_seed ~n_max:80 seed);
+          (3, graph_of_seed ~n_max:80 seed);
+        ])
+
 (* Deterministic work gate, independent of core count and timing:
    minor-heap words of one Bs_derand.run ~k:3 on a dense seeded G(n,p)
    (n = 256, average degree 64).  The entry-walk evaluator allocated
    ~6.2 M words here (boxed float refs, closures, two sorts per cluster);
-   the incremental one with the monomorphic adjacency sort ~0.22 M.  The
-   ceiling sits well between, so only a return to per-entry allocation
-   trips it. *)
+   the incremental one with the monomorphic adjacency sort ~0.22 M, and
+   with the adjacency rows in flat scratch arrays ~32k.  The ceiling sits
+   well below the walk, so a return to per-entry allocation trips it. *)
 let derand_minor_words_ceiling = 1.5e6
 
 let derand_work_gate () =
   let g =
     Generators.connected_gnp ~rng:(Rng.create 7) ~n:256 ~avg_degree:64.0
   in
-  let w0 = Gc.minor_words () in
-  ignore (Bs_derand.run ~k:3 g);
-  let words = Gc.minor_words () -. w0 in
-  if words > derand_minor_words_ceiling then
-    Alcotest.failf "Bs_derand.run allocated %.0f minor words (ceiling %.0f)"
-      words derand_minor_words_ceiling
+  let _, w = alloc_words (fun () -> Bs_derand.run ~k:3 g) in
+  check_words "Bs_derand.run minor" ~ceiling:derand_minor_words_ceiling
+    w.minor
 
 let suite =
   suite
@@ -896,5 +948,7 @@ let suite =
       derand_closed_form_matches_walk;
       case "Bs_derand outputs match the pinned digest" derand_output_pin;
       case "ultra-sparse/packing outputs pinned" construction_output_pin;
+      sf_min_edge_matches_tuple_rule;
+      derand_keeps_girth_tight_graphs;
       case "Bs_derand minor words under the work ceiling" derand_work_gate;
     ]
