@@ -32,9 +32,9 @@ let domain_scratch ~m ~count =
   end;
   s
 
-(* Turn bucket counts stored at [c + 1] into start cursors at [c]. *)
+(* Turn bucket counts stored at [c + 1] (a.(0) = 0) into start cursors
+   at [c]. *)
 let cursors a count =
-  a.(0) <- 0;
   for c = 1 to count do
     a.(c) <- a.(c) + a.(c - 1)
   done
