@@ -304,7 +304,9 @@ case "${1:-}" in
     exit 0
     ;;
   --help | -h)
-    sed -n '2,52p' "$0" | sed 's/^# \{0,1\}//'
+    # The header comment: every line from the second up to the first
+    # that is not a comment.
+    sed -n '2,$ { /^#/!q; s/^# \{0,1\}//; p; }' "$0"
     exit 0
     ;;
 esac

@@ -11,25 +11,9 @@ type outcome = {
 
 let none_pair = (max_int, max_int)
 
-(* Re-root one cluster tree at [new_root] (identical to the centralized
-   implementation). *)
-let reroot parent parent_eid new_root =
-  let rec go v prev prev_eid =
-    let next = parent.(v) in
-    let next_eid = parent_eid.(v) in
-    parent.(v) <- prev;
-    parent_eid.(v) <- prev_eid;
-    if next <> -1 then go next v next_eid
-  in
-  go new_root (-1) (-1)
-
 let partition ~t g =
-  if t < 1 then invalid_arg "Sf_distributed.partition: t >= 1";
   let n = Graph.n g in
-  let cluster_of = Array.init n (fun v -> v) in
-  let parent = Array.make n (-1) in
-  let parent_eid = Array.make n (-1) in
-  let roots = ref (Array.init n (fun v -> v)) in
+  let st = Stretch_friendly.start ~strategy:Stretch_friendly.Matched g in
   let real_rounds = ref 0 in
   let messages = ref 0 in
   let waves = ref 0 in
@@ -38,15 +22,11 @@ let partition ~t g =
     messages := !messages + stats.Network.messages;
     incr waves
   in
-  let iterations =
-    if t = 1 then 0 else int_of_float (ceil (Float.log2 (float_of_int t)))
-  in
-  for i = 1 to iterations do
-    let nc = Array.length !roots in
-    let part =
-      { Cp.cluster_of = Array.copy cluster_of; parent = Array.copy parent;
-        roots = Array.copy !roots }
-    in
+  for _ = 1 to Stretch_friendly.iterations t do
+    let p, _ = Stretch_friendly.result st in
+    let cluster_of = p.Partition.cluster_of in
+    let nc = Partition.count p in
+    let part = Cp.of_partition p in
     (* (1) sizes: one convergecast wave. *)
     let size, s = Cp.sum_to_roots g part ~values:(Array.make n 1) in
     tally s;
@@ -56,33 +36,12 @@ let partition ~t g =
     let out_eid =
       Array.map (function Some (_, eid) -> eid | None -> -1) min_edges
     in
-    (* successor ids: the out-edge endpoint reads its neighbour's cluster
-       from the wave hello and convergecasts it. *)
-    let succ_pairs, s =
-      Cp.reduce_to_roots g part ~annotation:(Array.make n 0)
-        ~local:(fun g me ~nbrs ->
-          let best = ref none_pair in
-          Graph.iter_adj g me (fun u eid ->
-              if eid = out_eid.(cluster_of.(me)) then
-                List.iter
-                  (fun (s, c, _) ->
-                    if s = u && c <> cluster_of.(me) then best := min !best (c, 0))
-                  nbrs);
-          !best)
-        ~merge:min ~identity:none_pair
-    in
-    tally s;
-    let succ =
-      Array.map (fun (c, _) -> if c = max_int then -1 else c) succ_pairs
-    in
-    (* Fetch, over the network, a per-cluster value of the successor:
-       broadcast the value to members, then the out-edge endpoint reads the
-       neighbour's annotation and convergecasts it. *)
-    let fetch_succ values =
-      let vertex_val, s1 = Cp.broadcast_from_roots g part ~values in
-      tally s1;
-      let got, s2 =
-        Cp.reduce_to_roots g part ~annotation:vertex_val
+    (* One relay wave: the out-edge endpoint of each cluster reads
+       [pick cluster annotation] of its neighbour from the wave hello and
+       convergecasts it; -1 for clusters without an out-edge. *)
+    let read_across ~annotation pick =
+      let got, s =
+        Cp.reduce_to_roots g part ~annotation
           ~local:(fun g me ~nbrs ->
             let best = ref none_pair in
             Graph.iter_adj g me (fun u eid ->
@@ -90,22 +49,33 @@ let partition ~t g =
                   List.iter
                     (fun (s, c, a) ->
                       if s = u && c <> cluster_of.(me) then
-                        best := min !best (a, 0))
+                        best := min !best (pick c a, 0))
                     nbrs);
             !best)
           ~merge:min ~identity:none_pair
       in
-      tally s2;
-      Array.map (fun (a, _) -> if a = max_int then -1 else a) got
+      tally s;
+      Array.map (fun (x, _) -> if x = max_int then -1 else x) got
+    in
+    (* successor ids: the neighbour's cluster. *)
+    let succ = read_across ~annotation:(Array.make n 0) (fun c _ -> c) in
+    (* Fetch a per-cluster value of the successor: broadcast the value to
+       members, then read it across. *)
+    let fetch_succ values =
+      let vertex_val, s = Cp.broadcast_from_roots g part ~values in
+      tally s;
+      read_across ~annotation:vertex_val (fun _ a -> a)
     in
     (* (3) 3-colouring: Cole–Vishkin at cluster level, one colour broadcast
        + one successor fetch per step. *)
     let forest_parent = Coloring.Steps.to_forest ~n:nc ~succ in
     let colors = ref (Array.init nc (fun c -> c)) in
+    let cv_steps = ref 0 in
     let max_color () = Array.fold_left max 0 !colors in
     while max_color () >= 6 do
       ignore (fetch_succ !colors);
-      colors := Coloring.Steps.cv_step ~parent:forest_parent !colors
+      colors := Coloring.Steps.cv_step ~parent:forest_parent !colors;
+      incr cv_steps
     done;
     List.iter
       (fun c ->
@@ -117,8 +87,7 @@ let partition ~t g =
             ~shifted c)
       [ 5; 4; 3 ];
     let colors = !colors in
-    let threshold = 1 lsl i in
-    let small c = size.(c) < threshold && succ.(c) >= 0 in
+    let small = Stretch_friendly.small st ~size ~succ in
     (* (4) maximal matching by colour sweeps; proposals and acceptances
        travel as relay waves. *)
     let mate = Array.make nc (-1) in
@@ -163,79 +132,20 @@ let partition ~t g =
       done;
       (* acceptance relay back to the proposers (information already
          derived above; executed for round fidelity). *)
-      let chosen =
-        Array.init nc (fun d -> if mate.(d) >= 0 then mate.(d) else -1)
-      in
-      ignore (fetch_succ chosen)
+      ignore (fetch_succ mate)
     done;
-    (* (5) merge — identical rules and tie-breaking to the centralized
-       implementation. *)
-    let new_of = Array.make nc (-1) in
-    let merge_src = Array.make nc false in
-    let new_roots = ref [] in
-    let n_new = ref 0 in
-    let fresh root =
-      let id = !n_new in
-      incr n_new;
-      new_roots := root :: !new_roots;
-      id
-    in
-    for c = 0 to nc - 1 do
-      if not (small c) then new_of.(c) <- fresh !roots.(c)
-    done;
-    for c = 0 to nc - 1 do
-      if small c && mate.(c) >= 0 && succ.(c) = mate.(c) && new_of.(c) = -1
-         && new_of.(mate.(c)) = -1
-      then begin
-        let d = mate.(c) in
-        let id = fresh !roots.(d) in
-        new_of.(c) <- id;
-        new_of.(d) <- id;
-        merge_src.(c) <- true
-      end
-    done;
-    let rec resolve c =
-      if new_of.(c) >= 0 then new_of.(c)
-      else begin
-        merge_src.(c) <- true;
-        assert (new_of.(succ.(c)) >= 0);
-        let id = resolve succ.(c) in
-        new_of.(c) <- id;
-        id
-      end
-    in
-    for c = 0 to nc - 1 do
-      if new_of.(c) = -1 then ignore (resolve c)
-    done;
-    for c = 0 to nc - 1 do
-      if merge_src.(c) then begin
-        let eid = out_eid.(c) in
-        let u, v = Graph.endpoints g eid in
-        let mine, theirs = if cluster_of.(u) = c then (u, v) else (v, u) in
-        reroot parent parent_eid mine;
-        parent.(mine) <- theirs;
-        parent_eid.(mine) <- eid
-      end
-    done;
-    for v = 0 to n - 1 do
-      cluster_of.(v) <- new_of.(cluster_of.(v))
-    done;
-    roots := Array.of_list (List.rev !new_roots);
+    (* (5) the shared merge. *)
+    Stretch_friendly.merge st ~size ~out_eid ~succ ~mate
+      ~cv_iterations:!cv_steps;
     (* commit wave: new cluster ids reach every member over the merged
        trees. *)
-    let part' =
-      { Cp.cluster_of = Array.copy cluster_of; parent = Array.copy parent;
-        roots = Array.copy !roots }
-    in
+    let p, _ = Stretch_friendly.result st in
     let ids, s =
-      Cp.broadcast_from_roots g part'
-        ~values:(Array.init (Array.length !roots) Fun.id)
+      Cp.broadcast_from_roots g (Cp.of_partition p)
+        ~values:(Array.init (Partition.count p) Fun.id)
     in
     tally s;
-    Array.iteri (fun v id -> assert (id = cluster_of.(v))) ids
+    Array.iteri (fun v id -> assert (id = p.Partition.cluster_of.(v))) ids
   done;
-  let p =
-    { Partition.g; cluster_of; parent; parent_eid; roots = !roots }
-  in
-  { partition = p; real_rounds = !real_rounds; messages = !messages;
-    waves = !waves }
+  { partition = fst (Stretch_friendly.result st); real_rounds = !real_rounds;
+    messages = !messages; waves = !waves }

@@ -18,10 +18,10 @@ open! Import
     - the merge commit: a broadcast of the new cluster ids over the merged
       trees.
 
-    Between waves the driver applies the same pure per-cluster step
-    functions as the centralized implementation ({!Coloring.Steps}, the
-    Lemma 4.1 merge rules), standing in for root-local computation on the
-    wave-delivered values.  The output partition is identical to
+    Between waves the driver applies {!Coloring.Steps} and then the
+    centralized implementation's step (5) itself, {!Stretch_friendly.merge},
+    on a {!Stretch_friendly.state}, standing in for root-local computation
+    on the wave-delivered values.  The output partition is identical to
     {!Stretch_friendly.partition} (same deterministic tie-breaking), which
     the tests check, and the measured total stays O(t log* n) rounds. *)
 

@@ -7,16 +7,18 @@ open! Import
     pointer graph has only 2-cycles), the pointer graph is 3-coloured in
     O(log* n) rounds (Cole–Vishkin), small clusters are maximally matched
     along pointer edges by colour sweeps, and clusters merge along their
-    pointers.  The output is a stretch-friendly partition whose clusters
-    have size >= t (hence at most n/t clusters), radius < 3t, in
-    O(t log* n) simulated rounds.
+    pointers.  Iteration i merges the clusters smaller than 2^i, so the
+    output is a stretch-friendly partition whose clusters have size >= t
+    (hence at most n/t clusters) and radius < 3·2^ceil(log2 t) — below 3t
+    when t is a power of two and below 6t in general — in O(t log* n)
+    simulated rounds.
 
     Exception: a cluster that swallows a whole connected component smaller
     than t has no boundary edge and stops growing; such clusters are exempt
     from the size bound (only relevant on disconnected inputs). *)
 
 type info = {
-  iterations : int;  (** merging iterations = ceil(log2 t) *)
+  iterations : int;  (** merging iterations run: {!iterations} t *)
   cv_iterations : int;  (** total Cole–Vishkin colour-reduction steps *)
   rounds : Rounds.t;
 }
@@ -53,3 +55,41 @@ type merge_strategy = Matched | Naive_star
 
 val partition_with_strategy :
   strategy:merge_strategy -> t:int -> Graph.t -> Partition.t * info
+
+val iterations : int -> int
+(** ceil(log2 t), the merging iterations of a [~t] partition.  Requires
+    [t >= 1]. *)
+
+(** {2 The resumable iteration}
+
+    Iteration i depends only on i and the partition before it, so
+    [partition ~t:(2t)] is [partition ~t] advanced once more. *)
+
+type state
+
+val start : strategy:merge_strategy -> Graph.t -> state
+(** Singleton clusters, no iteration run yet. *)
+
+val advance : state -> unit
+(** One merging iteration, steps (1)–(4) computed centrally. *)
+
+val result : state -> Partition.t * info
+(** Later iterations leave the returned values unchanged. *)
+
+val small : state -> size:int array -> succ:int array -> int -> bool
+(** Cluster [c] may merge in the iteration under way: [size.(c) < 2^i]
+    and [succ.(c) >= 0]. *)
+
+val merge :
+  state ->
+  size:int array ->
+  out_eid:int array ->
+  succ:int array ->
+  mate:int array ->
+  cv_iterations:int ->
+  unit
+(** Step (5), the merge rules of Lemma 4.1, given steps (1)–(4) per
+    cluster: size, minimum boundary edge, pointer target and matching
+    partner ([-1] for none).  Commits the iteration and charges its rounds
+    with [cv_iterations] Cole–Vishkin steps.  {!Sf_distributed} gathers
+    the inputs with waves. *)

@@ -18,14 +18,20 @@ let run ?(sparse = default_sparse) ~t g =
   if t < 1 then invalid_arg "Ultra_sparse.run: t >= 1";
   let n = Graph.n g in
   let budget = n / t in
+  let st = Stretch_friendly.start ~strategy:Stretch_friendly.Matched g in
+  for _ = 1 to Stretch_friendly.iterations t do
+    Stretch_friendly.advance st
+  done;
   let rec attempt t_inner tries =
-    let part, info = Stretch_friendly.partition ~t:t_inner g in
+    let part, info = Stretch_friendly.result st in
     let contraction = Contraction.make g part in
     let quotient = contraction.Contraction.quotient in
     let qspanner = sparse quotient in
     let extra = Spanner.size qspanner in
-    if extra > budget && Graph.n quotient > 1 && tries < 30 then
+    if extra > budget && Graph.n quotient > 1 && tries < 30 then begin
+      Stretch_friendly.advance st;
       attempt (2 * t_inner) (tries + 1)
+    end
     else begin
       let rounds = Rounds.create () in
       Rounds.merge_into rounds info.Stretch_friendly.rounds;

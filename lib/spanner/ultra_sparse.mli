@@ -13,7 +13,9 @@ open! Import
     Because the sparse algorithm's constant s(n) is not known a priori, t'
     starts at t and doubles until (extra) <= n/t — the same "multiply t by
     a large enough constant" step as the paper's proof of Theorem 1.2, done
-    adaptively.  The result therefore always satisfies
+    adaptively.  Doubling t' adds one merging iteration, so a retry
+    advances the same {!Stretch_friendly.state} once instead of rebuilding
+    the partition.  The result therefore always satisfies
     |E(H)| <= n + n/t. *)
 
 type outcome = {

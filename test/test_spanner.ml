@@ -232,9 +232,6 @@ let sf_all_invariants =
       (* keep t below n/2 so no component is smaller than t (the exempt
          case, tested separately) *)
       let t = max 1 (min (1 + Rng.int rng 16) (Graph.n g / 2)) in
-      let iterations =
-        if t = 1 then 0 else int_of_float (ceil (Float.log2 (float_of_int t)))
-      in
       let p, _ = Stretch_friendly.partition ~t g in
       Partition.validate p = Ok ()
       && Partition.is_partition p
@@ -242,7 +239,7 @@ let sf_all_invariants =
       && Array.for_all (fun s -> s >= t) (Partition.sizes p)
       (* radius < 3·2^ceil(log2 t), i.e. < 6t in general and < 3t at
          powers of two — the paper's Lemma 4.1 bound *)
-      && Partition.max_radius p < 3 * (1 lsl iterations)
+      && Partition.max_radius p < 3 * (1 lsl Stretch_friendly.iterations t)
       && Stretch_friendly.is_stretch_friendly g p)
 
 let sf_unweighted =
@@ -299,6 +296,44 @@ let sf_naive_star_valid =
       Partition.validate p = Ok ()
       && Stretch_friendly.is_stretch_friendly g p
       && Array.for_all (fun s -> s >= t) (Partition.sizes p))
+
+let sf_iterations () =
+  List.iter
+    (fun (t, want) ->
+      Alcotest.(check int) (Printf.sprintf "t = %d" t) want
+        (Stretch_friendly.iterations t))
+    [
+      (1, 0); (2, 1); (3, 2); (4, 2); (5, 3); (8, 3); (9, 4); (16, 4);
+      (17, 5); ((1 lsl 40) + 1, 41); (max_int, 62);
+    ]
+
+(* Iteration i depends only on i and the partition before it, so a ~t
+   state advanced once more is the fresh ~t:(2t) partition, and the ~t
+   partition handed out before that advance still equals a fresh ~t one. *)
+let sf_resume_matches_fresh =
+  qcheck ~count:40 "Lemma 4.1: ~t advanced once = fresh ~t:(2t)" seed_gen
+    (fun seed ->
+      let g = graph_of_seed ~n_max:120 seed in
+      let t = 1 + Rng.int (Rng.create seed) 16 in
+      let key ((p : Partition.t), (i : Stretch_friendly.info)) =
+        ( (p.Partition.cluster_of, p.Partition.parent, p.Partition.parent_eid),
+          p.Partition.roots,
+          ( i.Stretch_friendly.iterations,
+            i.Stretch_friendly.cv_iterations,
+            Rounds.total i.Stretch_friendly.rounds ) )
+      in
+      List.for_all
+        (fun strategy ->
+          let st = Stretch_friendly.start ~strategy g in
+          for _ = 1 to Stretch_friendly.iterations t do
+            Stretch_friendly.advance st
+          done;
+          let handed_out = Stretch_friendly.result st in
+          Stretch_friendly.advance st;
+          let fresh t = Stretch_friendly.partition_with_strategy ~strategy ~t g in
+          key (Stretch_friendly.result st) = key (fresh (2 * t))
+          && key handed_out = key (fresh t))
+        [ Stretch_friendly.Matched; Stretch_friendly.Naive_star ])
 
 (* ---------- linear-size spanner (Theorem 1.5) ---------- *)
 
@@ -574,6 +609,8 @@ let suite =
     case "sf: structured graphs" sf_structured;
     case "sf: exempt small components" sf_exempt_small_components;
     sf_naive_star_valid;
+    case "sf: iterations = ceil log2 t" sf_iterations;
+    sf_resume_matches_fresh;
     case "linear: reproducible" linear_size_deterministic_repro;
     linear_size_valid;
     linear_size_unweighted_valid;
@@ -907,23 +944,41 @@ let sf_min_edge_matches_tuple_rule =
 (* Tight instance: the greedy (2k-1)-spanner of a seeded G(n,p) has girth
    above 2k.  Then a vertex meets a cluster of radius < k through at most
    one edge, and no edge joins two vertices of one cluster except its
-   tree edge, so Bs_derand.run ~k can drop nothing, with unit weights or
-   with weights. *)
-let derand_keeps_girth_tight_graphs =
-  qcheck ~count:10 "Bs_derand keeps every edge when girth > 2k" seed_gen
+   tree edge, so a Baswana–Sen spanner with parameter k can drop nothing,
+   with unit weights or with weights.  [spanners ~seed ~k g] runs one
+   implementation, once or with several seeds. *)
+let keeps_girth_tight_graphs name spanners =
+  qcheck ~count:10 (name ^ " keeps every edge when girth > 2k") seed_gen
     (fun seed ->
       List.for_all
         (fun (k, g0) ->
           let g = Graph.sub_by_eids g0 (Greedy.run ~k g0).Spanner.keep in
           Greedy.girth_exceeds g (Array.make (Graph.m g) true) (2 * k)
-          && Array.for_all Fun.id
-               (Bs_derand.run ~k g).Bs_derand.spanner.Spanner.keep)
+          && List.for_all
+               (fun (sp : Spanner.t) -> Array.for_all Fun.id sp.Spanner.keep)
+               (spanners ~seed ~k g))
         [
           (2, unit_graph_of_seed ~n_max:80 seed);
           (3, unit_graph_of_seed ~n_max:80 seed);
           (2, graph_of_seed ~n_max:80 seed);
           (3, graph_of_seed ~n_max:80 seed);
         ])
+
+let derand_keeps_girth_tight_graphs =
+  keeps_girth_tight_graphs "Bs_derand" (fun ~seed:_ ~k g ->
+      [ (Bs_derand.run ~k g).Bs_derand.spanner ])
+
+let bs_keeps_girth_tight_graphs =
+  keeps_girth_tight_graphs "Baswana_sen" (fun ~seed ~k g ->
+      List.map
+        (fun s ->
+          (Baswana_sen.run ~rng:(Rng.create ((4 * seed) + s)) ~k g)
+            .Baswana_sen.spanner)
+        [ 0; 1; 2; 3 ])
+
+let bsd_keeps_girth_tight_graphs =
+  keeps_girth_tight_graphs "Bs_distributed" (fun ~seed ~k g ->
+      [ (Bs_distributed.run ~seed ~k g).Bs_distributed.spanner ])
 
 (* Deterministic work gate, independent of core count and timing:
    minor-heap words of one Bs_derand.run ~k:3 on a dense seeded G(n,p)
@@ -942,6 +997,32 @@ let derand_work_gate () =
   check_words "Bs_derand.run minor" ~ceiling:derand_minor_words_ceiling
     w.minor
 
+(* Allocation gate for Ultra_sparse's retry, independent of core count and
+   timing: the retrying second packing layer of the construction pin
+   (Ultra_sparse.run ~t:8 on degree-bounded n = 400, seed 24, minus its
+   first layer; two attempts).  Rebuilding the partition from singletons
+   on the retry allocated 36.2k minor and 13.5k major words; advancing the
+   kept partition by one more iteration allocates 26.7k minor and 12.3k
+   major words.  The minor ceiling sits between the two, so a return to
+   restarting the partition trips it; the major words moved by less than
+   10% and are not gated.  The warm-up call grows the per-domain
+   scratch. *)
+let ultra_retry_alloc_gate () =
+  let g =
+    Generators.Streamed.graph
+      (Generators.Streamed.degree_bounded ~seed:24 ~n:400 ~degree:8)
+  in
+  let first = Ultra_sparse.run ~t:8 g in
+  let rest =
+    Graph.sub_by_eids g (Array.map not first.Ultra_sparse.spanner.Spanner.keep)
+  in
+  let run () = Ultra_sparse.run ~t:8 rest in
+  ignore (run ());
+  Gc.minor ();
+  let o, w = alloc_words run in
+  Alcotest.(check bool) "retries" true (o.Ultra_sparse.attempts >= 2);
+  check_words "Ultra_sparse.run retry, minor" ~ceiling:31_000. w.minor
+
 let suite =
   suite
   @ [
@@ -950,5 +1031,9 @@ let suite =
       case "ultra-sparse/packing outputs pinned" construction_output_pin;
       sf_min_edge_matches_tuple_rule;
       derand_keeps_girth_tight_graphs;
+      bs_keeps_girth_tight_graphs;
+      bsd_keeps_girth_tight_graphs;
       case "Bs_derand minor words under the work ceiling" derand_work_gate;
+      case "Ultra_sparse retry: minor words under the ceiling"
+        ultra_retry_alloc_gate;
     ]
