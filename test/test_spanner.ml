@@ -609,8 +609,6 @@ let suite =
     case "sf: structured graphs" sf_structured;
     case "sf: exempt small components" sf_exempt_small_components;
     sf_naive_star_valid;
-    case "sf: iterations = ceil log2 t" sf_iterations;
-    sf_resume_matches_fresh;
     case "linear: reproducible" linear_size_deterministic_repro;
     linear_size_valid;
     linear_size_unweighted_valid;
@@ -1036,4 +1034,6 @@ let suite =
       case "Bs_derand minor words under the work ceiling" derand_work_gate;
       case "Ultra_sparse retry: minor words under the ceiling"
         ultra_retry_alloc_gate;
+      case "sf: iterations = ceil log2 t" sf_iterations;
+      sf_resume_matches_fresh;
     ]
