@@ -31,7 +31,7 @@ type 'acc cv_state = {
 (* Generic convergecast: accumulators are pairs of ints.  [local] computes a
    vertex's own contribution once neighbour clusters/annotations are known;
    [merge] combines accumulators. *)
-let convergecast g part ~annotation ~local ~merge ~identity =
+let convergecast ?engine ?jobs g part ~annotation ~local ~merge ~identity =
   let program =
     {
       Network.init =
@@ -126,7 +126,7 @@ let convergecast g part ~annotation ~local ~merge ~identity =
           end);
     }
   in
-  let states, stats = Network.run ~word_limit:4 g program in
+  let states, stats = Network.run ~word_limit:4 ?engine ?jobs g program in
   let out = Array.make (Array.length part.roots) None in
   Array.iteri
     (fun cid root ->
@@ -138,17 +138,19 @@ let convergecast g part ~annotation ~local ~merge ~identity =
 
 let no_annotation g = Array.make (Graph.n g) 0
 
-let reduce_to_roots g part ~annotation ~local ~merge ~identity =
+let reduce_to_roots ?engine ?jobs g part ~annotation ~local ~merge ~identity =
   if Array.length annotation <> Graph.n g then
     invalid_arg "Cluster_programs.reduce_to_roots: annotation length";
-  let out, stats = convergecast g part ~annotation ~local ~merge ~identity in
+  let out, stats =
+    convergecast ?engine ?jobs g part ~annotation ~local ~merge ~identity
+  in
   (Array.map (function Some acc -> acc | None -> identity) out, stats)
 
-let sum_to_roots g part ~values =
+let sum_to_roots ?engine ?jobs g part ~values =
   if Array.length values <> Graph.n g then
     invalid_arg "Cluster_programs.sum_to_roots: length mismatch";
   let out, stats =
-    convergecast g part ~annotation:(no_annotation g)
+    convergecast ?engine ?jobs g part ~annotation:(no_annotation g)
       ~local:(fun _ me ~nbrs:_ -> (values.(me), 0))
       ~merge:(fun (a, _) (b, _) -> (a + b, 0))
       ~identity:(0, 0)
@@ -158,10 +160,10 @@ let sum_to_roots g part ~values =
 let cluster_of_nbr nbrs u =
   List.find_map (fun (s, c, _) -> if s = u then Some c else None) nbrs
 
-let min_boundary_edges g part =
+let min_boundary_edges ?engine ?jobs g part =
   let none = (max_int, max_int) in
   let out, stats =
-    convergecast g part ~annotation:(no_annotation g)
+    convergecast ?engine ?jobs g part ~annotation:(no_annotation g)
       ~local:(fun g me ~nbrs ->
         let best = ref none in
         Graph.iter_adj g me (fun u eid ->
@@ -186,7 +188,7 @@ type bc_state = {
   bc_sent : bool;
 }
 
-let broadcast_from_roots g part ~values =
+let broadcast_from_roots ?engine ?jobs g part ~values =
   if Array.length values <> Array.length part.roots then
     invalid_arg "Cluster_programs.broadcast_from_roots: length mismatch";
   let program =
@@ -252,7 +254,7 @@ let broadcast_from_roots g part ~values =
           end);
     }
   in
-  let states, stats = Network.run ~word_limit:4 g program in
+  let states, stats = Network.run ~word_limit:4 ?engine ?jobs g program in
   ( Array.map
       (fun st ->
         match st.bc_value with

@@ -13,7 +13,10 @@ open! Import
     Protocol: one preliminary round in which every vertex tells each
     neighbour its cluster and whether that neighbour is its tree parent
     (children discovery), then the requested wave.  Nodes are synchronized
-    by round number only — no global controller. *)
+    by round number only — no global controller.
+
+    Every wave takes optional [?engine] / [?jobs], forwarded verbatim to
+    {!Network.run} like every other native program's. *)
 
 type partition = {
   cluster_of : int array;  (** vertex -> cluster id ([-1] not allowed here) *)
@@ -25,22 +28,30 @@ val of_partition : Ultraspan_graph.Partition.t -> partition
 (** Raises [Invalid_argument] if some vertex is unclustered. *)
 
 val sum_to_roots :
+  ?engine:Network.engine ->
+  ?jobs:int ->
   Graph.t -> partition -> values:int array -> int array * Network.stats
 (** Convergecast: per-cluster sums of the per-vertex values, delivered at
     the roots.  Measured rounds <= radius + O(1). *)
 
 val broadcast_from_roots :
+  ?engine:Network.engine ->
+  ?jobs:int ->
   Graph.t -> partition -> values:int array -> int array * Network.stats
 (** [values] is indexed by cluster; every vertex learns its cluster's
     value.  Measured rounds <= radius + O(1). *)
 
 val min_boundary_edges :
+  ?engine:Network.engine ->
+  ?jobs:int ->
   Graph.t -> partition -> (int * int) option array * Network.stats
 (** Per cluster, the minimum boundary edge as [(weight, edge id)] ([None]
     for clusters without boundary edges), delivered at the roots —
     step (2) of Lemma 4.1.  Measured rounds <= radius + O(1). *)
 
 val reduce_to_roots :
+  ?engine:Network.engine ->
+  ?jobs:int ->
   Graph.t ->
   partition ->
   annotation:int array ->

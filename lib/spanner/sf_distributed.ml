@@ -11,7 +11,7 @@ type outcome = {
 
 let none_pair = (max_int, max_int)
 
-let partition ~t g =
+let partition ?engine ?jobs ~t g =
   let n = Graph.n g in
   let st = Stretch_friendly.start ~strategy:Stretch_friendly.Matched g in
   let real_rounds = ref 0 in
@@ -28,10 +28,12 @@ let partition ~t g =
     let nc = Partition.count p in
     let part = Cp.of_partition p in
     (* (1) sizes: one convergecast wave. *)
-    let size, s = Cp.sum_to_roots g part ~values:(Array.make n 1) in
+    let size, s =
+      Cp.sum_to_roots ?engine ?jobs g part ~values:(Array.make n 1)
+    in
     tally s;
     (* (2) minimum boundary edges: one convergecast wave. *)
-    let min_edges, s = Cp.min_boundary_edges g part in
+    let min_edges, s = Cp.min_boundary_edges ?engine ?jobs g part in
     tally s;
     let out_eid =
       Array.map (function Some (_, eid) -> eid | None -> -1) min_edges
@@ -41,7 +43,7 @@ let partition ~t g =
        convergecasts it; -1 for clusters without an out-edge. *)
     let read_across ~annotation pick =
       let got, s =
-        Cp.reduce_to_roots g part ~annotation
+        Cp.reduce_to_roots ?engine ?jobs g part ~annotation
           ~local:(fun g me ~nbrs ->
             let best = ref none_pair in
             Graph.iter_adj g me (fun u eid ->
@@ -62,7 +64,7 @@ let partition ~t g =
     (* Fetch a per-cluster value of the successor: broadcast the value to
        members, then read it across. *)
     let fetch_succ values =
-      let vertex_val, s = Cp.broadcast_from_roots g part ~values in
+      let vertex_val, s = Cp.broadcast_from_roots ?engine ?jobs g part ~values in
       tally s;
       read_across ~annotation:vertex_val (fun _ a -> a)
     in
@@ -105,10 +107,12 @@ let partition ~t g =
       let prop_values =
         Array.init nc (fun c -> if proposing c then out_eid.(c) else -1)
       in
-      let vertex_prop, s1 = Cp.broadcast_from_roots g part ~values:prop_values in
+      let vertex_prop, s1 =
+        Cp.broadcast_from_roots ?engine ?jobs g part ~values:prop_values
+      in
       tally s1;
       let proposals, s2 =
-        Cp.reduce_to_roots g part ~annotation:vertex_prop
+        Cp.reduce_to_roots ?engine ?jobs g part ~annotation:vertex_prop
           ~local:(fun g me ~nbrs ->
             let best = ref none_pair in
             Graph.iter_adj g me (fun u eid ->
@@ -141,7 +145,7 @@ let partition ~t g =
        trees. *)
     let p, _ = Stretch_friendly.result st in
     let ids, s =
-      Cp.broadcast_from_roots g (Cp.of_partition p)
+      Cp.broadcast_from_roots ?engine ?jobs g (Cp.of_partition p)
         ~values:(Array.init (Partition.count p) Fun.id)
     in
     tally s;

@@ -32,5 +32,11 @@ type outcome = {
   waves : int;
 }
 
-val partition : t:int -> Graph.t -> outcome
-(** Requires [t >= 1]. *)
+val partition :
+  ?engine:Ultraspan_congest.Network.engine ->
+  ?jobs:int ->
+  t:int ->
+  Graph.t ->
+  outcome
+(** Requires [t >= 1].  [engine] and [jobs] are forwarded to every wave's
+    {!Ultraspan_congest.Network.run}. *)

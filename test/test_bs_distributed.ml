@@ -87,6 +87,263 @@ let pinned_trace_digests () =
         [ `Fast; `Ref ])
     pinned_traces
 
+(* ---------- every native protocol, pinned across engines and jobs ----------
+
+   Each entry digests everything a run exposes: its outputs and
+   [Network.stats], the trace JSONL and the [Faults.events] log where the
+   protocol takes a sink or an injector, and the stripped deterministic
+   metrics where it takes a registry.  The digests were recorded with the
+   list-based program interface; every engine and job count, with and
+   without the fault plan, must reproduce them. *)
+
+let digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+type sinks = {
+  engine : Network.engine;
+  jobs : int;
+  faults : Faults.t option;
+  trace : Trace.t option;
+  metrics : Metrics.t;
+}
+
+let corrupt_detour (w : Witness.spanner_witness) =
+  let detour = Array.map Array.copy w.Witness.detour in
+  (match Array.find_index (fun p -> Array.length p >= 3) detour with
+  | Some e -> detour.(e).(1) <- detour.(e).(2)
+  | None -> ());
+  detour
+
+let drop_first_kept keep =
+  let keep = Array.copy keep in
+  (match Array.find_index Fun.id keep with
+  | Some e -> keep.(e) <- false
+  | None -> ());
+  keep
+
+let protocols =
+  lazy
+    (let graphs = Lazy.force digest_graphs in
+     let g = List.assoc "weighted" graphs and u = List.assoc "unit" graphs in
+     let n = Graph.n u in
+     let sp = (Bs_distributed.run ~seed:3 ~k:3 u).Bs_distributed.spanner in
+     let sw = Witness.spanner u ~k:3 sp in
+     let cert = Thurimella.certificate ~k:2 u in
+     let cw = Result.get_ok (Witness.certificate u cert) in
+     (* [valid]: whether every node must accept *)
+     let verdict ~valid (v : Checkers.verdict) =
+       Alcotest.(check bool) "verdict" valid (Checkers.all_accept v);
+       (v.Checkers.accept, v.Checkers.stats)
+     in
+     let spanner_check ?(valid = false) ~keep ~detour s =
+       verdict ~valid
+         (Checkers.spanner ~engine:s.engine ~jobs:s.jobs ~metrics:s.metrics u
+            ~keep ~k:3 ~detour)
+     in
+     let forest_check ?(valid = false) ?(forest = cw.Witness.forest)
+         ?(depth = cw.Witness.depth) s =
+       verdict ~valid
+         (Checkers.forests ~engine:s.engine ~jobs:s.jobs ~metrics:s.metrics u
+            ~keep:cert.Certificate.keep ~k:cw.Witness.ck ~forest
+            ~parent:cw.Witness.parent ~depth ~root:cw.Witness.root)
+     in
+     let p, _ = Stretch_friendly.partition ~t:4 u in
+     let part = Cluster_programs.of_partition p in
+     let values = Array.init n (fun v -> (v * 37) mod 101) in
+     let digest_partition (q : Partition.t) =
+       (q.Partition.cluster_of, q.parent, q.parent_eid, q.roots)
+     in
+     (* (name, takes a fault plan, graph, run) *)
+     [
+       ( "bfs",
+         true,
+         u,
+         fun s ->
+           digest
+             (Programs.bfs ?faults:s.faults ?trace:s.trace ~metrics:s.metrics
+                ~engine:s.engine ~jobs:s.jobs u ~root:0) );
+       ( "broadcast_max",
+         true,
+         u,
+         fun s ->
+           digest
+             (Programs.broadcast_max ?faults:s.faults ?trace:s.trace
+                ~metrics:s.metrics ~engine:s.engine ~jobs:s.jobs u ~values) );
+       ( "maximal_matching",
+         false,
+         u,
+         fun s ->
+           digest
+             (Programs.maximal_matching ?trace:s.trace ~metrics:s.metrics
+                ~engine:s.engine ~jobs:s.jobs u) );
+       ( "luby_mis",
+         false,
+         u,
+         fun s ->
+           digest
+             (Programs.luby_mis ?trace:s.trace ~metrics:s.metrics
+                ~engine:s.engine ~jobs:s.jobs ~seed:9 u) );
+       ( "bellman_ford",
+         false,
+         g,
+         fun s ->
+           digest
+             (Programs.bellman_ford ?trace:s.trace ~metrics:s.metrics
+                ~engine:s.engine ~jobs:s.jobs g ~source:0) );
+       ( "spanning_forest",
+         false,
+         g,
+         fun s ->
+           digest
+             (Programs.spanning_forest ?trace:s.trace ~metrics:s.metrics
+                ~engine:s.engine ~jobs:s.jobs g) );
+       ( "spanner checker",
+         false,
+         u,
+         fun s ->
+           digest
+             (spanner_check ~valid:true ~keep:sp.Spanner.keep
+                ~detour:sw.Witness.detour s) );
+       ( "spanner checker, corrupted detour",
+         false,
+         u,
+         fun s ->
+           digest
+             (spanner_check ~keep:sp.Spanner.keep ~detour:(corrupt_detour sw) s)
+       );
+       ( "spanner checker, dropped edge",
+         false,
+         u,
+         fun s ->
+           digest
+             (spanner_check
+                ~keep:(drop_first_kept sp.Spanner.keep)
+                ~detour:sw.Witness.detour s) );
+       ( "forest checker",
+         false,
+         u,
+         fun s -> digest (forest_check ~valid:true s) );
+       ( "forest checker, corrupted depth",
+         false,
+         u,
+         fun s ->
+           let depth = Array.map Array.copy cw.Witness.depth in
+           depth.(0).(n / 2) <- depth.(0).(n / 2) + 1;
+           digest (forest_check ~depth s) );
+       ( "forest checker, corrupted forest",
+         false,
+         u,
+         fun s ->
+           let forest = Array.copy cw.Witness.forest in
+           (match Array.find_index (fun l -> l = 2) forest with
+           | Some e -> forest.(e) <- 1
+           | None -> ());
+           digest (forest_check ~forest s) );
+       ( "cluster sum_to_roots",
+         false,
+         u,
+         fun s ->
+           digest
+             (Cluster_programs.sum_to_roots ~engine:s.engine ~jobs:s.jobs u
+                part ~values) );
+       ( "cluster min_boundary_edges",
+         false,
+         u,
+         fun s ->
+           digest
+             (Cluster_programs.min_boundary_edges ~engine:s.engine
+                ~jobs:s.jobs u part) );
+       ( "cluster broadcast_from_roots",
+         false,
+         u,
+         fun s ->
+           digest
+             (Cluster_programs.broadcast_from_roots ~engine:s.engine
+                ~jobs:s.jobs u part
+                ~values:(Array.init (Partition.count p) (fun c -> c * 3))) );
+       ( "sf_distributed",
+         false,
+         u,
+         fun s ->
+           let o = Sf_distributed.partition ~engine:s.engine ~jobs:s.jobs ~t:4 u in
+           digest
+             ( digest_partition o.Sf_distributed.partition,
+               o.real_rounds,
+               o.messages,
+               o.waves ) );
+     ])
+
+let protocol_plan g =
+  let rng = Rng.create 29 in
+  Faults.empty
+  |> Faults.with_drops ~seed:31 0.15
+  |> Faults.random_crashes ~rng ~n:(Graph.n g) ~within:4 ~count:3
+  |> Faults.random_link_failures ~rng g ~within:4 ~count:4
+
+(* One run with fresh sinks: the digest of its outputs plus everything the
+   sinks recorded. *)
+let observe_protocol g run ~engine ~jobs ~faulted =
+  let faults =
+    if faulted then Some (Faults.make (protocol_plan g)) else None
+  in
+  let s =
+    { engine; jobs; faults; trace = Some (Trace.create g);
+      metrics = Metrics.create () }
+  in
+  let out = run s in
+  let trace =
+    match s.trace with
+    | Some tr when Array.length (Trace.rounds tr) > 0 -> Trace.to_jsonl tr
+    | _ -> ""
+  in
+  digest
+    ( out,
+      Option.map Faults.events faults,
+      trace,
+      Metrics.exposition ~strip:true (Metrics.snapshot s.metrics) )
+
+let protocol_schedules =
+  [ ("fast j1", `Fast, 1); ("fast j4", `Fast, 4); ("ref", `Ref, 1) ]
+
+let protocol_pins =
+  [
+    ("bellman_ford", "47193d584d509b1ff82261172a57d506");
+    ("bfs +faults", "2de50658d776bfb6013438f3c47f5e27");
+    ("bfs", "9a7768e79484f9275400ade3a75c3754");
+    ("broadcast_max +faults", "7f49e730dfb0e9012d7beeeb53496b70");
+    ("broadcast_max", "324e392ee97af25377926d1435062be1");
+    ("cluster broadcast_from_roots", "1621fb04d37ff8081f4871f26e0a0e06");
+    ("cluster min_boundary_edges", "4d5e2aa3f3d0532fee0d06e24f2d7cf5");
+    ("cluster sum_to_roots", "9b7efc08ffcf2d08ebcb2e9172a7a710");
+    ("forest checker", "83f7122d1cf1c86110a0c2ea8185f0ac");
+    ("forest checker, corrupted depth", "35e6a363f08988701e31ee88aae6a9d5");
+    ("forest checker, corrupted forest", "2c569de51239e539a4b7cb473da832a6");
+    ("luby_mis", "fc25e4e976693c1ebd29ee7f6676bc37");
+    ("maximal_matching", "b5e68cf2849ad94602ea9b9329515cbc");
+    ("sf_distributed", "41987985f21dd862a35e1b3018032ca6");
+    ("spanner checker", "9aeaadf7d61942185fd9317aa7b869bb");
+    ("spanner checker, corrupted detour", "294257bf8fd3cb2fc730b1494f23819e");
+    ("spanner checker, dropped edge", "e4f7f98d974b0c7812becbe2c437dfe4");
+    ("spanning_forest", "bbc06569e3b3b8e4b42cc72650a4b9e1");
+  ]
+
+let protocols_pinned () =
+  List.iter
+    (fun (name, faultable, g, run) ->
+      List.iter
+        (fun faulted ->
+          let key = name ^ if faulted then " +faults" else "" in
+          List.iter
+            (fun (label, engine, jobs) ->
+              let got = observe_protocol g run ~engine ~jobs ~faulted in
+              Alcotest.(check string)
+                (key ^ " " ^ label)
+                (List.assoc key protocol_pins)
+                got)
+            protocol_schedules)
+        (if faultable then [ false; true ] else [ false ]))
+    (Lazy.force protocols)
+
 (* ---------- the list-based step, kept as a differential oracle ---------- *)
 
 (* The protocol as first written: assoc lists keyed by neighbour, a hash
@@ -307,4 +564,6 @@ let suite =
     agrees_with_reference;
     slices_in_eid_order;
     case "minor words per run" minor_words_gate;
+    case "every native protocol pinned across engines and jobs"
+      protocols_pinned;
   ]

@@ -324,6 +324,28 @@ let sharded_round_limit_agrees () =
   Alcotest.(check bool) "sharded limit parity" true
     (partial `Ref 1 <> None && fast_matches_ref partial)
 
+(* The Lemma 4.1 waves and the distributed stretch-friendly partition
+   built from them: Fast at jobs 1 and 4 against the oracle. *)
+let cluster_waves_agree =
+  qcheck ~count:10 "cluster waves and sf_distributed: fast (jobs 1/4) == ref"
+    seed_gen (fun seed ->
+      let g = graph_of_seed ~n_max:60 seed in
+      let p, _ = Stretch_friendly.partition ~t:4 g in
+      let part = Cluster_programs.of_partition p in
+      let values = Array.init (Graph.n g) (fun v -> (v * v) mod 11) in
+      let per_cluster =
+        Array.init (Partition.count p) (fun c -> (c * 7) + 1)
+      in
+      fast_matches_ref (fun engine jobs ->
+          let o = Sf_distributed.partition ~engine ~jobs ~t:4 g in
+          let q = o.Sf_distributed.partition in
+          ( Cluster_programs.sum_to_roots ~engine ~jobs g part ~values,
+            Cluster_programs.min_boundary_edges ~engine ~jobs g part,
+            Cluster_programs.broadcast_from_roots ~engine ~jobs g part
+              ~values:per_cluster,
+            (q.Partition.cluster_of, q.parent, q.parent_eid, q.roots),
+            (o.real_rounds, o.messages, o.waves) )))
+
 let suite =
   [
     random_programs_fault_free;
@@ -338,4 +360,5 @@ let suite =
     sharded_metrics_jobs_invariant;
     case "sharded: model violations identical" sharded_violations_agree;
     case "sharded: round limit identical" sharded_round_limit_agrees;
+    cluster_waves_agree;
   ]
