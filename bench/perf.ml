@@ -84,18 +84,22 @@ let mp_graph () =
     ~avg_degree:mp_avg_degree
 
 (* Flood workload: every node sends one word to every neighbour, every
-   round, for a fixed number of rounds.  The outbox is precomputed in the
+   round, for a fixed number of rounds.  The payload is built in the
    initial state, so per-round program cost is negligible and the engine's
    message plane dominates the measurement. *)
 let make_flood_program rounds =
   {
-    Network.init =
-      (fun g v ->
-        List.rev (Graph.fold_adj g v (fun acc u _ -> (u, [| v land 0xffff |]) :: acc) []));
+    Network.init = (fun _ v -> [| v land 0xffff |]);
     round =
-      (fun _ ~round ~me:_ out _ ->
-        if round >= rounds then { Network.state = out; out = []; halt = true }
-        else { Network.state = out; out; halt = false });
+      (fun g ~round ~me payload mb ->
+        if round >= rounds then { Network.state = payload; halt = true }
+        else begin
+          let { Graph.off; _ } = Graph.csr g in
+          for a = off.(me) to off.(me + 1) - 1 do
+            Network.send mb ~arc:a payload
+          done;
+          { Network.state = payload; halt = false }
+        end);
   }
 
 let flood_program = make_flood_program flood_rounds

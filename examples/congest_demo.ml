@@ -39,15 +39,14 @@ let () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun g ~round ~me st _ ->
-          if round = 0 && me = 0 then begin
-            let payload = Array.init 64 Fun.id in
-            let out =
-              List.map (fun (u, _) -> (u, payload)) (Graph.neighbors g me)
-            in
-            { Network.state = st; out; halt = true }
-          end
-          else { Network.state = st; out = []; halt = true });
+        (fun g ~round ~me st mb ->
+          (if round = 0 && me = 0 then
+             let payload = Array.init 64 Fun.id in
+             let { Graph.off; _ } = Graph.csr g in
+             for a = off.(me) to off.(me + 1) - 1 do
+               Network.send mb ~arc:a payload
+             done);
+          { Network.state = st; halt = true });
     }
   in
   (match Network.run g greedy_program with

@@ -13,29 +13,28 @@ let all_accept v = Array.for_all (fun b -> b) v.accept
 
 type sp_state = {
   sp_ok : bool;
-  sp_pending : (int * int array) list;  (* (next hop, token), FIFO *)
+  sp_pending : (int * int array) list;  (* (arc to the next hop, token), FIFO *)
 }
 
 let sp_check_failed st = { st with sp_ok = false }
 
-(* Emit at most one pending token per neighbour (CONGEST: one message per
-   edge per round); the rest stay queued in order. *)
-let sp_emit st =
+(* Send at most one pending token per arc (CONGEST: one message per edge
+   per round); the rest stay queued in order. *)
+let sp_emit mb st =
   let sent = Hashtbl.create 8 in
-  let out, kept =
+  let kept =
     List.fold_left
-      (fun (out, kept) (dst, tok) ->
-        if Hashtbl.mem sent dst then (out, (dst, tok) :: kept)
+      (fun kept (arc, tok) ->
+        if Hashtbl.mem sent arc then (arc, tok) :: kept
         else begin
-          Hashtbl.add sent dst ();
-          ((dst, tok) :: out, kept)
+          Hashtbl.add sent arc ();
+          Network.send mb ~arc tok;
+          kept
         end)
-      ([], []) st.sp_pending
+      [] st.sp_pending
   in
-  ( { st with sp_pending = List.rev kept },
-    List.rev out,
-    (* halt only when nothing is left to push next round *)
-    kept = [] )
+  (* halt only when nothing is left to push next round *)
+  ({ st with sp_pending = List.rev kept }, kept = [])
 
 let sp_launch g ~keep ~k ~detour me =
   let bound_hops = (2 * k) - 1 in
@@ -47,15 +46,17 @@ let sp_launch g ~keep ~k ~detour me =
         if len < 2 || p.(0) <> me || p.(len - 1) <> u || len - 1 > bound_hops
         then sp_check_failed st
         else
-          match Graph.find_edge g me p.(1) with
-          | Some e1 when keep.(e1) ->
-              let tok = Array.make (len + 3) 0 in
-              tok.(0) <- eid;
-              tok.(1) <- 1;
-              tok.(2) <- Graph.weight g e1;
-              Array.blit p 0 tok 3 len;
-              { st with sp_pending = st.sp_pending @ [ (p.(1), tok) ] }
-          | _ -> sp_check_failed st
+          let a1 = Graph.arc_index g me p.(1) in
+          let e1 = if a1 < 0 then -1 else (Graph.csr g).eid.(a1) in
+          if e1 >= 0 && keep.(e1) then begin
+            let tok = Array.make (len + 3) 0 in
+            tok.(0) <- eid;
+            tok.(1) <- 1;
+            tok.(2) <- Graph.weight g e1;
+            Array.blit p 0 tok 3 len;
+            { st with sp_pending = st.sp_pending @ [ (a1, tok) ] }
+          end
+          else sp_check_failed st
       end
       else st)
     { sp_ok = true; sp_pending = [] }
@@ -88,14 +89,15 @@ let sp_receive g ~keep ~k ~detour me st tok =
     else sp_check_failed st
   end
   else begin
-    let nxt = path (idx + 1) in
-    match Graph.find_edge g me nxt with
-    | Some e when keep.(e) ->
-        let tok' = Array.copy tok in
-        tok'.(1) <- idx + 1;
-        tok'.(2) <- acc + Graph.weight g e;
-        { st with sp_pending = st.sp_pending @ [ (nxt, tok') ] }
-    | _ -> sp_check_failed st
+    (* [tok] is this node's own copy: forward it in place *)
+    let a = Graph.arc_index g me (path (idx + 1)) in
+    let e = if a < 0 then -1 else (Graph.csr g).eid.(a) in
+    if e >= 0 && keep.(e) then begin
+      tok.(1) <- idx + 1;
+      tok.(2) <- acc + Graph.weight g e;
+      { st with sp_pending = st.sp_pending @ [ (a, tok) ] }
+    end
+    else sp_check_failed st
   end
 
 let spanner ?engine ?jobs ?metrics g ~keep ~k ~detour =
@@ -108,17 +110,18 @@ let spanner ?engine ?jobs ?metrics g ~keep ~k ~detour =
     {
       Network.init = (fun _ _ -> { sp_ok = true; sp_pending = [] });
       round =
-        (fun g ~round ~me st inbox ->
+        (fun g ~round ~me st mb ->
           let st =
             if round = 0 then sp_launch g ~keep ~k ~detour me else st
           in
-          let st =
-            List.fold_left
-              (fun st (_, tok) -> sp_receive g ~keep ~k ~detour me st tok)
-              st inbox
+          let rec receive st c =
+            if c < 0 then st
+            else
+              let tok = Array.init (Network.length mb c) (Network.word mb c) in
+              receive (sp_receive g ~keep ~k ~detour me st tok) (Network.next mb c)
           in
-          let st, out, halt = sp_emit st in
-          { Network.state = st; out; halt });
+          let st, halt = sp_emit mb (receive st (Network.first mb)) in
+          { Network.state = st; halt });
     }
   in
   (* Every round either delivers a token hop or the system is quiescent,
@@ -154,14 +157,18 @@ let fo_local_ok g ~keep ~k ~forest ~parent ~depth ~root me =
       if l < 0 || l > k || keep.(eid) <> (l >= 1) then ok := false);
   !ok
 
-let fo_edge_ok ~k ~forest ~parent ~depth ~root me eid sender msg =
+(* [c] is the label message that came along edge [eid]. *)
+let fo_edge_ok ~k ~forest ~parent ~depth ~root me eid mb c =
+  let sender = Network.sender mb c in
   let j = forest.(eid) in
   let ok = ref true in
   (if j >= 1 then begin
      (* Tree-edge rule for the edge's own peel. *)
      let i = j - 1 in
      let r = root.(i).(me) and d = depth.(i).(me) and p = parent.(i).(me) in
-     let r' = msg.(i) and d' = msg.(k + i) and p' = msg.((2 * k) + i) in
+     let r' = Network.word mb c i
+     and d' = Network.word mb c (k + i)
+     and p' = Network.word mb c ((2 * k) + i) in
      if r <> r' then ok := false;
      if not ((p = sender && d = d' + 1) || (p' = me && d' = d + 1)) then
        ok := false
@@ -169,7 +176,7 @@ let fo_edge_ok ~k ~forest ~parent ~depth ~root me eid sender msg =
   (* Maximality rule: endpoints already connected in every earlier peel. *)
   let hi = if j = 0 then k else j - 1 in
   for i = 0 to hi - 1 do
-    if root.(i).(me) <> msg.(i) then ok := false
+    if root.(i).(me) <> Network.word mb c i then ok := false
   done;
   !ok
 
@@ -184,11 +191,12 @@ let forests ?engine ?jobs ?metrics g ~keep ~k ~forest ~parent ~depth
     Array.length parent <> k || Array.length depth <> k
     || Array.length root <> k
   then invalid_arg "Checkers.forests: label arrays must have k rows";
+  let { Graph.off; eid; _ } = Graph.csr g in
   let program =
     {
       Network.init = (fun _ _ -> true);
       round =
-        (fun g ~round ~me ok inbox ->
+        (fun g ~round ~me ok mb ->
           if round = 0 then begin
             let ok = fo_local_ok g ~keep ~k ~forest ~parent ~depth ~root me in
             let msg = Array.make (3 * k) 0 in
@@ -197,25 +205,19 @@ let forests ?engine ?jobs ?metrics g ~keep ~k ~forest ~parent ~depth
               msg.(k + i) <- depth.(i).(me);
               msg.((2 * k) + i) <- parent.(i).(me)
             done;
-            let out =
-              List.rev
-                (Graph.fold_adj g me (fun acc u _ -> (u, msg) :: acc) [])
-            in
-            { Network.state = ok; out; halt = true }
+            for a = off.(me) to off.(me + 1) - 1 do
+              Network.send mb ~arc:a msg
+            done;
+            { Network.state = ok; halt = true }
           end
           else begin
-            let ok =
-              List.fold_left
-                (fun ok (sender, msg) ->
-                  match Graph.find_edge g me sender with
-                  | Some eid ->
-                      ok
-                      && fo_edge_ok ~k ~forest ~parent ~depth ~root me eid
-                           sender msg
-                  | None -> false)
-                ok inbox
-            in
-            { Network.state = ok; out = []; halt = true }
+            let ok = ref ok and c = ref (Network.first mb) in
+            while !ok && !c >= 0 do
+              let e = eid.(Network.arc mb !c) in
+              ok := fo_edge_ok ~k ~forest ~parent ~depth ~root me e mb !c;
+              c := Network.next mb !c
+            done;
+            { Network.state = !ok; halt = true }
           end);
     }
   in

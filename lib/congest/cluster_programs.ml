@@ -20,109 +20,101 @@ let tag_aggregate = 1 (* [| tag; a; b |] *)
 let tag_down = 2 (* [| tag; value |] *)
 
 type 'acc cv_state = {
-  children : int list;
   pending : int; (* children yet to report *)
   acc : 'acc;
-  nbr_cluster : (int * int * int) list;
   done_ : bool;
   result : 'acc option; (* at roots *)
 }
+
+(* Round 0 of every wave: tell each neighbour my cluster, whether it is my
+   tree parent, and then [extra] (the annotation, when given). *)
+let send_hellos mb (csr : Graph.csr) part me extra =
+  let hello = Array.make (3 + Array.length extra) tag_hello in
+  hello.(1) <- part.cluster_of.(me);
+  Array.blit extra 0 hello 3 (Array.length extra);
+  for a = csr.off.(me) to csr.off.(me + 1) - 1 do
+    hello.(2) <- (if part.parent.(me) = csr.dst.(a) then 1 else 0);
+    Network.send mb ~arc:a hello
+  done
+
+(* Is message [c] a hello from one of my children? *)
+let from_child mb part me c =
+  Network.word mb c 0 = tag_hello
+  && Network.word mb c 2 = 1
+  && Network.word mb c 1 = part.cluster_of.(me)
 
 (* Generic convergecast: accumulators are pairs of ints.  [local] computes a
    vertex's own contribution once neighbour clusters/annotations are known;
    [merge] combines accumulators. *)
 let convergecast ?engine ?jobs g part ~annotation ~local ~merge ~identity =
+  let csr = Graph.csr g in
+  (* What each neighbour announced, at the arc towards it. *)
+  let nbr_cluster = Array.make (Graph.arc_count g) (-1) in
+  let nbr_annotation = Array.make (Graph.arc_count g) 0 in
   let program =
     {
       Network.init =
-        (fun _ _ ->
-          {
-            children = [];
-            pending = -1;
-            acc = identity;
-            nbr_cluster = [];
-            done_ = false;
-            result = None;
-          });
+        (fun _ _ -> { pending = -1; acc = identity; done_ = false; result = None });
       round =
-        (fun g ~round ~me st inbox ->
+        (fun g ~round ~me st mb ->
           if round = 0 then begin
-            (* hello: cluster + parent flag + annotation *)
-            let out =
-              List.rev
-                (Graph.fold_adj g me
-                   (fun acc u _ ->
-                     ( u,
-                       [|
-                         tag_hello;
-                         part.cluster_of.(me);
-                         (if part.parent.(me) = u then 1 else 0);
-                         annotation.(me);
-                       |] )
-                     :: acc)
-                   [])
-            in
-            { Network.state = st; out; halt = false }
+            send_hellos mb csr part me [| annotation.(me) |];
+            { Network.state = st; halt = false }
           end
           else begin
             (* fold in hellos (round 1 only) and child aggregates *)
             let st =
               if round = 1 then begin
-                let nbr_cluster =
-                  List.filter_map
-                    (fun (s, p) ->
-                      if p.(0) = tag_hello then Some (s, p.(1), p.(3)) else None)
-                    inbox
-                in
-                let children =
-                  List.filter_map
-                    (fun (s, p) ->
-                      if
-                        p.(0) = tag_hello && p.(2) = 1
-                        && p.(1) = part.cluster_of.(me)
-                      then Some s
-                      else None)
-                    inbox
-                in
+                let children = ref 0 and c = ref (Network.first mb) in
+                while !c >= 0 do
+                  if Network.word mb !c 0 = tag_hello then begin
+                    let a = Network.arc mb !c in
+                    nbr_cluster.(a) <- Network.word mb !c 1;
+                    nbr_annotation.(a) <- Network.word mb !c 3
+                  end;
+                  if from_child mb part me !c then incr children;
+                  c := Network.next mb !c
+                done;
                 {
                   st with
-                  nbr_cluster;
-                  children;
-                  pending = List.length children;
-                  acc = local g me ~nbrs:nbr_cluster;
+                  pending = !children;
+                  acc = local g me ~nbr_cluster ~nbr_annotation;
                 }
               end
               else st
             in
-            let st =
-              List.fold_left
-                (fun st (_, p) ->
-                  if p.(0) = tag_aggregate then
-                    { st with
-                      acc = merge st.acc (p.(1), p.(2));
+            let rec fold st c =
+              if c < 0 then st
+              else
+                let st =
+                  if Network.word mb c 0 = tag_aggregate then
+                    {
+                      st with
+                      acc =
+                        merge st.acc (Network.word mb c 1, Network.word mb c 2);
                       pending = st.pending - 1;
                     }
-                  else st)
-                st inbox
+                  else st
+                in
+                fold st (Network.next mb c)
             in
-            if st.done_ then { Network.state = st; out = []; halt = true }
+            let st = fold st (Network.first mb) in
+            if st.done_ then { Network.state = st; halt = true }
             else if st.pending = 0 then begin
               if part.parent.(me) = -1 then
                 {
                   Network.state = { st with done_ = true; result = Some st.acc };
-                  out = [];
                   halt = true;
                 }
               else begin
                 let a, b = st.acc in
-                {
-                  Network.state = { st with done_ = true };
-                  out = [ (part.parent.(me), [| tag_aggregate; a; b |]) ];
-                  halt = true;
-                }
+                Network.send mb
+                  ~arc:(Graph.arc_index g me part.parent.(me))
+                  [| tag_aggregate; a; b |];
+                { Network.state = { st with done_ = true }; halt = true }
               end
             end
-            else { Network.state = st; out = []; halt = false }
+            else { Network.state = st; halt = false }
           end);
     }
   in
@@ -151,27 +143,26 @@ let sum_to_roots ?engine ?jobs g part ~values =
     invalid_arg "Cluster_programs.sum_to_roots: length mismatch";
   let out, stats =
     convergecast ?engine ?jobs g part ~annotation:(no_annotation g)
-      ~local:(fun _ me ~nbrs:_ -> (values.(me), 0))
+      ~local:(fun _ me ~nbr_cluster:_ ~nbr_annotation:_ -> (values.(me), 0))
       ~merge:(fun (a, _) (b, _) -> (a + b, 0))
       ~identity:(0, 0)
   in
   (Array.map (function Some (a, _) -> a | None -> 0) out, stats)
 
-let cluster_of_nbr nbrs u =
-  List.find_map (fun (s, c, _) -> if s = u then Some c else None) nbrs
-
 let min_boundary_edges ?engine ?jobs g part =
   let none = (max_int, max_int) in
   let out, stats =
     convergecast ?engine ?jobs g part ~annotation:(no_annotation g)
-      ~local:(fun g me ~nbrs ->
+      ~local:(fun g me ~nbr_cluster ~nbr_annotation:_ ->
+        let { Graph.off; eid; _ } = Graph.csr g in
         let best = ref none in
-        Graph.iter_adj g me (fun u eid ->
-            match cluster_of_nbr nbrs u with
-            | Some c when c <> part.cluster_of.(me) ->
-                let key = (Graph.weight g eid, eid) in
-                if key < !best then best := key
-            | _ -> ());
+        for a = off.(me) to off.(me + 1) - 1 do
+          let c = nbr_cluster.(a) in
+          if c >= 0 && c <> part.cluster_of.(me) then begin
+            let key = (Graph.weight g eid.(a), eid.(a)) in
+            if key < !best then best := key
+          end
+        done;
         !best)
       ~merge:min ~identity:none
   in
@@ -183,7 +174,7 @@ let min_boundary_edges ?engine ?jobs g part =
     stats )
 
 type bc_state = {
-  bc_children : int list;
+  bc_children : int list; (* arcs to the children, last first *)
   bc_value : int option;
   bc_sent : bool;
 }
@@ -191,6 +182,7 @@ type bc_state = {
 let broadcast_from_roots ?engine ?jobs g part ~values =
   if Array.length values <> Array.length part.roots then
     invalid_arg "Cluster_programs.broadcast_from_roots: length mismatch";
+  let csr = Graph.csr g in
   let program =
     {
       Network.init =
@@ -203,54 +195,33 @@ let broadcast_from_roots ?engine ?jobs g part ~values =
             bc_sent = false;
           });
       round =
-        (fun g ~round ~me st inbox ->
+        (fun _ ~round ~me st mb ->
           if round = 0 then begin
-            let out =
-              List.rev
-                (Graph.fold_adj g me
-                   (fun acc u _ ->
-                     ( u,
-                       [|
-                         tag_hello;
-                         part.cluster_of.(me);
-                         (if part.parent.(me) = u then 1 else 0);
-                       |] )
-                     :: acc)
-                   [])
-            in
-            { Network.state = st; out; halt = false }
+            send_hellos mb csr part me [||];
+            { Network.state = st; halt = false }
           end
           else begin
-            let st =
-              if round = 1 then
-                {
-                  st with
-                  bc_children =
-                    List.filter_map
-                      (fun (s, p) ->
-                        if
-                          p.(0) = tag_hello && p.(2) = 1
-                          && p.(1) = part.cluster_of.(me)
-                        then Some s
-                        else None)
-                      inbox;
-                }
-              else st
+            let rec fold st c =
+              if c < 0 then st
+              else
+                let st =
+                  if round = 1 && from_child mb part me c then
+                    { st with bc_children = Network.arc mb c :: st.bc_children }
+                  else if Network.word mb c 0 = tag_down then
+                    { st with bc_value = Some (Network.word mb c 1) }
+                  else st
+                in
+                fold st (Network.next mb c)
             in
-            let st =
-              List.fold_left
-                (fun st (_, p) ->
-                  if p.(0) = tag_down then { st with bc_value = Some p.(1) }
-                  else st)
-                st inbox
-            in
+            let st = fold st (Network.first mb) in
             match st.bc_value with
             | Some v when not st.bc_sent ->
-                let out =
-                  List.map (fun u -> (u, [| tag_down; v |])) st.bc_children
-                in
-                { Network.state = { st with bc_sent = true }; out; halt = true }
-            | _ -> { Network.state = st; out = []; halt = st.bc_sent }
+                let down = [| tag_down; v |] in
+                List.iter
+                  (fun a -> Network.send mb ~arc:a down)
+                  (List.rev st.bc_children);
+                { Network.state = { st with bc_sent = true }; halt = true }
+            | _ -> { Network.state = st; halt = st.bc_sent }
           end);
     }
   in

@@ -55,15 +55,20 @@ val reduce_to_roots :
   Graph.t ->
   partition ->
   annotation:int array ->
-  local:(Graph.t -> int -> nbrs:(int * int * int) list -> int * int) ->
+  local:
+    (Graph.t -> int -> nbr_cluster:int array -> nbr_annotation:int array ->
+    int * int) ->
   merge:(int * int -> int * int -> int * int) ->
   identity:(int * int) ->
   (int * int) array * Network.stats
 (** The generic wave the primitives above are built from, exposed for the
     distributed Lemma 4.1 driver ({!Ultraspan_spanner.Sf_distributed}).
     Every vertex first announces (cluster, parent?, annotation.(v)) to its
-    neighbours; then [local g v ~nbrs] — with [nbrs] the received
-    [(neighbour, its cluster, its annotation)] triples — seeds a
-    convergecast combined with [merge] up the cluster trees.  The per-root
+    neighbours; then [local g v ~nbr_cluster ~nbr_annotation] seeds a
+    convergecast combined with [merge] up the cluster trees.  The two
+    arrays are per-arc data over the CSR index ({!Graph.section-arcs}):
+    at each arc [a] of [v]'s slice, the cluster ([-1] if no hello
+    arrived) and the annotation its neighbour announced; [v] may read
+    only its own slice.  The per-root
     results are returned (identity for clusterless input).  Measured
     rounds <= radius + O(1). *)

@@ -1,14 +1,5 @@
 open! Import
 
-type inbox = (int * int array) list
-type outbox = (int * int array) list
-type 'a step = { state : 'a; out : outbox; halt : bool }
-
-type 'a program = {
-  init : Graph.t -> int -> 'a;
-  round : Graph.t -> round:int -> me:int -> 'a -> inbox -> 'a step;
-}
-
 type engine = [ `Fast | `Ref ]
 
 type stats = {
@@ -22,47 +13,12 @@ type stats = {
 }
 
 exception Message_too_large of { sender : int; words : int; limit : int }
-exception Not_a_neighbor of { sender : int; target : int }
+exception Not_a_neighbor of { sender : int; arc : int }
 exception Duplicate_message of { sender : int; target : int }
 exception Round_limit_exceeded of { limit : int; partial : stats }
 
 module Metrics = Ultraspan_util.Metrics
 module Parallel = Ultraspan_util.Parallel
-
-(* Flat payload arena of the fast engine: one [word_limit]-word region per
-   arc in an off-heap Bigarray, plus a per-arc length.  Sending copies the
-   payload words in; inbox assembly materializes a fresh [int array] per
-   delivered message.  Compared to a boxed [int array array] arena this
-   removes the 2m-pointer array the GC had to trace every major cycle and
-   the unbounded retention of stale payloads. *)
-type arena = {
-  words : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  plen : int array;  (* per-slot payload length *)
-  stride : int;  (* = word_limit; slot [a] occupies [a*stride ..) *)
-}
-
-let make_arena ~arcs ~word_limit =
-  {
-    words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (arcs * word_limit);
-    plen = Array.make (max 1 arcs) 0;
-    stride = word_limit;
-  }
-
-let[@inline] arena_write ar slot pl words =
-  let b = slot * ar.stride in
-  for i = 0 to words - 1 do
-    Bigarray.Array1.unsafe_set ar.words (b + i) (Array.unsafe_get pl i)
-  done;
-  Array.unsafe_set ar.plen slot words
-
-let[@inline] arena_read ar slot =
-  let words = Array.unsafe_get ar.plen slot in
-  let pl = Array.make words 0 in
-  let b = slot * ar.stride in
-  for i = 0 to words - 1 do
-    Array.unsafe_set pl i (Bigarray.Array1.unsafe_get ar.words (b + i))
-  done;
-  pl
 
 (* Deterministic metrics, byte-identical across engines (checked by
    test_metrics and the check.sh engine differential).  Engine-internal
@@ -159,19 +115,164 @@ let note_drop ?trace mm =
   Metrics.incr mm.m_drops;
   match trace with Some tr -> Trace.note_drop tr | None -> ()
 
-(* Crash-stop: a crashed node takes no step and its in-flight messages are
-   lost. *)
-let drop_inbox f ?trace mm ~round ~target inbox =
-  List.iter
-    (fun (sender, _) ->
-      Faults.drop_in_flight f ~round ~sender ~target;
-      note_drop ?trace mm)
-    inbox
+(* ---------- the program interface ----------
+
+   A node sees the message plane through its mailbox: a read cursor over
+   last round's messages and a send addressed by one of its own arcs.
+   Each engine keeps its own representation behind it.  [`Fast] reads
+   the payload words in place from the arc slots of the receiver's CSR
+   slice (the cursor is the arc) and copies sent words straight into the
+   target's slot; [`Ref] keeps the original list loop (the cursor indexes
+   a sorted array of [(sender, arc, payload)]). *)
+
+(* The [`Fast] message plane: one [word_limit]-word slot per arc in a flat
+   off-heap arena (the message [s -> t] lands at the arc [t -> s], in
+   [t]'s slice), its payload length and the round it was delivered in;
+   per node, the round it last received mail in.  Every array is
+   double-buffered by round parity — round [r] writes buffer [r land 1]
+   and reads buffer [(r - 1) land 1] — so a node reads last round's
+   messages while its neighbours already write this round's.  Stamps
+   distinguish rounds by value, so nothing is ever cleared. *)
+type plane = {
+  dst : int array;
+  rev : int array;
+  words : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  plen : int array;  (* 2 * arcs *)
+  stamp : int array;  (* 2 * arcs: the round the slot was delivered in *)
+  mail : int array;  (* 2 * n: the round the node last received in *)
+  sent : int array;  (* arcs: the round the sender's arc last sent in *)
+  stride : int;  (* = word_limit *)
+}
+
+(* One per shard of the [`Fast] engine: the plane, the node being stepped,
+   the round's buffer offsets, and the shard's running counts. *)
+type fast = {
+  p : plane;
+  faults : Faults.t option;
+  trace : Trace.t option;
+  mm : meters;
+  mutable me : int;
+  mutable lo : int;  (* [me]'s arc slice is [lo, hi) *)
+  mutable hi : int;
+  mutable r : int;
+  mutable rd : int;  (* read-buffer offset into the per-arc arrays *)
+  mutable wr : int;  (* write-buffer offset into the per-arc arrays *)
+  mutable mail_rd : int;  (* the same two offsets into [mail] *)
+  mutable mail_wr : int;
+  mutable a_msgs : int;  (* messages delivered by this shard's senders *)
+  mutable a_words : int;  (* their summed payload words *)
+  mutable a_wake : int;
+  mutable a_maxw : int;
+  mutable a_halt : int;  (* halted-count delta *)
+  mutable a_slots : int;  (* send arcs used for the first time *)
+  mutable a_fail : (exn * Printexc.raw_backtrace) option;
+      (* first exception in (node, send) order *)
+}
+
+type reference = {
+  mutable inbox : (int * int * int array) array;  (* (sender, arc, payload) *)
+  mutable post : int -> int array -> unit;
+}
+
+type mailbox = Fast of fast | Ref of reference
+type 'a step = { state : 'a; halt : bool }
+
+type 'a program = {
+  init : Graph.t -> int -> 'a;
+  round : Graph.t -> round:int -> me:int -> 'a -> mailbox -> 'a step;
+}
+
+let rec scan b a =
+  if a >= b.hi then -1
+  else if Array.unsafe_get b.p.stamp (b.rd + a) = b.r - 1 then a
+  else scan b (a + 1)
+
+let first = function
+  | Fast b -> scan b b.lo
+  | Ref x -> if Array.length x.inbox > 0 then 0 else -1
+
+let next mb c =
+  match mb with
+  | Fast b -> scan b (c + 1)
+  | Ref x -> if c + 1 < Array.length x.inbox then c + 1 else -1
+
+let sender mb c =
+  match mb with
+  | Fast b -> b.p.dst.(c)
+  | Ref x ->
+      let s, _, _ = x.inbox.(c) in
+      s
+
+let arc mb c =
+  match mb with
+  | Fast _ -> c
+  | Ref x ->
+      let _, a, _ = x.inbox.(c) in
+      a
+
+let length mb c =
+  match mb with
+  | Fast b -> b.p.plen.(b.rd + c)
+  | Ref x ->
+      let _, _, pl = x.inbox.(c) in
+      Array.length pl
+
+let word mb c i =
+  match mb with
+  | Fast b ->
+      let slot = b.rd + c in
+      if i < 0 || i >= b.p.plen.(slot) then invalid_arg "Network.word";
+      Bigarray.Array1.unsafe_get b.p.words ((slot * b.p.stride) + i)
+  | Ref x ->
+      let _, _, pl = x.inbox.(c) in
+      pl.(i)
+
+(* Validation order, shared by both engines: neighbour, duplicate, size,
+   faults.  Model violations are program bugs and raise even under
+   faults. *)
+let send_fast b arc pl =
+  let me = b.me and p = b.p and r = b.r in
+  if arc < b.lo || arc >= b.hi then raise (Not_a_neighbor { sender = me; arc });
+  let target = Array.unsafe_get p.dst arc in
+  let last = Array.unsafe_get p.sent arc in
+  if last = r then raise (Duplicate_message { sender = me; target })
+    (* one message per neighbour per round *);
+  if last < 0 then b.a_slots <- b.a_slots + 1;
+  Array.unsafe_set p.sent arc r;
+  let words = Array.length pl in
+  if words > p.stride then
+    raise (Message_too_large { sender = me; words; limit = p.stride });
+  if words > b.a_maxw then b.a_maxw <- words;
+  let delivered =
+    match b.faults with
+    | None -> true
+    | Some f -> Faults.deliver f ~round:r ~sender:me ~target
+  in
+  if delivered then begin
+    (match b.trace with
+    | Some tr -> Trace.note_send tr ~sender:me ~target ~words
+    | None -> ());
+    let slot = b.wr + Array.unsafe_get p.rev arc in
+    let base = slot * p.stride in
+    for i = 0 to words - 1 do
+      Bigarray.Array1.unsafe_set p.words (base + i) (Array.unsafe_get pl i)
+    done;
+    Array.unsafe_set p.plen slot words;
+    Array.unsafe_set p.stamp slot r;
+    Array.unsafe_set p.mail (b.mail_wr + target) r;
+    b.a_msgs <- b.a_msgs + 1;
+    b.a_words <- b.a_words + words
+  end
+  else note_drop ?trace:b.trace b.mm
+
+let send mb ~arc pl =
+  match mb with Fast b -> send_fast b arc pl | Ref x -> x.post arc pl
 
 (* ---------- reference engine (the original list-based loop) ---------- *)
 
 let run_ref ~max_rounds ~word_limit ?faults ?trace ~metrics g prog =
   let n = Graph.n g in
+  let { Graph.off; dst; _ } = Graph.csr g in
   let t = start ?faults ?trace n in
   let mm = meters_of metrics in
   let m_sorts = Metrics.counter metrics "timing.congest.ref.inbox_sorts" in
@@ -182,6 +283,7 @@ let run_ref ~max_rounds ~word_limit ?faults ?trace ~metrics g prog =
   let pending = Array.make n [] in
   let has_pending = ref true (* round 0 runs everyone *) in
   let halted_now () = Array.fold_left (fun a h -> if h then a + 1 else a) 0 halted in
+  let box = { inbox = [||]; post = (fun _ _ -> ()) } in
   while !has_pending || not (Array.for_all Fun.id halted) do
     begin_round ~max_rounds ?faults ?trace t;
     let r = t.t_rounds and sent = t.t_msgs in
@@ -199,24 +301,28 @@ let run_ref ~max_rounds ~word_limit ?faults ?trace ~metrics g prog =
       let inbox = inboxes.(v) in
       match faults with
       | Some f when Faults.is_crashed f v ->
-          drop_inbox f ?trace mm ~round:r ~target:v inbox;
+          (* Crash-stop: a crashed node takes no step and its in-flight
+             messages are lost. *)
+          List.iter
+            (fun (sender, _) ->
+              Faults.drop_in_flight f ~round:r ~sender ~target:v;
+              note_drop ?trace mm)
+            inbox;
           halted.(v) <- true
       | _ ->
           if (not halted.(v)) || inbox <> [] then begin
             t.t_wake <- t.t_wake + 1;
             Metrics.incr mm.m_wakeups;
             (match trace with Some tr -> Trace.note_step tr | None -> ());
-            let step = prog.round g ~round:r ~me:v states.(v) inbox in
-            states.(v) <- step.state;
-            halted.(v) <- step.halt;
-            (* Validate and enqueue outgoing messages.  Model violations
-               (non-neighbour targets, duplicates, oversized payloads) are
-               program bugs and raise even under faults. *)
+            box.inbox <-
+              Array.of_list
+                (List.map (fun (s, pl) -> (s, Graph.arc_index g v s, pl)) inbox);
             let seen_targets = Hashtbl.create 8 in
-            List.iter
-              (fun (target, payload) ->
-                if not (Graph.mem_edge g v target) then
-                  raise (Not_a_neighbor { sender = v; target });
+            box.post <-
+              (fun arc payload ->
+                if arc < off.(v) || arc >= off.(v + 1) then
+                  raise (Not_a_neighbor { sender = v; arc });
+                let target = dst.(arc) in
                 if Hashtbl.mem seen_targets target then
                   raise (Duplicate_message { sender = v; target })
                   (* one message per neighbour per round *);
@@ -238,11 +344,13 @@ let run_ref ~max_rounds ~word_limit ?faults ?trace ~metrics g prog =
                   (match trace with
                   | Some tr -> Trace.note_send tr ~sender:v ~target ~words
                   | None -> ());
-                  pending.(target) <- (v, payload) :: pending.(target);
+                  pending.(target) <- (v, Array.copy payload) :: pending.(target);
                   has_pending := true
                 end
-                else note_drop ?trace mm)
-              step.out
+                else note_drop ?trace mm);
+            let step = prog.round g ~round:r ~me:v states.(v) (Ref box) in
+            states.(v) <- step.state;
+            halted.(v) <- step.halt
           end
     done;
     end_round ?trace mm t ~sent ~halted:halted_now
@@ -251,107 +359,79 @@ let run_ref ~max_rounds ~word_limit ?faults ?trace ~metrics g prog =
 
 (* ---------- fast engine (CSR slot message plane, sharded rounds) ----------
 
-   One inbox slot per directed arc of the graph's CSR index: the message
-   [s -> t] lands in the arc [t -> s] (found by an ascending cursor over the
-   sender's sorted adjacency, with a binary-search fallback, plus an O(1)
-   reverse-arc hop).  Because a sender's slot in its target's inbox is
-   unique, duplicate detection is a slot-stamp check (no per-step hash
-   table); because each vertex's arcs are sorted by destination, scanning
-   the occupied slots of a receiver yields the inbox already sorted by
-   sender (no per-round [List.sort]); and because the payload arena and
-   stamps persist across rounds there is no per-round O(n) allocation —
-   stamps distinguish rounds by value, so nothing is ever cleared.  Halted
+   Sends go straight into the arc slots of the plane above.  A sender's
+   slot in its target's slice is unique, so duplicate detection is a
+   stamp check on the sender's own arc (no per-step hash table); each
+   slice is sorted by destination, so the read cursor walks the inbox in
+   sender order (no per-round sort); and because the plane persists
+   across rounds there is no per-round or per-message allocation.  Halted
    nodes and in-flight messages are tracked by counters, replacing the
    reference engine's O(n) quiescence scan.
 
    The node range is cut into [Parallel.block_count n] shards — a fixed
-   function of [n], never of the job count — and each round runs as two
-   pool sections with a barrier between them:
+   function of [n], never of the job count — and each round is one pool
+   section: every shard steps its nodes in increasing order, reading the
+   previous round's buffer and writing the current one.  A slot is
+   written only by its unique sender, so the only cross-shard writes are
+   the receivers' mail stamps — racy same-value stores whose reads all
+   happen after the next barrier.  Counts go to a per-shard accumulator,
+   folded on the caller in shard-index (= node) order after the barrier.
 
-   phase 1 (assembly): every shard scans its receivers' dirty flags and
-   materializes inboxes from the slots stamped last round.  Writes are
-   per-receiver, reads are arena slots written last round — the previous
-   barrier ordered them.
-
-   phase 2 (step + send): every shard steps its nodes, in increasing order,
-   and delivers into the arena.  A slot is written only by its unique
-   sender, so the only cross-shard writes are the receiver dirty flags —
-   racy same-value byte stores whose reads all happen after the next
-   barrier.  Counts go to a per-shard accumulator, folded on the caller in
-   shard-index (= node) order after the barrier.
-
-   Only the schedule of phase 2 varies.  Fault injection consumes its RNG
-   in (node, outbox) order and trace hooks record one global sequence, so
-   with [?faults] or [?trace] attached the shards run in node order on the
-   caller ([jobs = 1]); otherwise they fan out over [?jobs] domains.  Either
-   way every observable is per-node state or a shard-ordered fold, so the
-   run is byte-identical for every job count. *)
-
-type shard = {
-  mutable a_msgs : int;  (* messages delivered by this shard's senders *)
-  mutable a_words : int;  (* their summed payload words *)
-  mutable a_wake : int;
-  mutable a_maxw : int;
-  mutable a_halt : int;  (* halted-count delta *)
-  mutable a_slots : int;  (* arena slot first-touches *)
-  mutable a_fail : (exn * Printexc.raw_backtrace) option;
-      (* first exception in (node, outbox) order *)
-}
-
-(* Arc of [v -> target] in [v]'s sorted arc slice [base, stop): an
-   ascending scan from the cursor [from] (outboxes usually come in
-   adjacency order, so this is O(1) amortized), else a binary search of
-   the whole slice; -1 when [target] is not a neighbour.  A scan miss
-   means [target] is absent from [from, stop), so a fallback hit always
-   lies before [from]. *)
-let find_arc (dst : int array) ~base ~stop ~from (target : int) =
-  let c = ref from in
-  while !c < stop && Array.unsafe_get dst !c < target do
-    incr c
-  done;
-  if !c < stop && Array.unsafe_get dst !c = target then !c
-  else begin
-    let lo = ref base and hi = ref (stop - 1) in
-    let res = ref (-1) in
-    while !res < 0 && !lo <= !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      let d = Array.unsafe_get dst mid in
-      if d = target then res := mid
-      else if d < target then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !res
-  end
+   Fault injection consumes its RNG in (node, send) order and trace hooks
+   record one global sequence, so with [?faults] or [?trace] attached the
+   shards run in node order on the caller ([jobs = 1]); otherwise they fan
+   out over [?jobs] domains.  Either way every observable is per-node
+   state or a shard-ordered fold, so the run is byte-identical for every
+   job count. *)
 
 let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
   let n = Graph.n g in
   let t = start ?faults ?trace n in
   let mm = meters_of metrics in
-  (* [arena_slots_touched] counts first touches of send slots, i.e. the
-     arena high-water mark. *)
+  (* [arena_slots_touched] counts send arcs used for the first time, i.e.
+     the arena high-water mark. *)
   let m_arena_slots = Metrics.counter metrics "timing.congest.arena_slots_touched" in
   let m_arena_words = Metrics.counter metrics "timing.congest.arena_words_written" in
   let hooked = Option.is_some faults || Option.is_some trace in
-  let step_jobs = if hooked then Some 1 else jobs in
+  let jobs = if hooked then Some 1 else jobs in
   (* Raw CSR arrays: the loops below run once per message and cannot
      afford a cross-module call per arc. *)
   let { Graph.off; dst; rev; _ } = Graph.csr g in
   let states = Array.init n (fun v -> prog.init g v) in
   let halted = Array.make n false in
   let halted_count = ref 0 in
-  let arcs = Graph.arc_count g in
-  (* Message plane: flat payload arena + stamps, one slot per arc.  A slot
-     is "occupied for round r" iff its stamp equals r; stale stamps from
-     earlier rounds never collide because rounds increase strictly. *)
-  let arena = make_arena ~arcs ~word_limit in
-  let delivered_stamp = Array.make (max 1 arcs) (-1) in
-  let sent_stamp = Array.make (max 1 arcs) (-1) in
-  let dirty = Bytes.make (max 1 n) '\000' in
-  let inboxes : inbox array = Array.make n [] in
+  let arcs = max 1 (Graph.arc_count g) in
+  (* -2 never equals a previous round [r - 1 >= -1]. *)
+  let p =
+    {
+      dst;
+      rev;
+      words =
+        Bigarray.Array1.create Bigarray.int Bigarray.c_layout
+          (2 * arcs * word_limit);
+      plen = Array.make (2 * arcs) 0;
+      stamp = Array.make (2 * arcs) (-2);
+      mail = Array.make (2 * max 1 n) (-2);
+      sent = Array.make arcs (-1);
+      stride = word_limit;
+    }
+  in
   let nshards = Parallel.block_count n in
-  let accs =
+  let boxes =
     Array.init nshards (fun _ ->
         {
+          p;
+          faults;
+          trace;
+          mm;
+          me = 0;
+          lo = 0;
+          hi = 0;
+          r = 0;
+          rd = 0;
+          wr = 0;
+          mail_rd = 0;
+          mail_wr = 0;
           a_msgs = 0;
           a_words = 0;
           a_wake = 0;
@@ -361,113 +441,78 @@ let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
           a_fail = None;
         })
   in
+  let mailboxes = Array.map (fun b -> Fast b) boxes in
   (* Set once a hooked (caller-scheduled) run fails, so later shards do
      not step nodes the reference engine would never have reached.
      Written only under that schedule, where shards run one after another,
      so never raced. *)
   let aborted = ref false in
   let pending_msgs = ref 0 in
-  (* Deliver [v]'s outbox in round [r], counting into [acc]; [from] is the
-     ascending cursor into [v]'s arc slice [base, stop).  Validation order
-     matches the reference engine: neighbour, duplicate, size, faults. *)
-  let rec send acc r v base stop from = function
-    | [] -> ()
-    | (target, pl) :: rest ->
-        let arc = find_arc dst ~base ~stop ~from target in
-        if arc < 0 then raise (Not_a_neighbor { sender = v; target });
-        let slot = Array.unsafe_get rev arc in
-        let stamp = Array.unsafe_get sent_stamp slot in
-        if stamp = r then raise (Duplicate_message { sender = v; target })
-          (* one message per neighbour per round *);
-        if stamp < 0 then acc.a_slots <- acc.a_slots + 1;
-        Array.unsafe_set sent_stamp slot r;
-        let words = Array.length pl in
-        if words > word_limit then
-          raise (Message_too_large { sender = v; words; limit = word_limit });
-        if words > acc.a_maxw then acc.a_maxw <- words;
-        let delivered =
-          match faults with
-          | None -> true
-          | Some f -> Faults.deliver f ~round:r ~sender:v ~target
-        in
-        if delivered then begin
-          (match trace with
-          | Some tr -> Trace.note_send tr ~sender:v ~target ~words
-          | None -> ());
-          arena_write arena slot pl words;
-          Array.unsafe_set delivered_stamp slot r;
-          Bytes.unsafe_set dirty target '\001';
-          acc.a_msgs <- acc.a_msgs + 1;
-          acc.a_words <- acc.a_words + words
-        end
-        else note_drop ?trace mm;
-        send acc r v base stop (if arc >= from then arc + 1 else from) rest
-  in
-  (* Step node [v] in round [r] (or apply its crash) and deliver. *)
-  let step_node acc r v =
-    let inbox = inboxes.(v) in
-    (match faults with
+  (* Step node [v] (or apply its crash), sending through shard [s]. *)
+  let step_node s v =
+    let b = boxes.(s) and r = boxes.(s).r in
+    b.me <- v;
+    b.lo <- off.(v);
+    b.hi <- off.(v + 1);
+    let mailed = Array.unsafe_get p.mail (b.mail_rd + v) = r - 1 in
+    match faults with
     | Some f when Faults.is_crashed f v ->
-        drop_inbox f ?trace mm ~round:r ~target:v inbox;
+        if mailed then begin
+          let a = ref (scan b b.lo) in
+          while !a >= 0 do
+            Faults.drop_in_flight f ~round:r ~sender:dst.(!a) ~target:v;
+            note_drop ?trace mm;
+            a := scan b (!a + 1)
+          done
+        end;
         if not halted.(v) then begin
           halted.(v) <- true;
-          acc.a_halt <- acc.a_halt + 1
+          b.a_halt <- b.a_halt + 1
         end
     | _ ->
-        if (not (Array.unsafe_get halted v)) || inbox <> [] then begin
-          acc.a_wake <- acc.a_wake + 1;
+        if (not (Array.unsafe_get halted v)) || mailed then begin
+          b.a_wake <- b.a_wake + 1;
           (match trace with Some tr -> Trace.note_step tr | None -> ());
-          let step = prog.round g ~round:r ~me:v states.(v) inbox in
+          let step = prog.round g ~round:r ~me:v states.(v) mailboxes.(s) in
           states.(v) <- step.state;
           if halted.(v) <> step.halt then begin
             halted.(v) <- step.halt;
-            acc.a_halt <- (acc.a_halt + if step.halt then 1 else -1)
-          end;
-          send acc r v off.(v) off.(v + 1) off.(v) step.out
-        end);
-    match inbox with [] -> () | _ -> inboxes.(v) <- []
+            b.a_halt <- (b.a_halt + if step.halt then 1 else -1)
+          end
+        end
   in
-  let run_shard r s lo hi =
+  let run_shard s lo hi =
     if not !aborted then
-      let acc = accs.(s) in
+      let b = boxes.(s) in
       try
         for v = lo to hi - 1 do
-          step_node acc r v
+          step_node s v
         done
       with e ->
-        acc.a_fail <- Some (e, Printexc.get_raw_backtrace ());
+        b.a_fail <- Some (e, Printexc.get_raw_backtrace ());
         if hooked then aborted := true
   in
   while !pending_msgs > 0 || !halted_count < n do
     begin_round ~max_rounds ?faults ?trace t;
     let r = t.t_rounds and sent = t.t_msgs in
-    (* Phase 1: assemble inboxes of the receivers flagged dirty last round.
-       Scanning the arc slice backwards conses ascending sender order.
-       Stale words are left in the arena (occupancy is governed by the
-       stamps alone); each delivered message materializes as a fresh array
-       here, so nothing in the arena is ever reachable from a state. *)
+    let rd = (r + 1) land 1 in
+    Array.iter
+      (fun b ->
+        b.r <- r;
+        b.rd <- rd * arcs;
+        b.wr <- (1 - rd) * arcs;
+        b.mail_rd <- rd * n;
+        b.mail_wr <- (1 - rd) * n)
+      boxes;
     pending_msgs := 0;
-    Parallel.iter_blocks ?jobs ~counted:false n (fun _ lo hi ->
-        for v = lo to hi - 1 do
-          if Bytes.unsafe_get dirty v <> '\000' then begin
-            Bytes.unsafe_set dirty v '\000';
-            let acc = ref [] in
-            for a = off.(v + 1) - 1 downto off.(v) do
-              if Array.unsafe_get delivered_stamp a = r - 1 then
-                acc := (Array.unsafe_get dst a, arena_read arena a) :: !acc
-            done;
-            inboxes.(v) <- !acc
-          end
-        done);
-    (* Phase 2: step and deliver. *)
-    Parallel.iter_blocks ?jobs:step_jobs ~counted:false n (run_shard r);
+    Parallel.iter_blocks ?jobs ~counted:false n run_shard;
     (* Fold the shard accumulators in shard-index (= node) order.  On a
        failure, shards past the failing one are discarded, so the registry
        and the raised exception match the reference engine's byte-for-byte
        (it would never have reached those nodes). *)
     let fail = ref None and s = ref 0 in
     while Option.is_none !fail && !s < nshards do
-      let a = accs.(!s) in
+      let a = boxes.(!s) in
       t.t_msgs <- t.t_msgs + a.a_msgs;
       t.t_wake <- t.t_wake + a.a_wake;
       if a.a_maxw > t.t_maxw then t.t_maxw <- a.a_maxw;

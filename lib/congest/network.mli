@@ -9,11 +9,14 @@ open! Import
     message statistics.
 
     Node behaviour is given as a {!program}: an initial state and a round
-    function mapping (state, inbox) to (state, outbox, halt?).  A halted
-    node is skipped until a message arrives, which wakes it.  The run ends
-    when every node is halted and no messages are in flight, or when
-    [max_rounds] is hit (an error by default, since every algorithm in this
-    library has a proven round bound).
+    function mapping (state, mailbox) to (state, halt?).  The mailbox is
+    the node's whole view of the message plane for one step: a read
+    cursor over the messages it received last round and a send addressed
+    by one of its own arcs (see {!section-mailbox}).  A halted node is
+    skipped until a message arrives, which wakes it.  The run ends when
+    every node is halted and no messages are in flight, or when
+    [max_rounds] is hit (an error by default, since every algorithm in
+    this library has a proven round bound).
 
     Runs may optionally be subjected to a deterministic fault schedule
     ({!Faults}): crash-stop node failures, permanent link failures and
@@ -21,15 +24,16 @@ open! Import
     is perfectly reliable and behaves exactly as before the fault layer
     existed (tested bit-for-bit against the empty plan). *)
 
-type inbox = (int * int array) list
-(** [(sender_vertex, payload)] for each message received this round,
-    in increasing sender order (deterministic). *)
+(** {1:mailbox The program interface} *)
 
-type outbox = (int * int array) list
-(** [(neighbour_vertex, payload)]: destinations must be neighbours; at most
-    one message per neighbour per round. *)
+type mailbox
+(** One node's view of the message plane during one call of its round
+    function; do not keep it past that call.  Messages are addressed by
+    CSR arcs ({!Graph.section-arcs}): the arcs of node [v] are
+    [off.(v) .. off.(v+1) - 1] of [Graph.csr g], one per neighbour in
+    increasing neighbour order. *)
 
-type 'a step = { state : 'a; out : outbox; halt : bool }
+type 'a step = { state : 'a; halt : bool }
 
 type 'a program = {
   init : Graph.t -> int -> 'a;
@@ -37,25 +41,57 @@ type 'a program = {
           and its incident edges — programs honouring the model must not
           inspect the rest of the graph (this is by convention; the full
           graph is passed for convenience of address arithmetic). *)
-  round : Graph.t -> round:int -> me:int -> 'a -> inbox -> 'a step;
+  round : Graph.t -> round:int -> me:int -> 'a -> mailbox -> 'a step;
 }
 
+val first : mailbox -> int
+(** Cursor of the first message received last round, or [-1] when the
+    inbox is empty.  Messages come in increasing sender order. *)
+
+val next : mailbox -> int -> int
+(** Cursor of the message after the given one, or [-1] after the last. *)
+
+val sender : mailbox -> int -> int
+(** The vertex that sent the message. *)
+
+val arc : mailbox -> int -> int
+(** The receiver's own arc towards the sender: its edge id is
+    [(Graph.csr g).eid.(arc)], and a reply on that arc is {!send}'s
+    [~arc]. *)
+
+val length : mailbox -> int -> int
+(** Payload length of the message, in words. *)
+
+val word : mailbox -> int -> int -> int
+(** [word mb c i] is word [i] of the message's payload.  Raises
+    [Invalid_argument] unless [0 <= i < length mb c]. *)
+
+val send : mailbox -> arc:int -> int array -> unit
+(** Send the payload along one of the node's own arcs; its words are
+    copied at the call, so the array may be reused or shared.  Checks, in
+    order: the arc lies in the node's slice ({!Not_a_neighbor}), no
+    earlier message on it this round ({!Duplicate_message}), the word
+    limit ({!Message_too_large}); then the fault schedule decides
+    delivery. *)
+
 type engine = [ `Fast | `Ref ]
-(** Message-plane implementation.  [`Fast] (the default) delivers messages
-    into preallocated per-arc slots of the graph's CSR index: duplicate
-    detection is a slot-stamp check, inboxes come out sorted by sender for
-    free (adjacency slices are sorted), and payloads live in a flat
-    off-heap arena (one [word_limit]-word region per arc) instead of a
-    boxed array the GC would trace.  Its rounds are sharded: the node
-    range is cut into a fixed set of shards
-    ({!Ultraspan_util.Parallel.block_count}, a function of [n] alone) and
-    each round runs as two barrier-separated pool sections — inbox
-    assembly, then step-and-deliver — whose per-shard counts are folded on
-    the caller in shard-index (= node) order.  [`Ref] is the original
-    list-based loop, kept as the reference oracle for the differential
-    tests.  Both engines are observably identical — states, stats, fault
-    events, traces, deterministic metrics and model-violation exceptions
-    match bit-for-bit (enforced by the differential test suite). *)
+(** Message-plane implementation.  [`Fast] (the default) keeps one
+    [word_limit]-word slot per directed arc of the graph's CSR index in a
+    flat off-heap arena, with its payload length and delivery stamp: a
+    send copies the words straight into the target's slot, duplicate
+    detection is a stamp check on the sender's arc, and the read cursor
+    walks the receiver's slots in place, in sender order for free
+    (adjacency slices are sorted).  Slots and stamps are double-buffered
+    by round parity, so a node reads last round's messages while its
+    neighbours write this round's: a round is one pool section over a
+    fixed set of shards ({!Ultraspan_util.Parallel.block_count}, a
+    function of [n] alone), whose per-shard counts are folded on the
+    caller in shard-index (= node) order.  [`Ref] is the original
+    list-based loop behind the same mailbox, kept as the reference oracle
+    for the differential tests.  Both engines are observably identical —
+    states, stats, fault events, traces, deterministic metrics and
+    model-violation exceptions match bit-for-bit (enforced by the
+    differential test suite). *)
 
 type stats = {
   rounds : int;  (** rounds executed *)
@@ -69,9 +105,8 @@ type stats = {
 
 exception Message_too_large of { sender : int; words : int; limit : int }
 
-exception Not_a_neighbor of { sender : int; target : int }
-(** Raised when a message targets a vertex that is not adjacent to the
-    sender. *)
+exception Not_a_neighbor of { sender : int; arc : int }
+(** Raised when a node sends along an arc outside its own slice. *)
 
 exception Duplicate_message of { sender : int; target : int }
 (** Raised when a node sends two messages to the same neighbour in one
@@ -101,10 +136,9 @@ val run :
     [jobs] is the only schedule knob: it bounds the domains the [`Fast]
     engine's sharded rounds use (default:
     {!Ultraspan_util.Parallel.default_jobs}) and never affects results,
-    only wall-clock.  With [?faults] or [?trace] attached the step phase
-    runs its shards in node order on the caller, because the fault RNG and
-    the trace hooks are order-sensitive; inbox assembly stays parallel.
-    The [`Ref] engine ignores [jobs].
+    only wall-clock.  With [?faults] or [?trace] attached the shards run
+    in node order on the caller, because the fault RNG and the trace hooks
+    are order-sensitive.  The [`Ref] engine ignores [jobs].
 
     [faults] subjects the run to a fault schedule (see {!Faults} for the
     exact semantics); the injector must be fresh, and afterwards
@@ -127,10 +161,10 @@ val run :
     the [congest.max_payload_words] gauge and the
     [congest.deliveries_per_round] histogram) are identical across engines
     and accumulate across runs sharing the registry.  Engine-internal
-    diagnostics (arena occupancy, inbox sorts) live
+    diagnostics (arena occupancy, the oracle's inbox sorts) live
     under [timing.congest.*], the execution namespace excluded from
     determinism gates.  Whenever a run aborts — {!Round_limit_exceeded}, a
     model violation, or an exception from the program — the registry is
     flagged partial and keeps every counter recorded up to the abort, the
     same on both engines and for every job count.  A model violation is
-    the first one in (node, outbox) order. *)
+    the first one in (node, send) order. *)

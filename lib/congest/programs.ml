@@ -1,13 +1,19 @@
 open! Import
 
-(* Outbox addressed to every neighbour, in increasing neighbour order
-   (adjacency slices are sorted, so a reversed fold preserves the order
-   [Graph.neighbors] gave).  The payload array is shared across the
-   outbox — the simulator never mutates payloads. *)
-let out_to_all g me payload =
-  List.rev (Graph.fold_adj g me (fun acc u _ -> (u, payload) :: acc) [])
+(* [payload] along every arc of [me], in increasing neighbour order. *)
+let send_all mb (csr : Graph.csr) me payload =
+  for a = csr.off.(me) to csr.off.(me + 1) - 1 do
+    Network.send mb ~arc:a payload
+  done
 
-let sorted_nbrs g v = List.rev (Graph.fold_adj g v (fun acc u _ -> u :: acc) [])
+(* [f acc cursor] over the inbox, in increasing sender order. *)
+let fold_inbox mb f acc =
+  let rec go c acc = if c < 0 then acc else go (Network.next mb c) (f acc c) in
+  go (Network.first mb) acc
+
+(* The node's arcs, in increasing neighbour order. *)
+let own_arcs (csr : Graph.csr) v =
+  List.init (csr.off.(v + 1) - csr.off.(v)) (fun i -> csr.off.(v) + i)
 
 type bfs_result = { dist : int array; parent : int array }
 
@@ -17,41 +23,34 @@ type bfs_state = { bdist : int; bparent : int }
 
 let bfs ?faults ?trace ?metrics ?engine ?jobs g ~root =
   if root < 0 || root >= Graph.n g then invalid_arg "Programs.bfs: bad root";
+  let csr = Graph.csr g in
   let program =
     {
       Network.init = (fun _ _ -> { bdist = -1; bparent = -1 });
       round =
-        (fun g ~round ~me st inbox ->
+        (fun _ ~round ~me st mb ->
           if round = 0 && me = root then begin
-            let out = out_to_all g me [| 0 |] in
-            { Network.state = { bdist = 0; bparent = -1 }; out; halt = true }
+            send_all mb csr me [| 0 |];
+            { Network.state = { bdist = 0; bparent = -1 }; halt = true }
           end
+          else if st.bdist >= 0 || Network.first mb < 0 then
+            (* nothing heard, or already settled: ignore late announcements *)
+            { Network.state = st; halt = true }
           else begin
-            match inbox with
-            | [] -> { Network.state = st; out = []; halt = true }
-            | msgs ->
-                if st.bdist >= 0 then
-                  (* already settled; ignore late announcements *)
-                  { Network.state = st; out = []; halt = true }
-                else begin
-                  let best_sender, best_d =
-                    List.fold_left
-                      (fun (bs, bd) (s, payload) ->
-                        let d = payload.(0) in
-                        if d < bd || (d = bd && s < bs) then (s, d) else (bs, bd))
-                      (max_int, max_int) msgs
-                  in
-                  let st = { bdist = best_d + 1; bparent = best_sender } in
-                  let payload = [| st.bdist |] in
-                  let out =
-                    List.rev
-                      (Graph.fold_adj g me
-                         (fun acc u _ ->
-                           if u = best_sender then acc else (u, payload) :: acc)
-                         [])
-                  in
-                  { Network.state = st; out; halt = true }
-                end
+            (* the smallest distance, from the smallest sender on ties *)
+            let best = ref (Network.first mb) in
+            let c = ref (Network.next mb !best) in
+            while !c >= 0 do
+              if Network.word mb !c 0 < Network.word mb !best 0 then best := !c;
+              c := Network.next mb !c
+            done;
+            let parent = Network.sender mb !best in
+            let st = { bdist = Network.word mb !best 0 + 1; bparent = parent } in
+            let payload = [| st.bdist |] in
+            for a = csr.off.(me) to csr.off.(me + 1) - 1 do
+              if csr.dst.(a) <> parent then Network.send mb ~arc:a payload
+            done;
+            { Network.state = st; halt = true }
           end);
     }
   in
@@ -69,20 +68,21 @@ type bc_state = { known : int }
 let broadcast_max ?faults ?trace ?metrics ?engine ?jobs g ~values =
   if Array.length values <> Graph.n g then
     invalid_arg "Programs.broadcast_max: length mismatch";
+  let csr = Graph.csr g in
   let program =
     {
       Network.init = (fun _ v -> { known = values.(v) });
       round =
-        (fun g ~round ~me st inbox ->
+        (fun _ ~round ~me st mb ->
           let incoming =
-            List.fold_left (fun acc (_, p) -> max acc p.(0)) min_int inbox
+            fold_inbox mb (fun acc c -> max acc (Network.word mb c 0)) min_int
           in
           let updated = max st.known incoming in
           if round = 0 || updated > st.known then begin
-            let out = out_to_all g me [| updated |] in
-            { Network.state = { known = updated }; out; halt = true }
+            send_all mb csr me [| updated |];
+            { Network.state = { known = updated }; halt = true }
           end
-          else { Network.state = st; out = []; halt = true });
+          else { Network.state = st; halt = true });
     }
   in
   let states, stats = Network.run ?faults ?trace ?metrics ?engine ?jobs g program in
@@ -95,73 +95,64 @@ let tag_matched = 1
 
 type mm_state = {
   mate : int;
-  alive : int list; (* unmatched neighbours, sorted increasing *)
-  proposed_to : int;
+  alive : int list; (* arcs to unmatched neighbours, increasing *)
+  proposed_to : int; (* arc *)
   announced : bool;
 }
 
+(* Arcs of the inbox's messages tagged [tag], in increasing sender order. *)
+let arcs_tagged mb tag =
+  List.rev
+    (fold_inbox mb
+       (fun acc c ->
+         if Network.word mb c 0 = tag then Network.arc mb c :: acc else acc)
+       [])
+
 let maximal_matching ?trace ?metrics ?engine ?jobs g =
+  let csr = Graph.csr g in
+  let matched = [| tag_matched |] and propose = [| tag_propose |] in
   let program =
     {
       Network.init =
-        (fun g v ->
-          {
-            mate = -1;
-            alive = sorted_nbrs g v (* adjacency order, already increasing *);
-            proposed_to = -1;
-            announced = false;
-          });
+        (fun _ v ->
+          { mate = -1; alive = own_arcs csr v; proposed_to = -1; announced = false });
       round =
-        (fun _ ~round ~me:_ st inbox ->
+        (fun _ ~round ~me:_ st mb ->
           (* Remove neighbours announced as matched. *)
-          let dead =
-            List.filter_map
-              (fun (s, p) -> if p.(0) = tag_matched then Some s else None)
-              inbox
-          in
-          let alive = List.filter (fun u -> not (List.mem u dead)) st.alive in
+          let dead = arcs_tagged mb tag_matched in
+          let alive = List.filter (fun a -> not (List.mem a dead)) st.alive in
           let st = { st with alive } in
           if st.mate >= 0 then
-            if st.announced then { Network.state = st; out = []; halt = true }
+            if st.announced then { Network.state = st; halt = true }
             else begin
-              let out = List.map (fun u -> (u, [| tag_matched |])) st.alive in
-              { Network.state = { st with announced = true }; out; halt = true }
+              List.iter (fun a -> Network.send mb ~arc:a matched) st.alive;
+              { Network.state = { st with announced = true }; halt = true }
             end
           else if round mod 2 = 0 then begin
             (* Propose phase. *)
             match st.alive with
-            | [] -> { Network.state = st; out = []; halt = true }
+            | [] -> { Network.state = st; halt = true }
             | target :: _ ->
-                {
-                  Network.state = { st with proposed_to = target };
-                  out = [ (target, [| tag_propose |]) ];
-                  halt = false;
-                }
+                Network.send mb ~arc:target propose;
+                { Network.state = { st with proposed_to = target }; halt = false }
           end
           else begin
             (* Resolve phase: mutual proposals marry. *)
-            let proposers =
-              List.filter_map
-                (fun (s, p) -> if p.(0) = tag_propose then Some s else None)
-                inbox
-            in
+            let proposers = arcs_tagged mb tag_propose in
             if st.proposed_to >= 0 && List.mem st.proposed_to proposers then begin
               let mate = st.proposed_to in
-              let out =
-                List.filter_map
-                  (fun u -> if u = mate then None else Some (u, [| tag_matched |]))
-                  st.alive
-              in
+              List.iter
+                (fun a -> if a <> mate then Network.send mb ~arc:a matched)
+                st.alive;
               {
-                Network.state = { st with mate; announced = true; proposed_to = -1 };
-                out;
+                Network.state =
+                  { st with mate = csr.dst.(mate); announced = true; proposed_to = -1 };
                 halt = true;
               }
             end
             else
               {
                 Network.state = { st with proposed_to = -1 };
-                out = [];
                 halt = st.alive = [];
               }
           end);
@@ -180,7 +171,7 @@ type mis_status = Mis_active | Mis_in | Mis_covered
 
 type mis_state = {
   status : mis_status;
-  active_nbrs : int list;
+  active_nbrs : int list; (* arcs *)
   prios : (int * int) list; (* neighbour -> priority, this phase *)
 }
 
@@ -191,50 +182,44 @@ let luby_mis ?trace ?metrics ?engine ?jobs ~seed g =
     let r = Util.Rng.create ((seed * 1_000_003) + (v * 7919) + phase) in
     Util.Rng.bits r
   in
+  let csr = Graph.csr g in
+  let in_mis = [| tag_in_mis |] and removed_msg = [| tag_removed |] in
   let program =
     {
       Network.init =
-        (fun g v ->
-          {
-            status = Mis_active;
-            active_nbrs = sorted_nbrs g v;
-            prios = [];
-          });
+        (fun _ v -> { status = Mis_active; active_nbrs = own_arcs csr v; prios = [] });
       round =
-        (fun _ ~round ~me st inbox ->
+        (fun _ ~round ~me st mb ->
           let phase = round / 3 in
           let sub = round mod 3 in
           (* Removal notices can arrive at any sub-round boundary. *)
-          let removed =
-            List.filter_map
-              (fun (s, p) -> if p.(0) = tag_removed then Some s else None)
-              inbox
-          in
+          let removed = arcs_tagged mb tag_removed in
           let active_nbrs =
-            List.filter (fun u -> not (List.mem u removed)) st.active_nbrs
+            List.filter (fun a -> not (List.mem a removed)) st.active_nbrs
           in
           let st = { st with active_nbrs } in
           match st.status with
-          | Mis_in | Mis_covered -> { Network.state = st; out = []; halt = true }
+          | Mis_in | Mis_covered -> { Network.state = st; halt = true }
           | Mis_active ->
               if sub = 0 then begin
                 if st.active_nbrs = [] then
                   (* isolated among active vertices: join the set *)
-                  { Network.state = { st with status = Mis_in }; out = []; halt = true }
+                  { Network.state = { st with status = Mis_in }; halt = true }
                 else begin
-                  let p = priority me phase in
-                  let out =
-                    List.map (fun u -> (u, [| tag_priority; p |])) st.active_nbrs
-                  in
-                  { Network.state = { st with prios = [] }; out; halt = false }
+                  let msg = [| tag_priority; priority me phase |] in
+                  List.iter (fun a -> Network.send mb ~arc:a msg) st.active_nbrs;
+                  { Network.state = { st with prios = [] }; halt = false }
                 end
               end
               else if sub = 1 then begin
                 let prios =
-                  List.filter_map
-                    (fun (s, p) ->
-                      if p.(0) = tag_priority then Some (s, p.(1)) else None)
-                    inbox
+                  List.rev
+                    (fold_inbox mb
+                       (fun acc c ->
+                         if Network.word mb c 0 = tag_priority then
+                           (Network.sender mb c, Network.word mb c 1) :: acc
+                         else acc)
+                       [])
                 in
                 let mine = priority me phase in
                 let wins =
@@ -243,36 +228,24 @@ let luby_mis ?trace ?metrics ?engine ?jobs ~seed g =
                     prios
                 in
                 if wins && prios <> [] then begin
-                  let out =
-                    List.map (fun u -> (u, [| tag_in_mis |])) st.active_nbrs
-                  in
-                  { Network.state = { st with status = Mis_in }; out; halt = true }
+                  List.iter (fun a -> Network.send mb ~arc:a in_mis) st.active_nbrs;
+                  { Network.state = { st with status = Mis_in }; halt = true }
                 end
-                else { Network.state = { st with prios }; out = []; halt = false }
+                else { Network.state = { st with prios }; halt = false }
               end
               else begin
                 (* sub = 2: winner announcements from sub-round 1 arrive
                    here; newly covered vertices tell the rest to prune them *)
-                let winners =
-                  List.filter_map
-                    (fun (s, p) -> if p.(0) = tag_in_mis then Some s else None)
-                    inbox
-                in
+                let winners = arcs_tagged mb tag_in_mis in
                 if winners <> [] then begin
-                  let out =
-                    List.filter_map
-                      (fun u ->
-                        if List.mem u winners then None
-                        else Some (u, [| tag_removed |]))
-                      st.active_nbrs
-                  in
-                  {
-                    Network.state = { st with status = Mis_covered };
-                    out;
-                    halt = true;
-                  }
+                  List.iter
+                    (fun a ->
+                      if not (List.mem a winners) then
+                        Network.send mb ~arc:a removed_msg)
+                    st.active_nbrs;
+                  { Network.state = { st with status = Mis_covered }; halt = true }
                 end
-                else { Network.state = st; out = []; halt = false }
+                else { Network.state = st; halt = false }
               end);
     }
   in
@@ -286,33 +259,30 @@ type bf_state = { bf_dist : int; bf_parent : int }
 let bellman_ford ?trace ?metrics ?engine ?jobs g ~source =
   if source < 0 || source >= Graph.n g then
     invalid_arg "Programs.bellman_ford: bad source";
+  let csr = Graph.csr g in
   let program =
     {
       Network.init = (fun _ v ->
           if v = source then { bf_dist = 0; bf_parent = -1 }
           else { bf_dist = max_int; bf_parent = -1 });
       round =
-        (fun g ~round ~me st inbox ->
+        (fun g ~round ~me st mb ->
           (* relax against the incoming announcements *)
           let improved = ref (round = 0 && me = source) in
-          let st = ref st in
-          List.iter
-            (fun (s, p) ->
-              match Graph.find_edge g me s with
-              | None -> ()
-              | Some eid ->
-                  let nd = p.(0) + Graph.weight g eid in
-                  if nd < !st.bf_dist then begin
-                    st := { bf_dist = nd; bf_parent = s };
-                    improved := true
-                  end)
-            inbox;
-          let st = !st in
-          if !improved then begin
-            let out = out_to_all g me [| st.bf_dist |] in
-            { Network.state = st; out; halt = true }
-          end
-          else { Network.state = st; out = []; halt = true });
+          let st =
+            fold_inbox mb
+              (fun st c ->
+                let w = Graph.weight g csr.eid.(Network.arc mb c) in
+                let nd = Network.word mb c 0 + w in
+                if nd < st.bf_dist then begin
+                  improved := true;
+                  { bf_dist = nd; bf_parent = Network.sender mb c }
+                end
+                else st)
+              st
+          in
+          if !improved then send_all mb csr me [| st.bf_dist |];
+          { Network.state = st; halt = true });
     }
   in
   let states, stats = Network.run ?trace ?metrics ?engine ?jobs g program in
@@ -325,29 +295,26 @@ let bellman_ford ?trace ?metrics ?engine ?jobs g ~source =
 type forest_state = { fr_root : int; fr_parent_eid : int }
 
 let spanning_forest ?trace ?metrics ?engine ?jobs g =
+  let csr = Graph.csr g in
   let program =
     {
       Network.init = (fun _ v -> { fr_root = v; fr_parent_eid = -1 });
       round =
-        (fun g ~round ~me st inbox ->
+        (fun _ ~round ~me st mb ->
           let improved = ref (round = 0) in
-          let st = ref st in
-          List.iter
-            (fun (s, p) ->
-              if p.(0) < !st.fr_root then begin
-                match Graph.find_edge g me s with
-                | Some eid ->
-                    st := { fr_root = p.(0); fr_parent_eid = eid };
-                    improved := true
-                | None -> ()
-              end)
-            inbox;
-          let st = !st in
-          if !improved then begin
-            let out = out_to_all g me [| st.fr_root |] in
-            { Network.state = st; out; halt = true }
-          end
-          else { Network.state = st; out = []; halt = true });
+          let st =
+            fold_inbox mb
+              (fun st c ->
+                let root = Network.word mb c 0 in
+                if root < st.fr_root then begin
+                  improved := true;
+                  { fr_root = root; fr_parent_eid = csr.eid.(Network.arc mb c) }
+                end
+                else st)
+              st
+          in
+          if !improved then send_all mb csr me [| st.fr_root |];
+          { Network.state = st; halt = true });
     }
   in
   let states, stats = Network.run ?trace ?metrics ?engine ?jobs g program in

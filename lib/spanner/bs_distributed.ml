@@ -44,7 +44,7 @@ let run ?trace ?metrics ?engine ?jobs ~seed ~k g =
     iter < k
     && Util.Hash_family.indicator hash ~threshold ((c * 131) + iter)
   in
-  let { Graph.off; dst; eid; _ } = Graph.csr g in
+  let { Graph.off; eid; _ } = Graph.csr g in
   let weight a = Graph.weight g eid.(a) in
   (* Node [v]'s knowledge of its incident edges is its own slice
      [off.(v), off.(v+1)) of these per-arc arrays; no node touches another
@@ -82,52 +82,49 @@ let run ?trace ?metrics ?engine ?jobs ~seed ~k g =
     end;
     v
   in
-  (* One forward merge of a sender-sorted inbox against the sorted slice
-     from arc [a]: [f arc payload] for each sender's arc. *)
-  let rec merge f a = function
-    | [] -> ()
-    | (s, pl) :: rest as msgs ->
-        if dst.(a) < s then merge f (a + 1) msgs
-        else begin
-          f a pl;
-          merge f (a + 1) rest
-        end
+  (* Fold the inbox into the slice: [note arc cursor] for each message,
+     at the receiver's arc. *)
+  let iter_inbox mb note =
+    let c = ref (Network.first mb) in
+    while !c >= 0 do
+      note (Network.arc mb !c) !c;
+      c := Network.next mb !c
+    done
   in
-  let note_death a pl = if pl.(0) = tag_edge_died then set a dead in
-  let note_cluster a pl =
-    if pl.(0) = tag_cluster then nbr_cluster.(a) <- pl.(1)
+  let note_death mb a c =
+    if Network.word mb c 0 = tag_edge_died then set a dead
+  in
+  let note_cluster mb a c =
+    if Network.word mb c 0 = tag_cluster then
+      nbr_cluster.(a) <- Network.word mb c 1
   in
   (* [payload] along the arcs of [lo, hi) selected by [pick], in
      ascending neighbour order. *)
-  let send lo hi payload pick =
-    let out = ref [] in
-    for a = hi - 1 downto lo do
-      if pick a then out := (dst.(a), payload) :: !out
-    done;
-    !out
+  let send mb lo hi payload pick =
+    for a = lo to hi - 1 do
+      if pick a then Network.send mb ~arc:a payload
+    done
   in
-  let round _ ~round ~me cluster inbox =
+  let round _ ~round ~me cluster mb =
     let iter = (round / 2) + 1 in
     if iter > k || cluster < 0 then
-      { Network.state = cluster; out = []; halt = true }
+      { Network.state = cluster; halt = true }
     else begin
       let lo = off.(me) and hi = off.(me + 1) in
       if round mod 2 = 0 then begin
         (* Broadcast phase.  First fold in edge-death notices from the
            previous decision phase. *)
-        merge note_death lo inbox;
-        let out =
-          send lo hi [| tag_cluster; cluster |] (fun a -> not (has a dead))
-        in
-        { Network.state = cluster; out; halt = false }
+        iter_inbox mb (note_death mb);
+        send mb lo hi [| tag_cluster; cluster |] (fun a -> not (has a dead));
+        { Network.state = cluster; halt = false }
       end
       else begin
         (* Decision phase: inbox holds neighbours' cluster ids. *)
         Array.fill nbr_cluster lo (hi - lo) (-1);
-        merge note_cluster lo inbox;
+        iter_inbox mb (note_cluster mb);
         if sampled_cluster ~iter cluster then
           (* nothing to do; stay alive. *)
-          { Network.state = cluster; out = []; halt = iter = k }
+          { Network.state = cluster; halt = iter = k }
         else begin
           (* Scan the arcs in (weight, edge id) order: the first arc met
              into each adjacent cluster is its minimum edge.  Stop at the
@@ -166,8 +163,8 @@ let run ?trace ?metrics ?engine ?jobs ~seed ~k g =
             for a = lo to hi - 1 do
               if dies a then set a dead
             done;
-            let out = send lo hi notice dies in
-            { Network.state = ci; out; halt = iter = k }
+            send mb lo hi notice dies;
+            { Network.state = ci; halt = iter = k }
           end
           else begin
             (* die: add min edge per adjacent cluster, all edges die *)
@@ -179,11 +176,9 @@ let run ?trace ?metrics ?engine ?jobs ~seed ~k g =
                 set a kept
               end
             done;
-            let out =
-              send lo hi notice (fun a ->
-                  nbr_cluster.(a) >= 0 && not (has a dead))
-            in
-            { Network.state = -1; out; halt = true }
+            send mb lo hi notice (fun a ->
+                nbr_cluster.(a) >= 0 && not (has a dead));
+            { Network.state = -1; halt = true }
           end
         end
       end

@@ -13,6 +13,7 @@ let none_pair = (max_int, max_int)
 
 let partition ?engine ?jobs ~t g =
   let n = Graph.n g in
+  let { Graph.off; eid; _ } = Graph.csr g in
   let st = Stretch_friendly.start ~strategy:Stretch_friendly.Matched g in
   let real_rounds = ref 0 in
   let messages = ref 0 in
@@ -44,15 +45,14 @@ let partition ?engine ?jobs ~t g =
     let read_across ~annotation pick =
       let got, s =
         Cp.reduce_to_roots ?engine ?jobs g part ~annotation
-          ~local:(fun g me ~nbrs ->
+          ~local:(fun _ me ~nbr_cluster ~nbr_annotation ->
             let best = ref none_pair in
-            Graph.iter_adj g me (fun u eid ->
-                if eid = out_eid.(cluster_of.(me)) then
-                  List.iter
-                    (fun (s, c, a) ->
-                      if s = u && c <> cluster_of.(me) then
-                        best := min !best (pick c a, 0))
-                    nbrs);
+            for a = off.(me) to off.(me + 1) - 1 do
+              let c = nbr_cluster.(a) in
+              if eid.(a) = out_eid.(cluster_of.(me)) && c >= 0
+                 && c <> cluster_of.(me)
+              then best := min !best (pick c nbr_annotation.(a), 0)
+            done;
             !best)
           ~merge:min ~identity:none_pair
       in
@@ -113,14 +113,14 @@ let partition ?engine ?jobs ~t g =
       tally s1;
       let proposals, s2 =
         Cp.reduce_to_roots ?engine ?jobs g part ~annotation:vertex_prop
-          ~local:(fun g me ~nbrs ->
+          ~local:(fun _ me ~nbr_cluster ~nbr_annotation ->
             let best = ref none_pair in
-            Graph.iter_adj g me (fun u eid ->
-                List.iter
-                  (fun (s, c, a) ->
-                    if s = u && a = eid && c <> cluster_of.(me) then
-                      best := min !best (c, 0))
-                  nbrs);
+            for a = off.(me) to off.(me + 1) - 1 do
+              let c = nbr_cluster.(a) in
+              if nbr_annotation.(a) = eid.(a) && c >= 0
+                 && c <> cluster_of.(me)
+              then best := min !best (c, 0)
+            done;
             !best)
           ~merge:min ~identity:none_pair
       in

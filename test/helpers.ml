@@ -59,4 +59,37 @@ let check_ok name = function
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* ---------- CONGEST programs ---------- *)
+
+(* [payload] from [me] to every neighbour, in increasing order. *)
+let send_all g mb me payload =
+  let { Graph.off; _ } = Graph.csr g in
+  for a = off.(me) to off.(me + 1) - 1 do
+    Network.send mb ~arc:a payload
+  done
+
+(* [payload] from [me] to the neighbour [u]. *)
+let send_to g mb me u payload =
+  Network.send mb ~arc:(Graph.arc_index g me u) payload
+
+let has_mail mb = Network.first mb >= 0
+
+(* The root floods a token; every node records the round it first hears
+   it. *)
+let flood_program root =
+  {
+    Network.init = (fun _ _ -> -1);
+    round =
+      (fun g ~round ~me st mb ->
+        if round = 0 && me = root then begin
+          send_all g mb me [| 1 |];
+          { Network.state = 0; halt = true }
+        end
+        else if st = -1 && has_mail mb then begin
+          send_all g mb me [| 1 |];
+          { Network.state = round; halt = true }
+        end
+        else { Network.state = st; halt = true });
+  }
+
 let slow_case name f = Alcotest.test_case name `Slow f

@@ -347,8 +347,23 @@ let protocols_pinned () =
 (* ---------- the list-based step, kept as a differential oracle ---------- *)
 
 (* The protocol as first written: assoc lists keyed by neighbour, a hash
-   table of per-cluster minima and a polymorphic sort per decision step. *)
+   table of per-cluster minima and a polymorphic sort per decision step.
+   It still reads its inbox and writes its outbox as lists of
+   [(neighbour, payload)], converted at the mailbox. *)
 module Reference = struct
+  let inbox_of mb =
+    let rec go c acc =
+      if c < 0 then List.rev acc
+      else
+        let pl = Array.init (Network.length mb c) (Network.word mb c) in
+        go (Network.next mb c) ((Network.sender mb c, pl) :: acc)
+    in
+    go (Network.first mb) []
+
+  let step g mb me (state, out, halt) =
+    List.iter (fun (u, pl) -> send_to g mb me u pl) out;
+    { Network.state; halt }
+
   type state = {
     alive : bool;
     cluster : int;
@@ -365,10 +380,11 @@ module Reference = struct
     let sampled ~iter c =
       iter < k && Hash_family.indicator hash ~threshold ((c * 131) + iter)
     in
-    let round g ~round ~me st inbox =
+    let list_step g ~round ~me st mb =
+      let inbox = inbox_of mb in
       let iter = (round / 2) + 1 in
       if iter > k || not st.alive then
-        { Network.state = st; out = []; halt = true }
+        (st, [], true)
       else if round mod 2 = 0 then begin
         let newly_dead =
           List.filter_map
@@ -384,7 +400,7 @@ module Reference = struct
                  if List.mem u dead_edges then acc else (u, payload) :: acc)
                [])
         in
-        { Network.state = { st with dead_edges }; out; halt = false }
+        ({ st with dead_edges }, out, false)
       end
       else begin
         let nbr_cluster =
@@ -394,7 +410,7 @@ module Reference = struct
         in
         let st = { st with nbr_cluster } in
         if sampled ~iter st.cluster then
-          { Network.state = st; out = []; halt = iter = k }
+          (st, [], iter = k)
         else begin
           let best = Hashtbl.create 8 in
           Graph.iter_adj g me (fun u eid ->
@@ -424,18 +440,15 @@ module Reference = struct
                     if List.mem c kill then Some (u, notice) else None)
                   nbr_cluster
               in
-              {
-                Network.state =
-                  {
-                    st with
-                    cluster = c_i;
-                    spanner_nbrs =
-                      List.map (fun (_, _, u) -> u) added @ st.spanner_nbrs;
-                    dead_edges = List.map fst notices @ st.dead_edges;
-                  };
-                out = notices;
-                halt = iter = k;
-              }
+              ( {
+                  st with
+                  cluster = c_i;
+                  spanner_nbrs =
+                    List.map (fun (_, _, u) -> u) added @ st.spanner_nbrs;
+                  dead_edges = List.map fst notices @ st.dead_edges;
+                },
+                notices,
+                iter = k )
           | None ->
               let notices =
                 List.filter_map
@@ -443,18 +456,15 @@ module Reference = struct
                     if List.mem u st.dead_edges then None else Some (u, notice))
                   nbr_cluster
               in
-              {
-                Network.state =
-                  {
-                    st with
-                    alive = false;
-                    cluster = -1;
-                    spanner_nbrs =
-                      List.map (fun (_, _, u) -> u) adjacent @ st.spanner_nbrs;
-                  };
-                out = notices;
-                halt = true;
-              }
+              ( {
+                  st with
+                  alive = false;
+                  cluster = -1;
+                  spanner_nbrs =
+                    List.map (fun (_, _, u) -> u) adjacent @ st.spanner_nbrs;
+                },
+                notices,
+                true )
         end
       end
     in
@@ -468,7 +478,13 @@ module Reference = struct
       }
     in
     let states, stats =
-      Network.run ~word_limit:4 ?trace ~engine g { Network.init; round }
+      Network.run ~word_limit:4 ?trace ~engine g
+        {
+          Network.init;
+          round =
+            (fun g ~round ~me st mb ->
+              step g mb me (list_step g ~round ~me st mb));
+        }
     in
     let keep = Array.make (Graph.m g) false in
     Array.iteri

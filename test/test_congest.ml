@@ -3,28 +3,6 @@ open Helpers
 
 (* ---------- simulator semantics ---------- *)
 
-(* A program where the root floods a token; every node records the round it
-   first hears it. *)
-let flood_program root =
-  {
-    Network.init = (fun _ _ -> -1);
-    round =
-      (fun g ~round ~me st inbox ->
-        if round = 0 && me = root then
-          {
-            Network.state = 0;
-            out = List.map (fun (u, _) -> (u, [| 1 |])) (Graph.neighbors g me);
-            halt = true;
-          }
-        else if st = -1 && inbox <> [] then
-          {
-            Network.state = round;
-            out = List.map (fun (u, _) -> (u, [| 1 |])) (Graph.neighbors g me);
-            halt = true;
-          }
-        else { Network.state = st; out = []; halt = true })
-  }
-
 let flood_reaches_everyone =
   qcheck "flooding reaches every vertex in ecc rounds" seed_gen (fun seed ->
       let g = unit_graph_of_seed ~n_max:60 seed in
@@ -39,10 +17,9 @@ let word_limit_enforced () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me st _ ->
-          if round = 0 && me = 0 then
-            { Network.state = st; out = [ (1, Array.make 10 0) ]; halt = true }
-          else { Network.state = st; out = []; halt = true });
+        (fun g ~round ~me st mb ->
+          if round = 0 && me = 0 then send_to g mb me 1 (Array.make 10 0);
+          { Network.state = st; halt = true });
     }
   in
   match Network.run ~word_limit:4 g program with
@@ -55,14 +32,16 @@ let non_neighbor_rejected () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me st _ ->
+        (fun g ~round ~me st mb ->
+          (* vertex 0 sends along vertex 1's arc towards 2 *)
           if round = 0 && me = 0 then
-            { Network.state = st; out = [ (2, [| 1 |]) ]; halt = true }
-          else { Network.state = st; out = []; halt = true });
+            Network.send mb ~arc:(Graph.arc_index g 1 2) [| 1 |];
+          { Network.state = st; halt = true });
     }
   in
   match Network.run g program with
-  | exception Network.Not_a_neighbor { sender = 0; target = 2 } -> ()
+  | exception Network.Not_a_neighbor { sender = 0; arc } ->
+      Alcotest.(check int) "offending arc" (Graph.arc_index g 1 2) arc
   | _ -> Alcotest.fail "expected Not_a_neighbor"
 
 let duplicate_rejected () =
@@ -73,10 +52,12 @@ let duplicate_rejected () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me st _ ->
-          if round = 0 && me = 0 then
-            { Network.state = st; out = [ (1, [| 1 |]); (1, [| 2 |]) ]; halt = true }
-          else { Network.state = st; out = []; halt = true });
+        (fun g ~round ~me st mb ->
+          if round = 0 && me = 0 then begin
+            send_to g mb me 1 [| 1 |];
+            send_to g mb me 1 [| 2 |]
+          end;
+          { Network.state = st; halt = true });
     }
   in
   match Network.run g program with
@@ -89,11 +70,11 @@ let round_limit_enforced () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me st inbox ->
+        (fun g ~round ~me st mb ->
           (* nodes 0 and 1 ping-pong forever *)
-          if (round = 0 && me = 0) || inbox <> [] then
-            { Network.state = st; out = [ (1 - me, [| 0 |]) ]; halt = true }
-          else { Network.state = st; out = []; halt = true });
+          if (round = 0 && me = 0) || has_mail mb then
+            send_to g mb me (1 - me) [| 0 |];
+          { Network.state = st; halt = true });
     }
   in
   match Network.run ~max_rounds:10 g program with

@@ -20,31 +20,26 @@ let random_program ~seed ~cap =
   {
     Network.init = (fun _ v -> v land 0xff);
     round =
-      (fun g ~round ~me st inbox ->
-        let absorbed =
-          List.fold_left
-            (fun acc (s, p) -> acc + s + Array.fold_left ( + ) 0 p)
-            st inbox
-        in
-        if round >= cap then { Network.state = absorbed; out = []; halt = true }
+      (fun g ~round ~me st mb ->
+        let absorbed = ref st and c = ref (Network.first mb) in
+        while !c >= 0 do
+          absorbed := !absorbed + Network.sender mb !c;
+          for i = 0 to Network.length mb !c - 1 do
+            absorbed := !absorbed + Network.word mb !c i
+          done;
+          c := Network.next mb !c
+        done;
+        if round >= cap then { Network.state = !absorbed; halt = true }
         else begin
-          let out =
-            List.rev
-              (Graph.fold_adj g me
-                 (fun acc u _ ->
-                   let r = h me u round in
-                   if r land 3 = 0 then acc
-                   else begin
-                     let words = 1 + (r lsr 2) mod 4 in
-                     let payload =
-                       Array.init words (fun i -> h u me (round + i) land 0xffff)
-                     in
-                     (u, payload) :: acc
-                   end)
-                 [])
-          in
+          Graph.iter_adj g me (fun u _ ->
+              let r = h me u round in
+              if r land 3 <> 0 then begin
+                let words = 1 + (r lsr 2) mod 4 in
+                send_to g mb me u
+                  (Array.init words (fun i -> h u me (round + i) land 0xffff))
+              end);
           let halt = h me 17 round land 7 < 3 in
-          { Network.state = absorbed; out; halt }
+          { Network.state = !absorbed; halt }
         end);
   }
 
@@ -146,8 +141,8 @@ let violations_agree () =
     let attempt engine =
       match Network.run ~engine g prog with
       | _ -> None
-      | exception Network.Not_a_neighbor { sender; target } ->
-          Some (`Nn (sender, target))
+      | exception Network.Not_a_neighbor { sender; arc } ->
+          Some (`Nn (sender, arc))
       | exception Network.Duplicate_message { sender; target } ->
           Some (`Dup (sender, target))
       | exception Network.Message_too_large { sender; words; limit } ->
@@ -156,22 +151,29 @@ let violations_agree () =
     let f = attempt `Fast and r = attempt `Ref in
     Alcotest.(check bool) "violation parity" true (f = r && f <> None)
   in
+  (* every node sends [out] (as (neighbour, payload)) in round 0 *)
   let once out =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me:_ () _ ->
-          { Network.state = (); out = (if round = 0 then out else []); halt = true });
+        (fun g ~round ~me () mb ->
+          if round = 0 then
+            List.iter
+              (fun (u, pl) ->
+                if Graph.mem_edge g me u then send_to g mb me u pl)
+              out;
+          { Network.state = (); halt = true });
     }
   in
-  (* vertex 0's only neighbour is 1: vertex 2 is not adjacent *)
+  (* vertex 0's only neighbour is 1: the arc 1 -> 2 is not in its slice *)
   raises
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me () _ ->
-          let out = if round = 0 && me = 0 then [ (2, [| 0 |]) ] else [] in
-          { Network.state = (); out; halt = true });
+        (fun g ~round ~me () mb ->
+          if round = 0 && me = 0 then
+            Network.send mb ~arc:(Graph.arc_index g 1 2) [| 0 |];
+          { Network.state = (); halt = true });
     };
   raises (once [ (1, [| 0 |]); (1, [| 1 |]) ]);
   raises (once [ (1, [| 0; 0; 0; 0; 0 |]) ])
@@ -184,9 +186,9 @@ let round_limit_agrees () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun g ~round:_ ~me () _ ->
-          let out = Graph.fold_adj g me (fun acc u _ -> (u, [| 1 |]) :: acc) [] in
-          { Network.state = (); out; halt = false });
+        (fun g ~round:_ ~me () mb ->
+          send_all g mb me [| 1 |];
+          { Network.state = (); halt = false });
     }
   in
   let partial engine =
@@ -253,8 +255,8 @@ let sharded_violations_agree () =
       let outcome =
         match Network.run ~metrics:r ~engine ~jobs g prog with
         | _ -> None
-        | exception Network.Not_a_neighbor { sender; target } ->
-            Some (`Nn (sender, target))
+        | exception Network.Not_a_neighbor { sender; arc } ->
+            Some (`Nn (sender, arc))
         | exception Network.Duplicate_message { sender; target } ->
             Some (`Dup (sender, target))
         | exception Network.Message_too_large { sender; words; limit } ->
@@ -278,13 +280,15 @@ let sharded_violations_agree () =
           expo expo')
       fast_jobs
   in
+  (* node [me] sends [out] in round 0, as (arc, payload) *)
   let offender me out =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me:v () _ ->
-          let out = if round = 0 && v = me then out else [] in
-          { Network.state = (); out; halt = true });
+        (fun _ ~round ~me:v () mb ->
+          if round = 0 && v = me then
+            List.iter (fun (arc, pl) -> Network.send mb ~arc pl) out;
+          { Network.state = (); halt = true });
     }
   in
   (* two violators in different shards: lowest node must win *)
@@ -292,16 +296,16 @@ let sharded_violations_agree () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me () _ ->
-          let out =
-            if round = 0 && (me = 10 || me = 40) then [ (0, [| 0 |]) ] else []
-          in
-          { Network.state = (); out; halt = true });
+        (fun _ ~round ~me () mb ->
+          if round = 0 && (me = 10 || me = 40) then
+            Network.send mb ~arc:0 [| 0 |];
+          { Network.state = (); halt = true });
     }
   in
-  raises (offender 30 [ (0, [| 7 |]) ]);
-  raises (offender 30 [ (31, [| 0 |]); (31, [| 1 |]) ]);
-  raises (offender 30 [ (31, [| 0; 0; 0; 0; 0 |]) ]);
+  let arc u v = Graph.arc_index g u v in
+  raises (offender 30 [ (arc 0 1, [| 7 |]) ]);
+  raises (offender 30 [ (arc 30 31, [| 0 |]); (arc 30 31, [| 1 |]) ]);
+  raises (offender 30 [ (arc 30 31, [| 0; 0; 0; 0; 0 |]) ]);
   raises two
 
 let sharded_round_limit_agrees () =
@@ -310,9 +314,9 @@ let sharded_round_limit_agrees () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun g ~round:_ ~me () _ ->
-          let out = Graph.fold_adj g me (fun acc u _ -> (u, [| 1 |]) :: acc) [] in
-          { Network.state = (); out; halt = false });
+        (fun g ~round:_ ~me () mb ->
+          send_all g mb me [| 1 |];
+          { Network.state = (); halt = false });
     }
   in
   let partial engine jobs =

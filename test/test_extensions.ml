@@ -431,14 +431,12 @@ let duplicate_message_rejected () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me st _ ->
-          if round = 0 && me = 0 then
-            {
-              Network.state = st;
-              out = [ (1, [| 1 |]); (1, [| 2 |]) ];
-              halt = true;
-            }
-          else { Network.state = st; out = []; halt = true });
+        (fun g ~round ~me st mb ->
+          if round = 0 && me = 0 then begin
+            send_to g mb me 1 [| 1 |];
+            send_to g mb me 1 [| 2 |]
+          end;
+          { Network.state = st; halt = true });
     }
   in
   match Network.run g program with

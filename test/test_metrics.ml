@@ -9,12 +9,9 @@ let restless_program =
   {
     Network.init = (fun _ _ -> 0);
     round =
-      (fun g ~round:_ ~me st _inbox ->
-        {
-          Network.state = st + 1;
-          out = List.map (fun (u, _) -> (u, [| st |])) (Graph.neighbors g me);
-          halt = false;
-        });
+      (fun g ~round:_ ~me st mb ->
+        send_all g mb me [| st |];
+        { Network.state = st + 1; halt = false });
   }
 
 (* ---------- registry semantics ---------- *)

@@ -200,10 +200,9 @@ let network_word_limit_boundary () =
     {
       Network.init = (fun _ _ -> ());
       round =
-        (fun _ ~round ~me st _ ->
-          if round = 0 && me = 0 then
-            { Network.state = st; out = [ (1, Array.make 4 0) ]; halt = true }
-          else { Network.state = st; out = []; halt = true });
+        (fun g ~round ~me st mb ->
+          if round = 0 && me = 0 then send_to g mb me 1 (Array.make 4 0);
+          { Network.state = st; halt = true });
     }
   in
   let _, stats = Network.run ~word_limit:4 g program in

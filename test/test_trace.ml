@@ -3,28 +3,6 @@ open Helpers
 
 (* ---------- the trace sink (PR: observability) ---------- *)
 
-(* Same flooding program as the congest suite: the root floods a token and
-   every node records the round it first hears it. *)
-let flood_program root =
-  {
-    Network.init = (fun _ _ -> -1);
-    round =
-      (fun g ~round ~me st inbox ->
-        if round = 0 && me = root then
-          {
-            Network.state = 0;
-            out = List.map (fun (u, _) -> (u, [| 1 |])) (Graph.neighbors g me);
-            halt = true;
-          }
-        else if st = -1 && inbox <> [] then
-          {
-            Network.state = round;
-            out = List.map (fun (u, _) -> (u, [| 1 |])) (Graph.neighbors g me);
-            halt = true;
-          }
-        else { Network.state = st; out = []; halt = true })
-  }
-
 let mixed_plan_of_seed g seed =
   let rng = Rng.create (succ (abs seed)) in
   let n = Graph.n g in
