@@ -18,6 +18,11 @@ type sp_state = {
 
 let sp_check_failed st = { st with sp_ok = false }
 
+(* [me]'s arc to [u] when their edge is a spanner edge, else -1. *)
+let kept_arc g ~keep me u =
+  let a = Graph.arc_index g me u in
+  if a >= 0 && keep.((Graph.csr g).eid.(a)) then a else -1
+
 (* Send at most one pending token per arc (CONGEST: one message per edge
    per round); the rest stay queued in order. *)
 let sp_emit mb st =
@@ -46,13 +51,12 @@ let sp_launch g ~keep ~k ~detour me =
         if len < 2 || p.(0) <> me || p.(len - 1) <> u || len - 1 > bound_hops
         then sp_check_failed st
         else
-          let a1 = Graph.arc_index g me p.(1) in
-          let e1 = if a1 < 0 then -1 else (Graph.csr g).eid.(a1) in
-          if e1 >= 0 && keep.(e1) then begin
+          let a1 = kept_arc g ~keep me p.(1) in
+          if a1 >= 0 then begin
             let tok = Array.make (len + 3) 0 in
             tok.(0) <- eid;
             tok.(1) <- 1;
-            tok.(2) <- Graph.weight g e1;
+            tok.(2) <- Graph.weight g (Graph.csr g).eid.(a1);
             Array.blit p 0 tok 3 len;
             { st with sp_pending = st.sp_pending @ [ (a1, tok) ] }
           end
@@ -90,11 +94,10 @@ let sp_receive g ~keep ~k ~detour me st tok =
   end
   else begin
     (* [tok] is this node's own copy: forward it in place *)
-    let a = Graph.arc_index g me (path (idx + 1)) in
-    let e = if a < 0 then -1 else (Graph.csr g).eid.(a) in
-    if e >= 0 && keep.(e) then begin
+    let a = kept_arc g ~keep me (path (idx + 1)) in
+    if a >= 0 then begin
       tok.(1) <- idx + 1;
-      tok.(2) <- acc + Graph.weight g e;
+      tok.(2) <- acc + Graph.weight g (Graph.csr g).eid.(a);
       { st with sp_pending = st.sp_pending @ [ (a, tok) ] }
     end
     else sp_check_failed st
@@ -114,13 +117,14 @@ let spanner ?engine ?jobs ?metrics g ~keep ~k ~detour =
           let st =
             if round = 0 then sp_launch g ~keep ~k ~detour me else st
           in
-          let rec receive st c =
-            if c < 0 then st
-            else
-              let tok = Array.init (Network.length mb c) (Network.word mb c) in
-              receive (sp_receive g ~keep ~k ~detour me st tok) (Network.next mb c)
+          let st =
+            Network.fold mb
+              (fun st c ->
+                let tok = Array.init (Network.length mb c) (Network.word mb c) in
+                sp_receive g ~keep ~k ~detour me st tok)
+              st
           in
-          let st, halt = sp_emit mb (receive st (Network.first mb)) in
+          let st, halt = sp_emit mb st in
           { Network.state = st; halt });
     }
   in
@@ -211,13 +215,15 @@ let forests ?engine ?jobs ?metrics g ~keep ~k ~forest ~parent ~depth
             { Network.state = ok; halt = true }
           end
           else begin
-            let ok = ref ok and c = ref (Network.first mb) in
-            while !ok && !c >= 0 do
-              let e = eid.(Network.arc mb !c) in
-              ok := fo_edge_ok ~k ~forest ~parent ~depth ~root me e mb !c;
-              c := Network.next mb !c
-            done;
-            { Network.state = !ok; halt = true }
+            let ok =
+              Network.fold mb
+                (fun ok c ->
+                  ok
+                  && fo_edge_ok ~k ~forest ~parent ~depth ~root me
+                       eid.(Network.arc mb c) mb c)
+                ok
+            in
+            { Network.state = ok; halt = true }
           end);
     }
   in

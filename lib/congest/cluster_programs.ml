@@ -65,28 +65,28 @@ let convergecast ?engine ?jobs g part ~annotation ~local ~merge ~identity =
             (* fold in hellos (round 1 only) and child aggregates *)
             let st =
               if round = 1 then begin
-                let children = ref 0 and c = ref (Network.first mb) in
-                while !c >= 0 do
-                  if Network.word mb !c 0 = tag_hello then begin
-                    let a = Network.arc mb !c in
-                    nbr_cluster.(a) <- Network.word mb !c 1;
-                    nbr_annotation.(a) <- Network.word mb !c 3
-                  end;
-                  if from_child mb part me !c then incr children;
-                  c := Network.next mb !c
-                done;
+                let children =
+                  Network.fold mb
+                    (fun children c ->
+                      if Network.word mb c 0 = tag_hello then begin
+                        let a = Network.arc mb c in
+                        nbr_cluster.(a) <- Network.word mb c 1;
+                        nbr_annotation.(a) <- Network.word mb c 3
+                      end;
+                      if from_child mb part me c then children + 1 else children)
+                    0
+                in
                 {
                   st with
-                  pending = !children;
+                  pending = children;
                   acc = local g me ~nbr_cluster ~nbr_annotation;
                 }
               end
               else st
             in
-            let rec fold st c =
-              if c < 0 then st
-              else
-                let st =
+            let st =
+              Network.fold mb
+                (fun st c ->
                   if Network.word mb c 0 = tag_aggregate then
                     {
                       st with
@@ -94,11 +94,9 @@ let convergecast ?engine ?jobs g part ~annotation ~local ~merge ~identity =
                         merge st.acc (Network.word mb c 1, Network.word mb c 2);
                       pending = st.pending - 1;
                     }
-                  else st
-                in
-                fold st (Network.next mb c)
+                  else st)
+                st
             in
-            let st = fold st (Network.first mb) in
             if st.done_ then { Network.state = st; halt = true }
             else if st.pending = 0 then begin
               if part.parent.(me) = -1 then
@@ -201,19 +199,16 @@ let broadcast_from_roots ?engine ?jobs g part ~values =
             { Network.state = st; halt = false }
           end
           else begin
-            let rec fold st c =
-              if c < 0 then st
-              else
-                let st =
+            let st =
+              Network.fold mb
+                (fun st c ->
                   if round = 1 && from_child mb part me c then
                     { st with bc_children = Network.arc mb c :: st.bc_children }
                   else if Network.word mb c 0 = tag_down then
                     { st with bc_value = Some (Network.word mb c 1) }
-                  else st
-                in
-                fold st (Network.next mb c)
+                  else st)
+                st
             in
-            let st = fold st (Network.first mb) in
             match st.bc_value with
             | Some v when not st.bc_sent ->
                 let down = [| tag_down; v |] in

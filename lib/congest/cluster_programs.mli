@@ -28,30 +28,26 @@ val of_partition : Ultraspan_graph.Partition.t -> partition
 (** Raises [Invalid_argument] if some vertex is unclustered. *)
 
 val sum_to_roots :
-  ?engine:Network.engine ->
-  ?jobs:int ->
+  ?engine:Network.engine -> ?jobs:int ->
   Graph.t -> partition -> values:int array -> int array * Network.stats
 (** Convergecast: per-cluster sums of the per-vertex values, delivered at
     the roots.  Measured rounds <= radius + O(1). *)
 
 val broadcast_from_roots :
-  ?engine:Network.engine ->
-  ?jobs:int ->
+  ?engine:Network.engine -> ?jobs:int ->
   Graph.t -> partition -> values:int array -> int array * Network.stats
 (** [values] is indexed by cluster; every vertex learns its cluster's
     value.  Measured rounds <= radius + O(1). *)
 
 val min_boundary_edges :
-  ?engine:Network.engine ->
-  ?jobs:int ->
+  ?engine:Network.engine -> ?jobs:int ->
   Graph.t -> partition -> (int * int) option array * Network.stats
 (** Per cluster, the minimum boundary edge as [(weight, edge id)] ([None]
     for clusters without boundary edges), delivered at the roots —
     step (2) of Lemma 4.1.  Measured rounds <= radius + O(1). *)
 
 val reduce_to_roots :
-  ?engine:Network.engine ->
-  ?jobs:int ->
+  ?engine:Network.engine -> ?jobs:int ->
   Graph.t ->
   partition ->
   annotation:int array ->
@@ -65,10 +61,9 @@ val reduce_to_roots :
     distributed Lemma 4.1 driver ({!Ultraspan_spanner.Sf_distributed}).
     Every vertex first announces (cluster, parent?, annotation.(v)) to its
     neighbours; then [local g v ~nbr_cluster ~nbr_annotation] seeds a
-    convergecast combined with [merge] up the cluster trees.  The two
-    arrays are per-arc data over the CSR index ({!Graph.section-arcs}):
-    at each arc [a] of [v]'s slice, the cluster ([-1] if no hello
-    arrived) and the annotation its neighbour announced; [v] may read
-    only its own slice.  The per-root
+    convergecast combined with [merge] up the cluster trees.  The arrays
+    are per-arc ({!Graph.section-arcs}): at each arc of [v]'s own slice,
+    the cluster ([-1] if none arrived) and annotation its neighbour
+    announced.  The per-root
     results are returned (identity for clusterless input).  Measured
     rounds <= radius + O(1). *)

@@ -19,7 +19,7 @@ open! Import
       arrive: the failure cuts the wire, not the receiver's buffer.
     - Probabilistic drops apply to deliveries that survived the two rules
       above, each with probability [drop_prob], consuming the injector's
-      private RNG stream in the deterministic node-order/outbox-order of the
+      private RNG stream in the deterministic node-order/send-order of the
       simulator.
 
     Fault events never raise: a program under faults runs to quiescence (or

@@ -22,9 +22,9 @@ module Parallel = Ultraspan_util.Parallel
 
 (* Deterministic metrics, byte-identical across engines (checked by
    test_metrics and the check.sh engine differential).  Engine-internal
-   diagnostics — arena occupancy, inbox sorts — depend on the message
-   plane and are registered under [timing.congest.*], the execution
-   namespace excluded from determinism gates. *)
+   diagnostics — arena occupancy, the oracle's inbox sorts — depend on the
+   message plane and are registered under [timing.congest.*], the
+   execution namespace excluded from determinism gates. *)
 type meters = {
   mon : bool;
   m_deliveries : Metrics.counter;
@@ -49,7 +49,7 @@ let meters_of metrics =
   }
 
 (* Both engines share the exact same observable behaviour: same states,
-   same stats, same fault-RNG consumption order (node order, then outbox
+   same stats, same fault-RNG consumption order (node order, then send
    order) and same trace-hook call sequence.  The differential test-suite
    (test/test_engine_diff.ml) checks this bit-for-bit.  The run skeleton
    below — start, round prologue and epilogue, stats — is shared, so the
@@ -128,7 +128,7 @@ let note_drop ?trace mm =
 (* The [`Fast] message plane: one [word_limit]-word slot per arc in a flat
    off-heap arena (the message [s -> t] lands at the arc [t -> s], in
    [t]'s slice), its payload length and the round it was delivered in;
-   per node, the round it last received mail in.  Every array is
+   per node, the round it last received mail in.  These four are
    double-buffered by round parity — round [r] writes buffer [r land 1]
    and reads buffer [(r - 1) land 1] — so a node reads last round's
    messages while its neighbours already write this round's.  Stamps
@@ -169,8 +169,10 @@ type fast = {
       (* first exception in (node, send) order *)
 }
 
+type message = { from : int; at : int; pl : int array }  (* sender, arc *)
+
 type reference = {
-  mutable inbox : (int * int * int array) array;  (* (sender, arc, payload) *)
+  mutable inbox : message array;
   mutable post : int -> int array -> unit;
 }
 
@@ -182,40 +184,26 @@ type 'a program = {
   round : Graph.t -> round:int -> me:int -> 'a -> mailbox -> 'a step;
 }
 
-let rec scan b a =
-  if a >= b.hi then -1
-  else if Array.unsafe_get b.p.stamp (b.rd + a) = b.r - 1 then a
-  else scan b (a + 1)
-
-let first = function
-  | Fast b -> scan b b.lo
-  | Ref x -> if Array.length x.inbox > 0 then 0 else -1
-
-let next mb c =
-  match mb with
-  | Fast b -> scan b (c + 1)
-  | Ref x -> if c + 1 < Array.length x.inbox then c + 1 else -1
-
-let sender mb c =
-  match mb with
-  | Fast b -> b.p.dst.(c)
+let fold mb f acc =
+  let acc = ref acc in
+  (match mb with
+  | Fast b ->
+      for a = b.lo to b.hi - 1 do
+        if Array.unsafe_get b.p.stamp (b.rd + a) = b.r - 1 then acc := f !acc a
+      done
   | Ref x ->
-      let s, _, _ = x.inbox.(c) in
-      s
+      for c = 0 to Array.length x.inbox - 1 do
+        acc := f !acc c
+      done);
+  !acc
 
-let arc mb c =
-  match mb with
-  | Fast _ -> c
-  | Ref x ->
-      let _, a, _ = x.inbox.(c) in
-      a
+let sender mb c = match mb with Fast b -> b.p.dst.(c) | Ref x -> x.inbox.(c).from
+let arc mb c = match mb with Fast _ -> c | Ref x -> x.inbox.(c).at
 
 let length mb c =
   match mb with
   | Fast b -> b.p.plen.(b.rd + c)
-  | Ref x ->
-      let _, _, pl = x.inbox.(c) in
-      Array.length pl
+  | Ref x -> Array.length x.inbox.(c).pl
 
 let word mb c i =
   match mb with
@@ -223,9 +211,7 @@ let word mb c i =
       let slot = b.rd + c in
       if i < 0 || i >= b.p.plen.(slot) then invalid_arg "Network.word";
       Bigarray.Array1.unsafe_get b.p.words ((slot * b.p.stride) + i)
-  | Ref x ->
-      let _, _, pl = x.inbox.(c) in
-      pl.(i)
+  | Ref x -> x.inbox.(c).pl.(i)
 
 (* Validation order, shared by both engines: neighbour, duplicate, size,
    faults.  Model violations are program bugs and raise even under
@@ -316,7 +302,9 @@ let run_ref ~max_rounds ~word_limit ?faults ?trace ~metrics g prog =
             (match trace with Some tr -> Trace.note_step tr | None -> ());
             box.inbox <-
               Array.of_list
-                (List.map (fun (s, pl) -> (s, Graph.arc_index g v s, pl)) inbox);
+                (List.map
+                   (fun (s, pl) -> { from = s; at = Graph.arc_index g v s; pl })
+                   inbox);
             let seen_targets = Hashtbl.create 8 in
             box.post <-
               (fun arc payload ->
@@ -419,27 +407,9 @@ let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
   let nshards = Parallel.block_count n in
   let boxes =
     Array.init nshards (fun _ ->
-        {
-          p;
-          faults;
-          trace;
-          mm;
-          me = 0;
-          lo = 0;
-          hi = 0;
-          r = 0;
-          rd = 0;
-          wr = 0;
-          mail_rd = 0;
-          mail_wr = 0;
-          a_msgs = 0;
-          a_words = 0;
-          a_wake = 0;
-          a_maxw = 0;
-          a_halt = 0;
-          a_slots = 0;
-          a_fail = None;
-        })
+        { p; faults; trace; mm; me = 0; lo = 0; hi = 0; r = 0; rd = 0; wr = 0;
+          mail_rd = 0; mail_wr = 0; a_msgs = 0; a_words = 0; a_wake = 0;
+          a_maxw = 0; a_halt = 0; a_slots = 0; a_fail = None })
   in
   let mailboxes = Array.map (fun b -> Fast b) boxes in
   (* Set once a hooked (caller-scheduled) run fails, so later shards do
@@ -457,14 +427,12 @@ let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
     let mailed = Array.unsafe_get p.mail (b.mail_rd + v) = r - 1 in
     match faults with
     | Some f when Faults.is_crashed f v ->
-        if mailed then begin
-          let a = ref (scan b b.lo) in
-          while !a >= 0 do
-            Faults.drop_in_flight f ~round:r ~sender:dst.(!a) ~target:v;
-            note_drop ?trace mm;
-            a := scan b (!a + 1)
-          done
-        end;
+        if mailed then
+          fold mailboxes.(s)
+            (fun () a ->
+              Faults.drop_in_flight f ~round:r ~sender:dst.(a) ~target:v;
+              note_drop ?trace mm)
+            ();
         if not halted.(v) then begin
           halted.(v) <- true;
           b.a_halt <- b.a_halt + 1

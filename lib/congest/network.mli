@@ -9,11 +9,8 @@ open! Import
     message statistics.
 
     Node behaviour is given as a {!program}: an initial state and a round
-    function mapping (state, mailbox) to (state, halt?).  The mailbox is
-    the node's whole view of the message plane for one step: a read
-    cursor over the messages it received last round and a send addressed
-    by one of its own arcs (see {!section-mailbox}).  A halted node is
-    skipped until a message arrives, which wakes it.  The run ends when
+    function mapping (state, {!mailbox}) to (state, halt?).  A halted node
+    is skipped until a message arrives, which wakes it.  The run ends when
     every node is halted and no messages are in flight, or when
     [max_rounds] is hit (an error by default, since every algorithm in
     this library has a proven round bound).
@@ -28,10 +25,9 @@ open! Import
 
 type mailbox
 (** One node's view of the message plane during one call of its round
-    function; do not keep it past that call.  Messages are addressed by
-    CSR arcs ({!Graph.section-arcs}): the arcs of node [v] are
-    [off.(v) .. off.(v+1) - 1] of [Graph.csr g], one per neighbour in
-    increasing neighbour order. *)
+    function (do not keep it): a read cursor over the messages it received
+    last round, in increasing sender order, and a send addressed by one of
+    its own CSR arcs ({!Graph.section-arcs}). *)
 
 type 'a step = { state : 'a; halt : bool }
 
@@ -44,20 +40,17 @@ type 'a program = {
   round : Graph.t -> round:int -> me:int -> 'a -> mailbox -> 'a step;
 }
 
-val first : mailbox -> int
-(** Cursor of the first message received last round, or [-1] when the
-    inbox is empty.  Messages come in increasing sender order. *)
-
-val next : mailbox -> int -> int
-(** Cursor of the message after the given one, or [-1] after the last. *)
+val fold : mailbox -> ('a -> int -> 'a) -> 'a -> 'a
+(** [fold mb f acc] folds [f] over the cursors of the messages received
+    last round, in increasing sender order.  A cursor is valid for the
+    accessors below during the same call. *)
 
 val sender : mailbox -> int -> int
 (** The vertex that sent the message. *)
 
 val arc : mailbox -> int -> int
-(** The receiver's own arc towards the sender: its edge id is
-    [(Graph.csr g).eid.(arc)], and a reply on that arc is {!send}'s
-    [~arc]. *)
+(** The receiver's own arc towards the sender (edge id
+    [(Graph.csr g).eid.(arc)]); a reply goes out on it. *)
 
 val length : mailbox -> int -> int
 (** Payload length of the message, in words. *)
@@ -76,19 +69,14 @@ val send : mailbox -> arc:int -> int array -> unit
 
 type engine = [ `Fast | `Ref ]
 (** Message-plane implementation.  [`Fast] (the default) keeps one
-    [word_limit]-word slot per directed arc of the graph's CSR index in a
-    flat off-heap arena, with its payload length and delivery stamp: a
-    send copies the words straight into the target's slot, duplicate
-    detection is a stamp check on the sender's arc, and the read cursor
-    walks the receiver's slots in place, in sender order for free
-    (adjacency slices are sorted).  Slots and stamps are double-buffered
-    by round parity, so a node reads last round's messages while its
-    neighbours write this round's: a round is one pool section over a
-    fixed set of shards ({!Ultraspan_util.Parallel.block_count}, a
-    function of [n] alone), whose per-shard counts are folded on the
-    caller in shard-index (= node) order.  [`Ref] is the original
-    list-based loop behind the same mailbox, kept as the reference oracle
-    for the differential tests.  Both engines are observably identical —
+    [word_limit]-word slot per CSR arc in a flat off-heap arena, with its
+    length and delivery stamp, double-buffered by round parity: a send
+    copies the words straight into the target's slot, and the cursor
+    reads the receiver's slots in place while its neighbours write this
+    round's.  A round is one pool section over a fixed set of shards
+    ({!Ultraspan_util.Parallel.block_count}, a function of [n] alone).
+    [`Ref] is the original list-based loop behind the same mailbox, kept
+    as the reference oracle.  Both engines are observably identical —
     states, stats, fault events, traces, deterministic metrics and
     model-violation exceptions match bit-for-bit (enforced by the
     differential test suite). *)

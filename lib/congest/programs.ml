@@ -6,11 +6,6 @@ let send_all mb (csr : Graph.csr) me payload =
     Network.send mb ~arc:a payload
   done
 
-(* [f acc cursor] over the inbox, in increasing sender order. *)
-let fold_inbox mb f acc =
-  let rec go c acc = if c < 0 then acc else go (Network.next mb c) (f acc c) in
-  go (Network.first mb) acc
-
 (* The node's arcs, in increasing neighbour order. *)
 let own_arcs (csr : Graph.csr) v =
   List.init (csr.off.(v + 1) - csr.off.(v)) (fun i -> csr.off.(v) + i)
@@ -33,24 +28,28 @@ let bfs ?faults ?trace ?metrics ?engine ?jobs g ~root =
             send_all mb csr me [| 0 |];
             { Network.state = { bdist = 0; bparent = -1 }; halt = true }
           end
-          else if st.bdist >= 0 || Network.first mb < 0 then
-            (* nothing heard, or already settled: ignore late announcements *)
+          else if st.bdist >= 0 then
+            (* already settled: ignore late announcements *)
             { Network.state = st; halt = true }
           else begin
             (* the smallest distance, from the smallest sender on ties *)
-            let best = ref (Network.first mb) in
-            let c = ref (Network.next mb !best) in
-            while !c >= 0 do
-              if Network.word mb !c 0 < Network.word mb !best 0 then best := !c;
-              c := Network.next mb !c
-            done;
-            let parent = Network.sender mb !best in
-            let st = { bdist = Network.word mb !best 0 + 1; bparent = parent } in
-            let payload = [| st.bdist |] in
-            for a = csr.off.(me) to csr.off.(me + 1) - 1 do
-              if csr.dst.(a) <> parent then Network.send mb ~arc:a payload
-            done;
-            { Network.state = st; halt = true }
+            let best =
+              Network.fold mb
+                (fun b c ->
+                  if b < 0 || Network.word mb c 0 < Network.word mb b 0 then c
+                  else b)
+                (-1)
+            in
+            if best >= 0 then begin
+              let parent = Network.sender mb best in
+              let st = { bdist = Network.word mb best 0 + 1; bparent = parent } in
+              let payload = [| st.bdist |] in
+              for a = csr.off.(me) to csr.off.(me + 1) - 1 do
+                if csr.dst.(a) <> parent then Network.send mb ~arc:a payload
+              done;
+              { Network.state = st; halt = true }
+            end
+            else { Network.state = st; halt = true }
           end);
     }
   in
@@ -75,7 +74,7 @@ let broadcast_max ?faults ?trace ?metrics ?engine ?jobs g ~values =
       round =
         (fun _ ~round ~me st mb ->
           let incoming =
-            fold_inbox mb (fun acc c -> max acc (Network.word mb c 0)) min_int
+            Network.fold mb (fun acc c -> max acc (Network.word mb c 0)) min_int
           in
           let updated = max st.known incoming in
           if round = 0 || updated > st.known then begin
@@ -103,7 +102,7 @@ type mm_state = {
 (* Arcs of the inbox's messages tagged [tag], in increasing sender order. *)
 let arcs_tagged mb tag =
   List.rev
-    (fold_inbox mb
+    (Network.fold mb
        (fun acc c ->
          if Network.word mb c 0 = tag then Network.arc mb c :: acc else acc)
        [])
@@ -214,7 +213,7 @@ let luby_mis ?trace ?metrics ?engine ?jobs ~seed g =
               else if sub = 1 then begin
                 let prios =
                   List.rev
-                    (fold_inbox mb
+                    (Network.fold mb
                        (fun acc c ->
                          if Network.word mb c 0 = tag_priority then
                            (Network.sender mb c, Network.word mb c 1) :: acc
@@ -270,7 +269,7 @@ let bellman_ford ?trace ?metrics ?engine ?jobs g ~source =
           (* relax against the incoming announcements *)
           let improved = ref (round = 0 && me = source) in
           let st =
-            fold_inbox mb
+            Network.fold mb
               (fun st c ->
                 let w = Graph.weight g csr.eid.(Network.arc mb c) in
                 let nd = Network.word mb c 0 + w in
@@ -303,7 +302,7 @@ let spanning_forest ?trace ?metrics ?engine ?jobs g =
         (fun _ ~round ~me st mb ->
           let improved = ref (round = 0) in
           let st =
-            fold_inbox mb
+            Network.fold mb
               (fun st c ->
                 let root = Network.word mb c 0 in
                 if root < st.fr_root then begin

@@ -89,7 +89,7 @@ val neighbors : t -> int -> (int * int) list
     destinations are {e strictly increasing} (a construction invariant of
     {!of_edges}).  This access exists for performance-critical code —
     the CONGEST simulator's slot-based message plane maps the message
-    [s -> t] to the arc [t -> s], a dense per-inbox slot — and for
+    [s -> t] to the arc [t -> s], a dense per-receiver slot — and for
     O(log deg) adjacency queries. *)
 
 val arc_count : t -> int

@@ -82,22 +82,6 @@ let run ?trace ?metrics ?engine ?jobs ~seed ~k g =
     end;
     v
   in
-  (* Fold the inbox into the slice: [note arc cursor] for each message,
-     at the receiver's arc. *)
-  let iter_inbox mb note =
-    let c = ref (Network.first mb) in
-    while !c >= 0 do
-      note (Network.arc mb !c) !c;
-      c := Network.next mb !c
-    done
-  in
-  let note_death mb a c =
-    if Network.word mb c 0 = tag_edge_died then set a dead
-  in
-  let note_cluster mb a c =
-    if Network.word mb c 0 = tag_cluster then
-      nbr_cluster.(a) <- Network.word mb c 1
-  in
   (* [payload] along the arcs of [lo, hi) selected by [pick], in
      ascending neighbour order. *)
   let send mb lo hi payload pick =
@@ -114,14 +98,22 @@ let run ?trace ?metrics ?engine ?jobs ~seed ~k g =
       if round mod 2 = 0 then begin
         (* Broadcast phase.  First fold in edge-death notices from the
            previous decision phase. *)
-        iter_inbox mb (note_death mb);
+        Network.fold mb
+          (fun () c ->
+            if Network.word mb c 0 = tag_edge_died then
+              set (Network.arc mb c) dead)
+          ();
         send mb lo hi [| tag_cluster; cluster |] (fun a -> not (has a dead));
         { Network.state = cluster; halt = false }
       end
       else begin
         (* Decision phase: inbox holds neighbours' cluster ids. *)
         Array.fill nbr_cluster lo (hi - lo) (-1);
-        iter_inbox mb (note_cluster mb);
+        Network.fold mb
+          (fun () c ->
+            if Network.word mb c 0 = tag_cluster then
+              nbr_cluster.(Network.arc mb c) <- Network.word mb c 1)
+          ();
         if sampled_cluster ~iter cluster then
           (* nothing to do; stay alive. *)
           { Network.state = cluster; halt = iter = k }

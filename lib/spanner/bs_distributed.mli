@@ -25,8 +25,8 @@ open! Import
 
     Local work per wake-up is O(deg) on ints: a node keeps its per-edge
     knowledge (announced neighbour cluster, edge died, edge kept) indexed
-    by the edge's position in its sorted adjacency slice, folds its
-    sender-sorted inbox in with one forward merge, and decides by one scan
+    by the edge's position in its sorted adjacency slice, folds its inbox
+    in at the arcs the mailbox cursor hands over, and decides by one scan
     of its edges in (weight, edge-id) order — an order it sorts once per
     run (O(deg log deg)), and never on unit weights, where it is the
     slice order. *)

@@ -33,10 +33,7 @@ type outcome = {
 }
 
 val partition :
-  ?engine:Ultraspan_congest.Network.engine ->
-  ?jobs:int ->
-  t:int ->
-  Graph.t ->
+  ?engine:Ultraspan_congest.Network.engine -> ?jobs:int -> t:int -> Graph.t ->
   outcome
-(** Requires [t >= 1].  [engine] and [jobs] are forwarded to every wave's
+(** Requires [t >= 1].  [engine] and [jobs] go to every wave's
     {!Ultraspan_congest.Network.run}. *)

@@ -72,7 +72,7 @@ let send_all g mb me payload =
 let send_to g mb me u payload =
   Network.send mb ~arc:(Graph.arc_index g me u) payload
 
-let has_mail mb = Network.first mb >= 0
+let has_mail mb = Network.fold mb (fun _ _ -> true) false
 
 (* The root floods a token; every node records the round it first hears
    it. *)

@@ -352,13 +352,12 @@ let protocols_pinned () =
    [(neighbour, payload)], converted at the mailbox. *)
 module Reference = struct
   let inbox_of mb =
-    let rec go c acc =
-      if c < 0 then List.rev acc
-      else
-        let pl = Array.init (Network.length mb c) (Network.word mb c) in
-        go (Network.next mb c) ((Network.sender mb c, pl) :: acc)
-    in
-    go (Network.first mb) []
+    List.rev
+      (Network.fold mb
+         (fun acc c ->
+           let pl = Array.init (Network.length mb c) (Network.word mb c) in
+           (Network.sender mb c, pl) :: acc)
+         [])
 
   let step g mb me (state, out, halt) =
     List.iter (fun (u, pl) -> send_to g mb me u pl) out;
@@ -559,19 +558,58 @@ let slices_in_eid_order =
 (* A deterministic work gate that bites on one core: the words one
    sequential run allocates on the simulate workload's graph shape
    (n = 400, degree 16, k = 4).  The list-based step allocated 2.25 M
-   words here; the O(deg) step allocates 0.76 M, most of it the
-   simulator's inbox and outbox lists. *)
-let minor_words_bound = 1_000_000.
+   words here and the O(deg) step 0.76 M, most of it the list inboxes and
+   outboxes of the program interface; on the arc-cursor mailbox a run
+   allocates about 51 k.  The ceiling leaves twice that. *)
+let minor_words_bound = 100_000.
+
+let gate_graph =
+  lazy
+    (Generators.Streamed.graph
+       (Generators.Streamed.degree_bounded ~seed:1 ~n:400 ~degree:16))
 
 let minor_words_gate () =
-  let g =
-    Generators.Streamed.graph
-      (Generators.Streamed.degree_bounded ~seed:1 ~n:400 ~degree:16)
-  in
+  let g = Lazy.force gate_graph in
   let run () = ignore (Bs_distributed.run ~jobs:1 ~seed:1 ~k:4 g) in
   run ();
   let (), w = alloc_words run in
   check_words "one run, minor" ~ceiling:minor_words_bound w.minor
+
+(* Minor words per delivered message at jobs = 1, same graph.  With list
+   inboxes and outboxes a flood (every node sends one word to every
+   neighbour for 8 rounds) allocated 9.6 words per message and
+   [Bs_distributed.run ~k:4] 15.6: a cons, a tuple and a payload copy per
+   message on each side of the interface.  The mailbox reads and writes
+   arc slots in place, so what is left is per step, not per message (the
+   step record, one payload array per sending step): 0.15 and 1.06 words.
+   Each ceiling sits below one cons cell (3 words) per message, so any
+   per-message allocation that comes back fails the gate. *)
+let flood_words_per_message = 1.0
+let bs_words_per_message = 2.0
+
+let flood ~rounds =
+  {
+    Network.init = (fun _ v -> [| v |]);
+    round =
+      (fun g ~round ~me payload mb ->
+        if round < rounds then send_all g mb me payload;
+        { Network.state = payload; halt = round >= rounds });
+  }
+
+let words_per_message_gate () =
+  let g = Lazy.force gate_graph in
+  let per_message what ~ceiling run =
+    ignore (run ());
+    let (stats : Network.stats), w = alloc_words run in
+    let per = w.minor /. float_of_int stats.Network.messages in
+    if per > ceiling then
+      Alcotest.failf "%s: %.2f minor words per message, ceiling %.2f" what per
+        ceiling
+  in
+  per_message "flood" ~ceiling:flood_words_per_message (fun () ->
+      snd (Network.run ~jobs:1 g (flood ~rounds:8)));
+  per_message "bs_distributed k=4" ~ceiling:bs_words_per_message (fun () ->
+      (Bs_distributed.run ~jobs:1 ~seed:1 ~k:4 g).Bs_distributed.network_stats)
 
 let suite =
   [
@@ -582,4 +620,5 @@ let suite =
     case "minor words per run" minor_words_gate;
     case "every native protocol pinned across engines and jobs"
       protocols_pinned;
+    case "minor words per delivered message" words_per_message_gate;
   ]

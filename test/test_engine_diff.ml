@@ -21,15 +21,17 @@ let random_program ~seed ~cap =
     Network.init = (fun _ v -> v land 0xff);
     round =
       (fun g ~round ~me st mb ->
-        let absorbed = ref st and c = ref (Network.first mb) in
-        while !c >= 0 do
-          absorbed := !absorbed + Network.sender mb !c;
-          for i = 0 to Network.length mb !c - 1 do
-            absorbed := !absorbed + Network.word mb !c i
-          done;
-          c := Network.next mb !c
-        done;
-        if round >= cap then { Network.state = !absorbed; halt = true }
+        let absorbed =
+          Network.fold mb
+            (fun acc c ->
+              let acc = ref (acc + Network.sender mb c) in
+              for i = 0 to Network.length mb c - 1 do
+                acc := !acc + Network.word mb c i
+              done;
+              !acc)
+            st
+        in
+        if round >= cap then { Network.state = absorbed; halt = true }
         else begin
           Graph.iter_adj g me (fun u _ ->
               let r = h me u round in
@@ -39,7 +41,7 @@ let random_program ~seed ~cap =
                   (Array.init words (fun i -> h u me (round + i) land 0xffff))
               end);
           let halt = h me 17 round land 7 < 3 in
-          { Network.state = !absorbed; halt }
+          { Network.state = absorbed; halt }
         end);
   }
 
