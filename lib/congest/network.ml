@@ -117,37 +117,75 @@ let note_drop ?trace mm =
 
 (* ---------- the program interface ----------
 
-   A node sees the message plane through its mailbox: a read cursor over
-   last round's messages and a send addressed by one of its own arcs.
-   Each engine keeps its own representation behind it.  [`Fast] reads
-   the payload words in place from the arc slots of the receiver's CSR
-   slice (the cursor is the arc) and copies sent words straight into the
-   target's slot; [`Ref] keeps the original list loop (the cursor indexes
-   a sorted array of [(sender, arc, payload)]). *)
+   Each engine keeps its own mailbox representation: [`Fast]'s cursor is
+   the arc whose slot holds the message, [`Ref]'s indexes a sorted array
+   of the original list loop's messages. *)
 
 (* The [`Fast] message plane: one [word_limit]-word slot per arc in a flat
    off-heap arena (the message [s -> t] lands at the arc [t -> s], in
    [t]'s slice), its payload length and the round it was delivered in;
    per node, the round it last received mail in.  These four are
-   double-buffered by round parity — round [r] writes buffer [r land 1]
-   and reads buffer [(r - 1) land 1] — so a node reads last round's
-   messages while its neighbours already write this round's.  Stamps
-   distinguish rounds by value, so nothing is ever cleared. *)
+   double-buffered by round parity: entry [2i + (r land 1)] of arc or node
+   [i] is written in round [r] and read in round [r + 1], so a node reads
+   last round's messages while its neighbours already write this round's.
+   Stamps distinguish rounds by value, so nothing is cleared between
+   rounds. *)
 type plane = {
-  dst : int array;
-  rev : int array;
   words : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
   plen : int array;  (* 2 * arcs *)
   stamp : int array;  (* 2 * arcs: the round the slot was delivered in *)
   mail : int array;  (* 2 * n: the round the node last received in *)
   sent : int array;  (* arcs: the round the sender's arc last sent in *)
-  stride : int;  (* = word_limit *)
 }
 
-(* One per shard of the [`Fast] engine: the plane, the node being stepped,
-   the round's buffer offsets, and the shard's running counts. *)
+(* A plane outlives its run: each domain keeps the last one it used and
+   lends it to its next run if it is large enough (a run nested in
+   another on the same domain finds none and makes its own).  A fresh
+   plane per run is a handful of large blocks per run; that churn alone
+   nearly doubled the peak RSS of a perfbench [simulate] process
+   (EXPERIMENTS.md, B6). *)
+let spare = Domain.DLS.new_key (fun () -> ref None)
+
+let take_plane ~arcs ~n ~words =
+  let cell = Domain.DLS.get spare in
+  let p =
+    match !cell with
+    | Some p
+      when Bigarray.Array1.dim p.words >= words
+           && Array.length p.sent >= arcs && Array.length p.mail >= 2 * n ->
+        p
+    | old ->
+        (* grow every dimension, never shrink one *)
+        let at_least f x = match old with Some p -> max (f p) x | None -> x in
+        let arcs = at_least (fun p -> Array.length p.sent) arcs
+        and n = at_least (fun p -> Array.length p.mail / 2) n in
+        {
+          words =
+            Bigarray.Array1.create Bigarray.int Bigarray.c_layout
+              (at_least (fun p -> Bigarray.Array1.dim p.words) words);
+          plen = Array.make (2 * arcs) 0;
+          stamp = Array.make (2 * arcs) 0;
+          mail = Array.make (2 * n) 0;
+          sent = Array.make arcs 0;
+        }
+  in
+  cell := None;
+  (* -2 never equals a previous round [r - 1 >= -1]; -1 marks an arc that
+     has not sent yet. *)
+  Array.fill p.stamp 0 (2 * arcs) (-2);
+  Array.fill p.mail 0 (2 * n) (-2);
+  Array.fill p.sent 0 arcs (-1);
+  p
+
+let give_back p = Domain.DLS.get spare := Some p
+
+(* One per shard of the [`Fast] engine: the plane, the node being stepped
+   and the shard's running counts. *)
 type fast = {
   p : plane;
+  dst : int array;
+  rev : int array;
+  stride : int;  (* = word_limit *)
   faults : Faults.t option;
   trace : Trace.t option;
   mm : meters;
@@ -155,10 +193,6 @@ type fast = {
   mutable lo : int;  (* [me]'s arc slice is [lo, hi) *)
   mutable hi : int;
   mutable r : int;
-  mutable rd : int;  (* read-buffer offset into the per-arc arrays *)
-  mutable wr : int;  (* write-buffer offset into the per-arc arrays *)
-  mutable mail_rd : int;  (* the same two offsets into [mail] *)
-  mutable mail_wr : int;
   mutable a_msgs : int;  (* messages delivered by this shard's senders *)
   mutable a_words : int;  (* their summed payload words *)
   mutable a_wake : int;
@@ -184,12 +218,15 @@ type 'a program = {
   round : Graph.t -> round:int -> me:int -> 'a -> mailbox -> 'a step;
 }
 
+(* The read-buffer index of arc or node [i]. *)
+let[@inline] last b i = (2 * i) + ((b.r + 1) land 1)
+
 let fold mb f acc =
   let acc = ref acc in
   (match mb with
   | Fast b ->
       for a = b.lo to b.hi - 1 do
-        if Array.unsafe_get b.p.stamp (b.rd + a) = b.r - 1 then acc := f !acc a
+        if Array.unsafe_get b.p.stamp (last b a) = b.r - 1 then acc := f !acc a
       done
   | Ref x ->
       for c = 0 to Array.length x.inbox - 1 do
@@ -197,20 +234,20 @@ let fold mb f acc =
       done);
   !acc
 
-let sender mb c = match mb with Fast b -> b.p.dst.(c) | Ref x -> x.inbox.(c).from
+let sender mb c = match mb with Fast b -> b.dst.(c) | Ref x -> x.inbox.(c).from
 let arc mb c = match mb with Fast _ -> c | Ref x -> x.inbox.(c).at
 
 let length mb c =
   match mb with
-  | Fast b -> b.p.plen.(b.rd + c)
+  | Fast b -> b.p.plen.(last b c)
   | Ref x -> Array.length x.inbox.(c).pl
 
 let word mb c i =
   match mb with
   | Fast b ->
-      let slot = b.rd + c in
+      let slot = last b c in
       if i < 0 || i >= b.p.plen.(slot) then invalid_arg "Network.word";
-      Bigarray.Array1.unsafe_get b.p.words ((slot * b.p.stride) + i)
+      Bigarray.Array1.unsafe_get b.p.words ((slot * b.stride) + i)
   | Ref x -> x.inbox.(c).pl.(i)
 
 (* Validation order, shared by both engines: neighbour, duplicate, size,
@@ -219,15 +256,15 @@ let word mb c i =
 let send_fast b arc pl =
   let me = b.me and p = b.p and r = b.r in
   if arc < b.lo || arc >= b.hi then raise (Not_a_neighbor { sender = me; arc });
-  let target = Array.unsafe_get p.dst arc in
-  let last = Array.unsafe_get p.sent arc in
-  if last = r then raise (Duplicate_message { sender = me; target })
+  let target = Array.unsafe_get b.dst arc in
+  let prev = Array.unsafe_get p.sent arc in
+  if prev = r then raise (Duplicate_message { sender = me; target })
     (* one message per neighbour per round *);
-  if last < 0 then b.a_slots <- b.a_slots + 1;
+  if prev < 0 then b.a_slots <- b.a_slots + 1;
   Array.unsafe_set p.sent arc r;
   let words = Array.length pl in
-  if words > p.stride then
-    raise (Message_too_large { sender = me; words; limit = p.stride });
+  if words > b.stride then
+    raise (Message_too_large { sender = me; words; limit = b.stride });
   if words > b.a_maxw then b.a_maxw <- words;
   let delivered =
     match b.faults with
@@ -238,14 +275,14 @@ let send_fast b arc pl =
     (match b.trace with
     | Some tr -> Trace.note_send tr ~sender:me ~target ~words
     | None -> ());
-    let slot = b.wr + Array.unsafe_get p.rev arc in
-    let base = slot * p.stride in
+    let slot = (2 * Array.unsafe_get b.rev arc) + (r land 1) in
+    let base = slot * b.stride in
     for i = 0 to words - 1 do
       Bigarray.Array1.unsafe_set p.words (base + i) (Array.unsafe_get pl i)
     done;
     Array.unsafe_set p.plen slot words;
     Array.unsafe_set p.stamp slot r;
-    Array.unsafe_set p.mail (b.mail_wr + target) r;
+    Array.unsafe_set p.mail ((2 * target) + (r land 1)) r;
     b.a_msgs <- b.a_msgs + 1;
     b.a_words <- b.a_words + words
   end
@@ -389,27 +426,14 @@ let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
   let halted = Array.make n false in
   let halted_count = ref 0 in
   let arcs = max 1 (Graph.arc_count g) in
-  (* -2 never equals a previous round [r - 1 >= -1]. *)
-  let p =
-    {
-      dst;
-      rev;
-      words =
-        Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-          (2 * arcs * word_limit);
-      plen = Array.make (2 * arcs) 0;
-      stamp = Array.make (2 * arcs) (-2);
-      mail = Array.make (2 * max 1 n) (-2);
-      sent = Array.make arcs (-1);
-      stride = word_limit;
-    }
-  in
+  let p = take_plane ~arcs ~n ~words:(2 * arcs * word_limit) in
   let nshards = Parallel.block_count n in
   let boxes =
     Array.init nshards (fun _ ->
-        { p; faults; trace; mm; me = 0; lo = 0; hi = 0; r = 0; rd = 0; wr = 0;
-          mail_rd = 0; mail_wr = 0; a_msgs = 0; a_words = 0; a_wake = 0;
-          a_maxw = 0; a_halt = 0; a_slots = 0; a_fail = None })
+        { p; dst; rev; stride = word_limit; faults; trace; mm; me = 0; lo = 0;
+          hi = 0; r = 0; a_msgs = 0;
+          a_words = 0; a_wake = 0; a_maxw = 0; a_halt = 0; a_slots = 0;
+          a_fail = None })
   in
   let mailboxes = Array.map (fun b -> Fast b) boxes in
   (* Set once a hooked (caller-scheduled) run fails, so later shards do
@@ -424,7 +448,7 @@ let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
     b.me <- v;
     b.lo <- off.(v);
     b.hi <- off.(v + 1);
-    let mailed = Array.unsafe_get p.mail (b.mail_rd + v) = r - 1 in
+    let mailed = Array.unsafe_get p.mail (last b v) = r - 1 in
     match faults with
     | Some f when Faults.is_crashed f v ->
         if mailed then
@@ -463,15 +487,7 @@ let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
   while !pending_msgs > 0 || !halted_count < n do
     begin_round ~max_rounds ?faults ?trace t;
     let r = t.t_rounds and sent = t.t_msgs in
-    let rd = (r + 1) land 1 in
-    Array.iter
-      (fun b ->
-        b.r <- r;
-        b.rd <- rd * arcs;
-        b.wr <- (1 - rd) * arcs;
-        b.mail_rd <- rd * n;
-        b.mail_wr <- (1 - rd) * n)
-      boxes;
+    Array.iter (fun b -> b.r <- r) boxes;
     pending_msgs := 0;
     Parallel.iter_blocks ?jobs ~counted:false n run_shard;
     (* Fold the shard accumulators in shard-index (= node) order.  On a
@@ -506,6 +522,7 @@ let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
     Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !fail;
     end_round ?trace mm t ~sent ~halted:(fun () -> !halted_count)
   done;
+  give_back p;
   (states, stats_now ?faults t)
 
 let run ?max_rounds ?(word_limit = 4) ?faults ?trace

@@ -352,6 +352,28 @@ let cluster_waves_agree =
             (q.Partition.cluster_of, q.parent, q.parent_eid, q.roots),
             (o.real_rounds, o.messages, o.waves) )))
 
+(* A run nested inside another's round, on the same domain, must not
+   share the outer run's message plane: node 0 floods the whole graph in
+   a nested run each round while the outer flood is in flight. *)
+let nested_runs_agree () =
+  let g = Generators.cycle 30 in
+  let nested =
+    {
+      Network.init = (fun _ _ -> -1);
+      round =
+        (fun g ~round ~me st mb ->
+          let inner =
+            if me = 0 then fst (Network.run g (flood_program (round mod 30)))
+            else [||]
+          in
+          let outer = (flood_program 0).Network.round g ~round ~me st mb in
+          let sum = Array.fold_left ( + ) 0 inner in
+          { outer with Network.state = outer.Network.state + sum });
+    }
+  in
+  Alcotest.(check bool) "nested parity" true
+    (fast_matches_ref (fun engine jobs -> Network.run ~engine ~jobs g nested))
+
 let suite =
   [
     random_programs_fault_free;
@@ -367,4 +389,5 @@ let suite =
     case "sharded: model violations identical" sharded_violations_agree;
     case "sharded: round limit identical" sharded_round_limit_agrees;
     cluster_waves_agree;
+    case "nested runs keep their own plane" nested_runs_agree;
   ]
