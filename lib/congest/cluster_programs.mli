@@ -64,6 +64,5 @@ val reduce_to_roots :
     convergecast combined with [merge] up the cluster trees.  The arrays
     are per-arc ({!Graph.section-arcs}): at each arc of [v]'s own slice,
     the cluster ([-1] if none arrived) and annotation its neighbour
-    announced.  The per-root
-    results are returned (identity for clusterless input).  Measured
-    rounds <= radius + O(1). *)
+    announced.  The per-root results are returned (identity for
+    clusterless input).  Measured rounds <= radius + O(1). *)

@@ -75,8 +75,9 @@ type engine = [ `Fast | `Ref ]
     reads the receiver's slots in place while its neighbours write this
     round's.  A round is one pool section over a fixed set of shards
     ({!Ultraspan_util.Parallel.block_count}, a function of [n] alone).
-    [`Ref] is the original list-based loop behind the same mailbox, kept
-    as the reference oracle.  Both engines are observably identical —
+    Each domain keeps its largest plane for its next run, so that memory
+    stays allocated.  [`Ref] is the original list loop behind the same
+    mailbox, kept as the reference oracle.  Both engines are observably identical —
     states, stats, fault events, traces, deterministic metrics and
     model-violation exceptions match bit-for-bit (enforced by the
     differential test suite). *)
