@@ -10,20 +10,19 @@
    [--quick]            smaller instances (CI-friendly)
    [--all]              run every experiment (the default selection)
    [--table ID]         run one experiment; repeatable
-                        (t1 t2 t3 t4 t5 t6 t7 t8 t9 f1 r1 a1 a2 o1 o2 d1 v1)
+                        (t1 t2 t3 t4 t5 t6 t7 t8 t9 f1 r1 a1 a2 o1 o2 d1 v1
+                        q1, and xfail, the negative control)
    [--strict]           exit 1 if any declared bound is violated
    [--artifacts DIR]    where to write JSON artifacts (default: artifacts)
    [--against DIR]      diff this run against golden artifacts in DIR
                         instead of writing; exit 1 on any difference
-   [--tolerance PCT]    wall-clock tolerance for --against (default 75)
+                        (wall-clock cells are banded, see Table.diff)
    [--refresh-goldens]  with --against DIR: rewrite DIR instead of diffing
-   [--jobs N | -j N]    fan independent sections/trials over N domains
-                        (default: ULTRASPAN_JOBS or 1); artifacts are
-                        byte-identical for every N
-   [--engine E]         simulator message plane (fast|ref) for the tables
-                        that run the CONGEST simulator; artifacts are
-                        byte-identical either way (default fast, whose
-                        sharded rounds take --jobs domains)
+   [--jobs N | -j N]    fan independent sections/trials, and the
+                        simulator's sharded rounds, over N domains
+                        (default 1); artifacts are byte-identical for
+                        every N
+   [--metrics FILE]     write the harness metrics snapshot to FILE
    [--verify MODE]      after the tables, verify freshly built artifacts
                         (spanner + certificate) in MODE (local|exact|
                         probe); a rejection counts as a bound violation,
@@ -34,14 +33,7 @@ module T = Exp_table
 
 let fmt = Printf.printf
 
-let jobs = ref (Parallel.default_jobs ())
-
-(* Message plane for the simulator-running tables (t1/t2 distributed
-   rows, t8, o1, r1, v1).  [`Fast] by default; [`Ref] is the list-based
-   oracle, observably identical (Network.run's guarantee), so artifacts
-   do not depend on this flag.  The O2 engine-comparison section keeps its
-   own explicit engine choices. *)
-let engine : Network.engine ref = ref `Fast
+let jobs = ref 1
 
 (* The harness-level metrics registry (--metrics FILE).  Tables that
    temporarily attach their own registry to the domain pool (O2) restore
@@ -303,7 +295,7 @@ let table2 ~quick () =
         let bs_w = Baswana_sen.run ~rng:(Rng.create 3) ~k gw in
         let de_u = Bs_derand.run ~k gu in
         let de_w = Bs_derand.run ~k gw in
-        let bd = Bs_distributed.run ~engine:!engine ~jobs:!jobs ~seed:11 ~k gw in
+        let bd = Bs_distributed.run ~jobs:!jobs ~seed:11 ~k gw in
         let bd_sp = bd.Bs_distributed.spanner in
         let bd_s = stretch_of gw bd_sp.Spanner.keep in
         let bd_rounds = bd.Bs_distributed.network_stats.Network.rounds in
@@ -1167,20 +1159,19 @@ let table8 ~quick () =
               ("notes", T.Str notes);
             ]
         in
-        let be = !engine and bj = !jobs in
-        let bfs_res, s1 = Programs.bfs ~engine:be ~jobs:bj g ~root:0 in
+        let bj = !jobs in
+        let bfs_res, s1 = Programs.bfs ~jobs:bj g ~root:0 in
         let _, s2 =
-          Programs.broadcast_max ~engine:be ~jobs:bj g
-            ~values:(Array.init n Fun.id)
+          Programs.broadcast_max ~jobs:bj g ~values:(Array.init n Fun.id)
         in
-        let _, s3 = Programs.maximal_matching ~engine:be ~jobs:bj g in
-        let _, s4 = Programs.luby_mis ~engine:be ~jobs:bj ~seed:5 g in
-        let _, s5 = Programs.bellman_ford ~engine:be ~jobs:bj gw ~source:0 in
-        let forest, s6 = Programs.spanning_forest ~engine:be ~jobs:bj g in
+        let _, s3 = Programs.maximal_matching ~jobs:bj g in
+        let _, s4 = Programs.luby_mis ~jobs:bj ~seed:5 g in
+        let _, s5 = Programs.bellman_ford ~jobs:bj gw ~source:0 in
+        let forest, s6 = Programs.spanning_forest ~jobs:bj g in
         let bs_rows =
           List.map
             (fun k ->
-              let out = Bs_distributed.run ~engine:be ~jobs:bj ~seed:7 ~k gw in
+              let out = Bs_distributed.run ~jobs:bj ~seed:7 ~k gw in
               let st = out.Bs_distributed.network_stats in
               row
                 ~bounds:
@@ -1484,8 +1475,7 @@ let table_r1 ~quick () =
     pmap
       (fun (name, plan) ->
         let result, stats =
-          Programs.bfs ~faults:(Faults.make plan) ~engine:!engine
-            ~jobs:!jobs g ~root:0
+          Programs.bfs ~faults:(Faults.make plan) ~jobs:!jobs g ~root:0
         in
         let reached =
           Array.fold_left
@@ -1517,9 +1507,7 @@ let table_r1 ~quick () =
   (* determinism: the same (seed, plan) replays bit-for-bit *)
   let replay plan =
     let f = Faults.make plan in
-    let result, stats =
-      Programs.bfs ~faults:f ~engine:!engine ~jobs:!jobs g ~root:0
-    in
+    let result, stats = Programs.bfs ~faults:f ~jobs:!jobs g ~root:0 in
     (result, stats, Faults.events f)
   in
   let plan =
@@ -1640,7 +1628,7 @@ let table_o1 ~quick () =
   let trb = Trace.create g in
   let _, s =
     Profile.time profile "bfs" (fun () ->
-        Programs.bfs ~trace:trb ~engine:!engine ~jobs:!jobs g ~root:0)
+        Programs.bfs ~trace:trb ~jobs:!jobs g ~root:0)
   in
   let bfs_ok = s.Network.rounds <= ecc + 2 in
   let bfs_section =
@@ -1667,8 +1655,7 @@ let table_o1 ~quick () =
   let trs = Trace.create gw in
   let out =
     Profile.time profile "baswana-sen" (fun () ->
-        Bs_distributed.run ~trace:trs ~engine:!engine ~jobs:!jobs ~seed:7 ~k
-          gw)
+        Bs_distributed.run ~trace:trs ~jobs:!jobs ~seed:7 ~k gw)
   in
   let sb = out.Bs_distributed.network_stats in
   let bs_ok = sb.Network.rounds <= (2 * k) + 3 in
@@ -1714,8 +1701,7 @@ let table_o1 ~quick () =
        let tr = Trace.create sub in
        let eids, sf =
          Profile.time profile "thurimella-forests" (fun () ->
-             Programs.spanning_forest ~trace:tr ~engine:!engine ~jobs:!jobs
-               sub)
+             Programs.spanning_forest ~trace:tr ~jobs:!jobs sub)
        in
        if !first_trace = None then first_trace := Some tr;
        let bound = forest_round_bound sub in
@@ -2457,15 +2443,15 @@ let table_v1 ~quick () =
         let sp = (Bs_derand.run ~k g).Bs_derand.spanner in
         let w = Witness.spanner g ~k sp in
         let cv =
-          Checkers.spanner ~engine:!engine ~jobs:!jobs g
-            ~keep:sp.Spanner.keep ~k ~detour:w.Witness.detour
+          Checkers.spanner ~jobs:!jobs g ~keep:sp.Spanner.keep ~k
+            ~detour:w.Witness.detour
         in
         let cert = Thurimella.certificate ~k:ck g in
         let fv =
           match Witness.certificate g cert with
           | Error e -> failwith ("v1: no certificate witness: " ^ e)
           | Ok cw ->
-              Checkers.forests ~engine:!engine ~jobs:!jobs g
+              Checkers.forests ~jobs:!jobs g
                 ~keep:cert.Certificate.keep ~k:ck ~forest:cw.Witness.forest
                 ~parent:cw.Witness.parent ~depth:cw.Witness.depth
                 ~root:cw.Witness.root
@@ -2699,9 +2685,9 @@ let all_tables =
 let usage () =
   prerr_endline
     "usage: main.exe [--quick] [--all] [--table ID]... [--strict]\n\
-    \                [--artifacts DIR] [--against DIR] [--tolerance PCT]\n\
-    \                [--refresh-goldens] [--jobs N | -j N] [--metrics FILE]\n\
-    \                [--engine fast|ref] [--verify local|exact|probe]\n\
+    \                [--artifacts DIR] [--against DIR] [--refresh-goldens]\n\
+    \                [--jobs N | -j N] [--metrics FILE]\n\
+    \                [--verify local|exact|probe]\n\
      tables: t1 t2 t3 t4 t5 t6 t7 t8 t9 f1 r1 a1 a2 o1 o2 d1 v1 q1 (and \
      xfail, the negative control)"
 
@@ -2720,7 +2706,6 @@ let () =
   and refresh = ref false
   and artifacts_dir = ref "artifacts"
   and against = ref None
-  and tolerance = ref 75.0
   and metrics_file = ref None
   and verify_mode = ref None
   and tables = ref [] in
@@ -2734,29 +2719,18 @@ let () =
     | "--artifacts" :: d :: r -> artifacts_dir := d; parse r
     | "--against" :: d :: r -> against := Some d; parse r
     | "--metrics" :: f :: r -> metrics_file := Some f; parse r
-    | "--tolerance" :: p :: r ->
-        (match float_of_string_opt p with
-        | Some v when v >= 0.0 -> tolerance := v
-        | _ -> die "--tolerance expects a non-negative percentage, got %S" p);
-        parse r
     | ("--jobs" | "-j") :: v :: r ->
         (match int_of_string_opt v with
         | Some j when j >= 1 -> jobs := j
         | _ -> die "--jobs expects a positive integer, got %S" v);
-        parse r
-    | "--engine" :: e :: r ->
-        (match e with
-        | "fast" -> engine := `Fast
-        | "ref" -> engine := `Ref
-        | _ -> die "--engine expects fast or ref, got %S" e);
         parse r
     | "--verify" :: m :: r ->
         (match Verify.mode_of_string m with
         | Ok mode -> verify_mode := Some mode
         | Error e -> die "%s" e);
         parse r
-    | [ (("--table" | "--artifacts" | "--against" | "--tolerance" | "--jobs"
-        | "-j" | "--metrics" | "--engine" | "--verify") as f) ]
+    | [ (("--table" | "--artifacts" | "--against" | "--jobs" | "-j"
+        | "--metrics" | "--verify") as f) ]
       ->
         die "%s needs an argument" f
     | a :: _ -> die "unknown argument %S" a
@@ -2809,9 +2783,7 @@ let () =
           end
           else begin
             let golden = T.load path in
-            let ds =
-              T.diff ~time_tolerance:(!tolerance /. 100.0) ~golden t
-            in
+            let ds = T.diff ~golden t in
             List.iter
               (fun d ->
                 incr diffs;
@@ -2829,15 +2801,9 @@ let () =
       let n = if !quick then 256 else 512 in
       let g = Gcache.gnp ~seed:47 ~n ~avg_degree:(fi n /. 8.) in
       let sp = (Bs_derand.run ~k:3 g).Bs_derand.spanner in
-      let vs =
-        Verify.spanner ~engine:!engine ~jobs:!jobs ~mode
-          ~k:3 g sp
-      in
+      let vs = Verify.spanner ~jobs:!jobs ~mode ~k:3 g sp in
       let cert = Thurimella.certificate ~k:2 g in
-      let vc =
-        Verify.certificate ~engine:!engine ~jobs:!jobs
-          ~mode g cert
-      in
+      let vc = Verify.certificate ~jobs:!jobs ~mode g cert in
       List.iter
         (fun (v : Verify.verdict) ->
           incr checked;

@@ -27,11 +27,11 @@
      job_capacity seconds — wall-clock, but a ratio of co-measured clocks,
      so it transfers across machines far better than ns/run).
    The run fails (exit 1) when pool utilization drops below the floor or
-   arena waste rises above the ceiling; --min-pool-utilization and
-   --max-arena-waste override the defaults, and --gate-efficiency FILE
-   re-checks a recorded artifact against the floors without re-running
-   (the instant negative control: --min-pool-utilization 1.5 must fail,
-   utilization can never exceed 1).
+   arena waste rises above the ceiling (0.90); --min-pool-utilization
+   overrides the floor, and --gate-efficiency FILE re-checks a recorded
+   artifact against both without re-running (the instant negative
+   control: --min-pool-utilization 1.5 must fail, utilization can never
+   exceed 1).
 
    Sharded message plane (schema v5): the same flood workload on streamed
    degree-bounded graphs at n = 1e5 (and 1e6 in full mode), run by the
@@ -50,23 +50,21 @@
      perf [--quick] [--jobs N] [-o FILE]   run the suite, write FILE
      perf --validate FILE            check FILE parses and each suite ran
      perf --gate-efficiency FILE [--min-pool-utilization X]
-          [--max-arena-waste X]     gate a recorded artifact's efficiency
+        gate a recorded artifact's efficiency
      perf --mp-smoke N              large-n determinism gate: flood + BFS
         on a streamed degree-bounded graph at n=N, the Ref engine vs the
         Fast engine at jobs 1 and 4; states, stats and stripped metrics
         must be byte-identical (exit 1 on any mismatch)
-     perf [--quick] --against FILE [--tolerance PCT] [--suites]
+     perf [--quick] --against FILE
         rerun the suite and gate on the recorded baseline: the fast-vs-ref
-        message-plane speedup must stay within PCT percent of the baseline
-        (default 40; the ratio is machine-robust, unlike wall-clock).
-        Four more ratios must each clear an absolute floor and stay within
-        PCT of the recorded ratio: stretch:par (1.8x), the jobs=N-vs-jobs=1
+        message-plane speedup must stay within 40% of the baseline (the
+        ratio is machine-robust, unlike wall-clock).  Four more ratios
+        must each clear an absolute floor and stay within 40% of the
+        recorded ratio: stretch:par (1.8x), the jobs=N-vs-jobs=1
         message plane at n=1e5 (1.5x), the oracle batch queries/sec at
         jobs=N (1.5x) and dynamic repair-vs-rebuild (1.2x).  The first
         three are pool ratios: on machines with fewer than 4 cores they
-        are skipped with a note, as a ratio needs cores to manifest.
-        [--suites] additionally gates each suite's ns/run — opt-in because
-        absolute wall-clock does not transfer across CI machines. *)
+        are skipped with a note, as a ratio needs cores to manifest. *)
 
 open Ultraspan
 module J = Exp_json
@@ -391,7 +389,7 @@ let dynamic_rows ~quick =
    slots), so 0.9 only fires if slots stop being reused or payloads
    shrink relative to their slots. *)
 let default_min_pool_utilization = 0.10
-let default_max_arena_waste = 0.90
+let max_arena_waste = 0.90
 let mp_word_limit = 4
 
 type efficiency = {
@@ -479,7 +477,7 @@ let print_efficiency e =
 
 (* The efficiency gate proper: shared by the measuring modes (on the
    fresh numbers) and --gate-efficiency (on recorded ones). *)
-let gate_efficiency ~min_util ~max_waste ~utilization ~waste =
+let gate_efficiency ~min_util ~utilization ~waste =
   let failures = ref 0 in
   Printf.printf "efficiency gate: pool utilization %.3f vs floor %.3f\n"
     utilization min_util;
@@ -490,12 +488,12 @@ let gate_efficiency ~min_util ~max_waste ~utilization ~waste =
       utilization min_util
   end;
   Printf.printf "efficiency gate: arena waste %.3f vs ceiling %.3f\n" waste
-    max_waste;
-  if not (Float.is_finite waste) || waste > max_waste then begin
+    max_arena_waste;
+  if not (Float.is_finite waste) || waste > max_arena_waste then begin
     incr failures;
     Printf.eprintf
       "EFFICIENCY REGRESSION arena waste %.3f above ceiling %.3f\n" waste
-      max_waste
+      max_arena_waste
   end;
   !failures
 
@@ -781,21 +779,22 @@ let validate file =
 
 (* Re-check a recorded artifact's efficiency section against the floors
    without re-running anything — the negative-control entry point. *)
-let gate_recorded ~min_util ~max_waste file =
+let gate_recorded ~min_util file =
   let e = J.field "efficiency" (load_baseline file) in
-  gate_efficiency ~min_util ~max_waste
+  gate_efficiency ~min_util
     ~utilization:(J.num (J.field "pool_utilization" e))
     ~waste:(J.num (J.field "arena_waste" e))
 
-(* Gate a fresh run against a recorded baseline.  The default check is the
-   fast-vs-ref speedup RATIO: wall-clock shifts with the machine, but the
-   two engines shift together, so the ratio is what a regression in the
-   fast message plane actually moves.  [--suites] adds per-suite ns/run
-   checks for same-machine use. *)
-let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
-    ~baseline_file rows =
+(* Gate a fresh run against a recorded baseline on ratios, led by the
+   fast-vs-ref speedup: wall-clock shifts with the machine, but the two
+   engines shift together, so the ratio is what a regression in the fast
+   message plane actually moves.  Every ratio may fall at most [tolerance]
+   below its baseline; per-suite ns/run is recorded but not gated, as
+   absolute wall-clock does not transfer across machines. *)
+let tolerance = 0.40
+
+let against ~min_util ~eff ~baseline_file rows =
   let j = load_baseline baseline_file in
-  let tol = tolerance /. 100.0 in
   let failures = ref 0 in
   let fail fmt =
     Printf.ksprintf
@@ -806,11 +805,11 @@ let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
   in
   let base_speedup = J.num (J.field "speedup" (J.field "message_plane" j)) in
   let cur_speedup = speedup_of rows in
-  let floor = base_speedup *. (1.0 -. tol) in
+  let floor = base_speedup *. (1.0 -. tolerance) in
   Printf.printf
     "message-plane speedup: %.2fx now vs %.2fx baseline (floor %.2fx at \
      tolerance %.0f%%)\n"
-    cur_speedup base_speedup floor tolerance;
+    cur_speedup base_speedup floor (tolerance *. 100.0);
   if not (Float.is_finite cur_speedup) || cur_speedup < floor then
     fail "message-plane speedup %.2fx below floor %.2fx (baseline %.2fx)"
       cur_speedup floor base_speedup;
@@ -830,7 +829,7 @@ let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
         min_cores
     else begin
       let base = J.num (J.field field p) in
-      let rel_floor = base *. (1.0 -. tol) in
+      let rel_floor = base *. (1.0 -. tolerance) in
       Printf.printf
         "%s speedup: %.2fx now vs %.2fx baseline (floors: %.2fx absolute, \
          %.2fx relative)\n"
@@ -860,36 +859,8 @@ let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
      is needed (the recorded section documents what this machine saw). *)
   failures :=
     !failures
-    + gate_efficiency ~min_util ~max_waste
-        ~utilization:eff.eff_pool_utilization ~waste:eff.eff_arena_waste;
-  if suites_gate then begin
-    let base_quick =
-      match J.field_opt "quick" j with Some b -> J.bool b | None -> false
-    in
-    if base_quick <> quick then
-      Printf.printf
-        "note: baseline quick=%b but this run quick=%b — per-suite ns/run \
-         estimates use different sample budgets\n"
-        base_quick quick;
-    let baseline_ns =
-      List.map
-        (fun s -> (J.str (J.field "name" s), J.num (J.field "ns_per_run" s)))
-        (J.arr (J.field "suites" j))
-    in
-    List.iter
-      (fun r ->
-        match List.assoc_opt r.name baseline_ns with
-        | None -> Printf.printf "suite %s: not in baseline, skipped\n" r.name
-        | Some base_ns ->
-            let ceiling = base_ns *. (1.0 +. tol) in
-            if r.ns_per_run > ceiling then
-              fail "suite %s: %.0f ns/run above ceiling %.0f (baseline %.0f)"
-                r.name r.ns_per_run ceiling base_ns
-            else
-              Printf.printf "suite %s: %.0f ns/run vs baseline %.0f — ok\n"
-                r.name r.ns_per_run base_ns)
-      rows
-  end;
+    + gate_efficiency ~min_util ~utilization:eff.eff_pool_utilization
+        ~waste:eff.eff_arena_waste;
   !failures
 
 (* ------------------------------------------------------------------ *)
@@ -946,9 +917,8 @@ let usage () =
     "usage: perf.exe [--quick] [--jobs N | -j N] [-o FILE]\n\
     \       perf.exe --validate FILE\n\
     \       perf.exe --gate-efficiency FILE [--min-pool-utilization X]\n\
-    \                [--max-arena-waste X]\n\
     \       perf.exe --mp-smoke N [--jobs N | -j N]\n\
-    \       perf.exe [--quick] --against FILE [--tolerance PCT] [--suites]"
+    \       perf.exe [--quick] --against FILE"
 
 let die fmtstr =
   Printf.ksprintf
@@ -965,14 +935,10 @@ let () =
   and against_file = ref None
   and gate_eff_file = ref None
   and min_util = ref default_min_pool_utilization
-  and max_waste = ref default_max_arena_waste
-  and tolerance = ref 40.0
-  and suites_gate = ref false
   and mp_smoke_n = ref None in
   let rec parse = function
     | [] -> ()
     | "--quick" :: r -> quick := true; parse r
-    | "--suites" :: r -> suites_gate := true; parse r
     | "-o" :: f :: r -> out := Some f; parse r
     | "--validate" :: f :: r -> validate_file := Some f; parse r
     | "--against" :: f :: r -> against_file := Some f; parse r
@@ -987,24 +953,14 @@ let () =
         | Some x when x >= 0.0 -> min_util := x
         | _ -> die "--min-pool-utilization expects a non-negative float");
         parse r
-    | "--max-arena-waste" :: v :: r ->
-        (match float_of_string_opt v with
-        | Some x when x >= 0.0 -> max_waste := x
-        | _ -> die "--max-arena-waste expects a non-negative float");
-        parse r
-    | "--tolerance" :: p :: r ->
-        (match float_of_string_opt p with
-        | Some v when v >= 0.0 -> tolerance := v
-        | _ -> die "--tolerance expects a non-negative percentage, got %S" p);
-        parse r
     | ("--jobs" | "-j") :: v :: r ->
         (match int_of_string_opt v with
         | Some j when j >= 1 -> par_jobs := j
         | _ -> die "--jobs expects a positive integer, got %S" v);
         parse r
     | [ (("-o" | "--validate" | "--against" | "--gate-efficiency"
-        | "--mp-smoke" | "--min-pool-utilization" | "--max-arena-waste"
-        | "--tolerance" | "--jobs" | "-j") as f) ] ->
+        | "--mp-smoke" | "--min-pool-utilization" | "--jobs" | "-j") as f) ]
+      ->
         die "%s needs an argument" f
     | a :: _ -> die "unknown argument %S" a
   in
@@ -1038,7 +994,7 @@ let () =
         exit 1)
   | None, None, Some file ->
       let failures =
-        try gate_recorded ~min_util:!min_util ~max_waste:!max_waste file
+        try gate_recorded ~min_util:!min_util file
         with J.Error msg | Sys_error msg ->
           Printf.eprintf "%s: INVALID artifact (%s)\n" file msg;
           exit 1
@@ -1058,9 +1014,7 @@ let () =
       | None -> ());
       let failures =
         try
-          against ~quick:!quick ~tolerance:!tolerance
-            ~suites_gate:!suites_gate ~min_util:!min_util
-            ~max_waste:!max_waste ~eff ~baseline_file rows
+          against ~min_util:!min_util ~eff ~baseline_file rows
         with J.Error msg | Sys_error msg ->
           Printf.eprintf "%s: INVALID baseline (%s)\n" baseline_file msg;
           exit 1
@@ -1086,7 +1040,7 @@ let () =
       in
       let failures =
         smoke_failures
-        + gate_efficiency ~min_util:!min_util ~max_waste:!max_waste
+        + gate_efficiency ~min_util:!min_util
             ~utilization:eff.eff_pool_utilization ~waste:eff.eff_arena_waste
       in
       Printf.printf "message-plane speedup (fast vs ref): %.2fx\n" speedup;

@@ -58,17 +58,6 @@ let output_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write result to FILE.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("fast", `Fast); ("ref", `Ref) ]) `Fast
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "CONGEST simulator message plane: fast (CSR slot-based, rounds \
-           sharded over the domain pool; the default) or ref (list-based \
-           reference oracle).  Both are observably identical at every job \
-           count; the flag exists for differential and A/B perf runs.")
-
 let verify_mode_enum =
   Arg.enum
     [ ("local", Verify.Local); ("exact", Verify.Exact); ("probe", Verify.Probe) ]
@@ -198,12 +187,11 @@ let stats_cmd =
 
 (* ---------- shared algorithm dispatch ---------- *)
 
-let build_spanner ?(engine = `Fast) ?jobs ?metrics ~algo ~k ~t ~seed g =
+let build_spanner ?jobs ?metrics ~algo ~k ~t ~seed g =
   match algo with
   | "bs" -> (Baswana_sen.run ~rng:(Rng.create seed) ~k g).Baswana_sen.spanner
   | "bs-distributed" ->
-      (Bs_distributed.run ?metrics ~engine ?jobs ~seed ~k g)
-        .Bs_distributed.spanner
+      (Bs_distributed.run ?metrics ?jobs ~seed ~k g).Bs_distributed.spanner
   | "bs-derand" -> (Bs_derand.run ~k g).Bs_derand.spanner
   | "linear" -> (Linear_size.run g).Linear_size.spanner
   | "linear-random" ->
@@ -231,13 +219,13 @@ let build_certificate ~algo ~k ~eps ~seed g =
 
 (* ---------- spanner ---------- *)
 
-let spanner algo k t engine breakdown jobs verify mfile input family n
+let spanner algo k t breakdown jobs verify mfile input family n
     degree max_w seed output =
   let g = load_graph input family n degree max_w seed in
   Format.printf "input: %a@." Graph.pp g;
   let ok =
     with_metrics mfile @@ fun metrics ->
-    let sp = build_spanner ~engine ~jobs ~metrics ~algo ~k ~t ~seed g in
+    let sp = build_spanner ~jobs ~metrics ~algo ~k ~t ~seed g in
     Printf.printf "spanner edges   : %d (%.2f per vertex)\n" (Spanner.size sp)
       (float_of_int (Spanner.size sp) /. float_of_int (Graph.n g));
     Printf.printf "spanning        : %b\n" (Spanner.is_spanning g sp);
@@ -256,8 +244,7 @@ let spanner algo k t engine breakdown jobs verify mfile input family n
     | None -> true
     | Some mode ->
         (* the (2k-1) bound comes from --k, whatever --algo built *)
-        report_verdict
-          (Verify.spanner ~engine ~jobs ~seed ~mode ~k g sp)
+        report_verdict (Verify.spanner ~jobs ~seed ~mode ~k g sp)
   in
   if not ok then exit 1
 
@@ -280,13 +267,13 @@ let breakdown_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Parallel.default_jobs ())
+    & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Fan the parallel kernels (stretch verification, and the \
            CONGEST simulator's sharded rounds where the command runs the \
-           simulator) over $(docv) domains (default ULTRASPAN_JOBS or 1).  \
-           The result is identical for every N.")
+           simulator) over $(docv) domains.  The result is identical for \
+           every N.")
 
 let spanner_cmd =
   Cmd.v
@@ -294,7 +281,7 @@ let spanner_cmd =
     Term.(
       const spanner $ spanner_algo_arg
       $ k_arg "Stretch parameter k (stretch 2k-1)."
-      $ t_arg $ engine_arg $ breakdown_arg $ jobs_arg
+      $ t_arg $ breakdown_arg $ jobs_arg
       $ verify_arg $ metrics_arg
       $ input_arg $ family_arg $ n_arg $ degree_arg $ weights_arg $ seed_arg
       $ output_arg)
@@ -599,15 +586,15 @@ let stream_cmd =
 
 (* ---------- verify ---------- *)
 
-let verify_matrix engine jobs quick seed =
-  let ok = Verify.matrix ~engine ~jobs ~seed ~quick Format.std_formatter in
+let verify_matrix jobs quick seed =
+  let ok = Verify.matrix ~jobs ~seed ~quick Format.std_formatter in
   if not ok then exit 1
 
 let quick_arg =
   Arg.(
     value & flag
     & info [ "quick" ]
-        ~doc:"Small graphs (the CI verify job's per-configuration setting).")
+        ~doc:"Small graphs (the matrix the test suite runs on every build).")
 
 let verify_cmd =
   Cmd.v
@@ -620,11 +607,9 @@ let verify_cmd =
           erased detours, dropped forest arcs, flipped forest labels, \
           corrupted depth and root labels) and check every one is \
           rejected, plus eps-far probe controls.  The transcript is \
-          canonical: byte-identical across --engine and -j (CI diffs \
-          it with cmp).  Exits non-zero on any miss.")
-    Term.(
-      const verify_matrix $ engine_arg $ jobs_arg $ quick_arg
-      $ seed_arg)
+          canonical: byte-identical across simulator engines and -j.  \
+          Exits non-zero on any miss.")
+    Term.(const verify_matrix $ jobs_arg $ quick_arg $ seed_arg)
 
 (* ---------- trace ---------- *)
 
@@ -633,7 +618,7 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let trace prog k root engine drop crashes top mfile input family n
+let trace prog k root drop crashes top mfile input family n
     degree max_w seed output =
   let g = load_graph input family n degree max_w seed in
   Format.printf "input: %a@." Graph.pp g;
@@ -654,27 +639,22 @@ let trace prog k root engine drop crashes top mfile input family n
   let stats =
     Profile.time prof prog @@ fun () ->
     match prog with
-    | "bfs" ->
-        snd (Programs.bfs ?faults ~trace:tr ~metrics ~engine g ~root)
+    | "bfs" -> snd (Programs.bfs ?faults ~trace:tr ~metrics g ~root)
     | "broadcast" ->
         snd
-          (Programs.broadcast_max ?faults ~trace:tr ~metrics ~engine g
+          (Programs.broadcast_max ?faults ~trace:tr ~metrics g
              ~values:(Array.init (Graph.n g) Fun.id))
     | p when faulty ->
         failwith
           (Printf.sprintf
              "program %s does not take a fault plan (only bfs | broadcast)" p)
-    | "matching" ->
-        snd (Programs.maximal_matching ~trace:tr ~metrics ~engine g)
-    | "mis" -> snd (Programs.luby_mis ~trace:tr ~metrics ~engine ~seed g)
+    | "matching" -> snd (Programs.maximal_matching ~trace:tr ~metrics g)
+    | "mis" -> snd (Programs.luby_mis ~trace:tr ~metrics ~seed g)
     | "bellman-ford" ->
-        snd
-          (Programs.bellman_ford ~trace:tr ~metrics ~engine g
-             ~source:root)
-    | "forest" ->
-        snd (Programs.spanning_forest ~trace:tr ~metrics ~engine g)
+        snd (Programs.bellman_ford ~trace:tr ~metrics g ~source:root)
+    | "forest" -> snd (Programs.spanning_forest ~trace:tr ~metrics g)
     | "bs" ->
-        (Bs_distributed.run ~trace:tr ~metrics ~engine ~seed ~k g)
+        (Bs_distributed.run ~trace:tr ~metrics ~seed ~k g)
           .Bs_distributed.network_stats
     | p -> failwith ("unknown program: " ^ p)
   in
@@ -735,7 +715,7 @@ let trace_cmd =
     Term.(
       const trace $ trace_program_arg
       $ k_arg "Stretch parameter k (program bs)."
-      $ root_arg $ engine_arg $ drop_arg $ crashes_arg $ top_arg
+      $ root_arg $ drop_arg $ crashes_arg $ top_arg
       $ metrics_arg
       $ input_arg $ family_arg $ n_arg $ degree_arg $ weights_arg $ seed_arg
       $ output_arg)
@@ -781,7 +761,7 @@ let strip_timing_arg =
         ~doc:
           "Drop the timing.* execution namespace (wall-clock timers and \
            engine-/schedule-internal diagnostics) first; what remains must \
-           be byte-identical across --jobs and --engine.")
+           be byte-identical across --jobs and simulator engines.")
 
 let report_top_arg =
   Arg.(

@@ -123,8 +123,7 @@ val run :
     see {!type-engine}).
 
     [jobs] is the only schedule knob: it bounds the domains the [`Fast]
-    engine's sharded rounds use (default:
-    {!Ultraspan_util.Parallel.default_jobs}) and never affects results,
+    engine's sharded rounds use (default 1) and never affects results,
     only wall-clock.  With [?faults] or [?trace] attached the shards run
     in node order on the caller, because the fault RNG and the trace hooks
     are order-sensitive.  The [`Ref] engine ignores [jobs].

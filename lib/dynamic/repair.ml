@@ -20,7 +20,7 @@ let defaults ~k =
     cert = None;
     headroom = k;
     max_affected = 0.25;
-    jobs = Parallel.default_jobs ();
+    jobs = 1;
     recert = `Exact;
   }
 

@@ -93,8 +93,8 @@ type config = {
 
 val defaults : k:int -> config
 (** [`Incremental], no certificate, [headroom = k], [max_affected = 0.25],
-    [jobs = Parallel.default_jobs ()].  Override fields with record update
-    syntax.  Raises [Invalid_argument] if [k < 1]. *)
+    [jobs = 1].  Override fields with record update syntax.  Raises
+    [Invalid_argument] if [k < 1]. *)
 
 type outcome = {
   batch : int;  (** 1-based index of the batch in this engine's life *)

@@ -396,27 +396,26 @@ let load path = of_artifact_string (Json.read_file path)
 
 (* Floats are deterministic measurements, but committed goldens may cross
    libm versions: allow a relative 1e-9 band.  Time values are wall-clock:
-   banded by [time_tolerance] (relative) plus a flat slack for the
-   sub-millisecond jitter region. *)
+   banded by 75% (relative) plus a flat slack for the sub-millisecond
+   jitter region. *)
 let float_close a b =
   a = b
   || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
   || (Float.is_nan a && Float.is_nan b)
 
-let time_close ~tol a b =
-  Float.abs (a -. b) <= (tol *. Float.max (Float.abs a) (Float.abs b)) +. 0.25
+let time_close a b =
+  Float.abs (a -. b) <= (0.75 *. Float.max (Float.abs a) (Float.abs b)) +. 0.25
 
-let value_close ~tol a b =
+let value_close a b =
   match (a, b) with
   | Int x, Int y -> x = y
   | Str x, Str y -> x = y
   | Bool x, Bool y -> x = y
   | Float x, Float y -> float_close x y
-  | Time x, Time y -> time_close ~tol x y
+  | Time x, Time y -> time_close x y
   | _ -> false
 
-let diff ?(time_tolerance = 0.75) ~golden current =
-  let tol = time_tolerance in
+let diff ~golden current =
   let out = ref [] in
   let report fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
   let show = default_render in
@@ -429,7 +428,7 @@ let diff ?(time_tolerance = 0.75) ~golden current =
         match List.assoc_opt k cf with
         | None -> report "%s: field %s missing" ctx k
         | Some cv ->
-            if not (value_close ~tol gv cv) then
+            if not (value_close gv cv) then
               report "%s: %s = %s, golden %s" ctx k (show cv) (show gv))
       gf;
     List.iter

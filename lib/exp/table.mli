@@ -142,7 +142,6 @@ val mkdir_p : string -> unit
 
 (** {1 Diffing} *)
 
-val diff : ?time_tolerance:float -> golden:t -> t -> string list
+val diff : golden:t -> t -> string list
 (** Human-readable mismatch descriptions; empty means identical up to the
-    wall-clock band ([time_tolerance] relative, default 0.75, plus 0.25 s
-    flat slack). *)
+    wall-clock band (75% relative plus 0.25 s flat slack). *)

@@ -6,9 +6,8 @@
     pairs.
 
     The per-source Dijkstras are independent, so the multi-source entry
-    points take [?jobs] (default {!Ultraspan_util.Parallel.default_jobs})
-    and fan across the domain pool; results are identical for every job
-    count. *)
+    points take [?jobs] (default 1) and fan across the domain pool;
+    results are identical for every job count. *)
 
 val floyd_warshall : Graph.t -> int array array
 (** O(n³), O(n²) memory — for n in the hundreds. *)

@@ -10,6 +10,14 @@ let to_string g =
       Buffer.add_string buf (Printf.sprintf "%d %d %d\n" e.Graph.u e.Graph.v e.Graph.w));
   Buffer.contents buf
 
+let max_vertices = 1 lsl 24
+
+let check_vertices n =
+  if n > max_vertices then
+    failwith
+      (Printf.sprintf "Graph_io: vertex count %d exceeds the cap of %d" n
+         max_vertices)
+
 let parse_lines lines =
   let lines =
     List.filter
@@ -25,6 +33,7 @@ let parse_lines lines =
         try Scanf.sscanf header " %d %d" (fun a b -> (a, b))
         with _ -> failwith "Graph_io: bad header"
       in
+      check_vertices n;
       let triples =
         List.map
           (fun line ->
@@ -81,7 +90,8 @@ let of_dimacs s =
         | 'p' ->
             (try
                Scanf.sscanf line "p %s %d %d" (fun _ nn _ -> n := nn)
-             with _ -> failwith "Graph_io: bad DIMACS problem line")
+             with _ -> failwith "Graph_io: bad DIMACS problem line");
+            check_vertices !n
         | 'a' ->
             (try
                Scanf.sscanf line "a %d %d %d" (fun u v w ->

@@ -2,7 +2,15 @@
 
     Format: first line [n m], then [m] lines [u v w].  Lines starting with
     [#] are comments.  Round-trips through {!Graph.of_edges}, so parallel
-    edges collapse and ids are renumbered canonically. *)
+    edges collapse and ids are renumbered canonically.
+
+    Both readers reject a vertex count above {!max_vertices} before
+    anything of that size is allocated. *)
+
+val max_vertices : int
+(** [2^24]: 16 times the largest graph any workload or table builds.  A
+    header naming more vertices raises
+    [Failure "Graph_io: vertex count N exceeds the cap of 16777216"]. *)
 
 val to_channel : out_channel -> Graph.t -> unit
 

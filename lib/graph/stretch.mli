@@ -8,9 +8,8 @@
     (u,v,w) of G.
 
     The per-vertex checks are independent, so every verifier takes [?jobs]
-    (default {!Ultraspan_util.Parallel.default_jobs}, i.e. [ULTRASPAN_JOBS]
-    or 1) and fans them across the domain pool.  Results are bit-identical
-    for every job count. *)
+    (default 1) and fans them across the domain pool.  Results are
+    bit-identical for every job count. *)
 
 val max_edge_stretch : ?jobs:int -> Graph.t -> bool array -> float
 (** [max_edge_stretch g keep] is the exact stretch of the spanning subgraph

@@ -1,14 +1,3 @@
-let default_jobs () =
-  match Sys.getenv_opt "ULTRASPAN_JOBS" with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | _ ->
-          invalid_arg
-            (Printf.sprintf
-               "ULTRASPAN_JOBS must be a positive integer, got %S" s))
-
 let available_cores () = Domain.recommended_domain_count ()
 
 (* ------------------------------------------------------------------ *)
@@ -249,7 +238,7 @@ let run_chunked ~jobs ~nchunks body =
     end
 
 let resolve_jobs = function
-  | None -> default_jobs ()
+  | None -> 1
   | Some j when j >= 1 -> j
   | Some j -> invalid_arg (Printf.sprintf "Parallel: jobs must be >= 1, got %d" j)
 

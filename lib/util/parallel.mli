@@ -21,13 +21,6 @@
     parallel body calling back into this module) degrade to the sequential
     path instead of deadlocking or oversubscribing. *)
 
-val default_jobs : unit -> int
-(** Job count from the [ULTRASPAN_JOBS] environment variable (a positive
-    integer), or 1 when unset.  This is the default for every [?jobs]
-    argument in the library, so exporting [ULTRASPAN_JOBS=4] parallelizes
-    the verification kernels without touching any call site.
-    @raise Invalid_argument on a malformed value. *)
-
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()] — what the machine can actually
     run in parallel.  Used by the perf harness to decide whether a speedup

@@ -75,12 +75,12 @@ let of_probe target (r : Eps_far.report) =
     note;
   }
 
-let spanner ?engine ?jobs ?(seed = 1) ?(epsilon = 0.1) ~mode ~k g sp =
+let spanner ?jobs ?(seed = 1) ?(epsilon = 0.1) ~mode ~k g sp =
   match mode with
   | Local ->
       let w = Witness.spanner g ~k sp in
       let cv =
-        Checkers.spanner ?engine ?jobs g ~keep:sp.Spanner.keep ~k
+        Checkers.spanner ?jobs g ~keep:sp.Spanner.keep ~k
           ~detour:w.Witness.detour
       in
       let note =
@@ -108,16 +108,14 @@ let exact_certificate g cert note =
        else note ^ "; connectivity not preserved up to k");
   }
 
-let certificate ?engine ?jobs ?(seed = 1) ?(epsilon = 0.1) ~mode g
-    cert =
+let certificate ?jobs ?(seed = 1) ?(epsilon = 0.1) ~mode g cert =
   match mode with
   | Local -> (
       match Witness.certificate g cert with
       | Ok w ->
           let cv =
-            Checkers.forests ?engine ?jobs g
-              ~keep:cert.Certificate.keep ~k:w.Witness.ck
-              ~forest:w.Witness.forest ~parent:w.Witness.parent
+            Checkers.forests ?jobs g ~keep:cert.Certificate.keep
+              ~k:w.Witness.ck ~forest:w.Witness.forest ~parent:w.Witness.parent
               ~depth:w.Witness.depth ~root:w.Witness.root
           in
           of_checker "certificate" cv ""

@@ -13,14 +13,14 @@ open! Import
     - [Probe] — the sublinear ε-far connectivity spot-check
       ({!Eps_far}): constant query budget, one-sided error.
 
-    {!matrix} is the corruption-detection differential used by the CI
-    [verify] job: it builds valid artifacts, checks they are accepted,
+    {!matrix} is the corruption-detection differential behind the CLI's
+    [verify] command: it builds valid artifacts, checks they are accepted,
     then applies seeded corruptions (dropped spanner edges, truncated or
     detached detours, erased witnesses, dropped forest arcs, flipped
     forest labels, corrupted depth/root labels) and checks every one is
     rejected.  Its output is canonical text: byte-identical across
-    engines and job counts (the simulator's determinism
-    contract), which CI enforces with [cmp]. *)
+    engines and job counts (the simulator's determinism contract), which
+    the test suite checks on the quick and the full matrix. *)
 
 type mode = Local | Exact | Probe
 
@@ -46,7 +46,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
     matrix transcript). *)
 
 val spanner :
-  ?engine:Network.engine ->
   ?jobs:int ->
   ?seed:int ->
   ?epsilon:float ->
@@ -61,7 +60,6 @@ val spanner :
     defaults to 1, [epsilon] to 0.1; stretch is out of a probe's reach). *)
 
 val certificate :
-  ?engine:Network.engine ->
   ?jobs:int ->
   ?seed:int ->
   ?epsilon:float ->

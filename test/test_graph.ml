@@ -114,7 +114,21 @@ let io_roundtrip =
 
 let io_rejects_garbage () =
   Alcotest.check_raises "bad header" (Failure "Graph_io: bad header") (fun () ->
-      ignore (Graph_io.of_string "hello world\n"))
+      ignore (Graph_io.of_string "hello world\n"));
+  (* hostile vertex counts fail before anything of size n is allocated *)
+  let over = Graph_io.max_vertices + 1 in
+  List.iter
+    (fun (n, header) ->
+      Alcotest.check_raises (String.escaped header)
+        (Failure
+           (Printf.sprintf "Graph_io: vertex count %d exceeds the cap of %d"
+              n Graph_io.max_vertices))
+        (fun () -> ignore (Graph_io.of_string header)))
+    [
+      (999999999999, "999999999999 1\n0 1 1\n");
+      (max_int, Printf.sprintf "%d 0\n" max_int);
+      (over, Printf.sprintf "%d 0\n" over);
+    ]
 
 let io_comments () =
   let g = Graph_io.of_string "# a comment\n3 1\n0 1 7\n" in
@@ -576,7 +590,10 @@ let dimacs_parses_comments () =
 let dimacs_rejects_garbage () =
   Alcotest.check_raises "no p line"
     (Failure "Graph_io: DIMACS input has no problem line") (fun () ->
-      ignore (Graph_io.of_dimacs "a 1 2 3\n"))
+      ignore (Graph_io.of_dimacs "a 1 2 3\n"));
+  Alcotest.check_raises "hostile p line"
+    (Failure "Graph_io: vertex count 999999999999 exceeds the cap of 16777216")
+    (fun () -> ignore (Graph_io.of_dimacs "p sp 999999999999 0\n"))
 
 let gen_random_regular =
   qcheck "random_regular near-regular" seed_gen (fun seed ->

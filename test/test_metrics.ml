@@ -173,6 +173,9 @@ let exposition_deterministic () =
 
 (* ---------- differential laws ---------- *)
 
+(* BFS on Fast vs Ref, and distributed Baswana-Sen on Ref vs Fast at
+   jobs 1 and 4 with the registry also attached to the domain pool, as the
+   CLI's --metrics does. *)
 let engine_differential =
   qcheck ~count:20 "metrics: Fast and Ref engines agree outside timing.*"
     seed_gen (fun seed ->
@@ -184,10 +187,25 @@ let engine_differential =
       in
       let sf = run `Fast and sr = run `Ref in
       let df = Metrics.strip_timing sf and dr = Metrics.strip_timing sr in
+      let bs engine jobs =
+        let r = Metrics.create () in
+        Parallel.set_metrics (Some r);
+        Fun.protect
+          ~finally:(fun () -> Parallel.set_metrics None)
+          (fun () ->
+            ignore (Bs_distributed.run ~metrics:r ~engine ~jobs ~seed ~k:3 g));
+        Metrics.strip_timing (Metrics.snapshot r)
+      in
+      let bref = bs `Ref 1 in
+      let bexp = Metrics.exposition bref in
       Metrics.exposition df = Metrics.exposition dr
       && Metrics.find_counter df "congest.deliveries_total"
          = Metrics.find_counter dr "congest.deliveries_total"
-      && Metrics.find_counter df "congest.deliveries_total" <> Some 0)
+      && Metrics.find_counter df "congest.deliveries_total" <> Some 0
+      && Metrics.find_counter bref "congest.payload_words_total" <> None
+      && Metrics.find_gauge bref "congest.max_payload_words" <> None
+      && bexp = Metrics.exposition (bs `Fast 1)
+      && bexp = Metrics.exposition (bs `Fast 4))
 
 let jobs_invariance =
   qcheck ~count:10 "metrics: parallel counters are jobs-invariant" seed_gen

@@ -69,23 +69,6 @@ let test_nested_sections () =
   in
   Alcotest.(check bool) "nested = sequential, bit-identical" true (expect = got)
 
-let test_default_jobs_env () =
-  let set v = Unix.putenv "ULTRASPAN_JOBS" v in
-  set "3";
-  Alcotest.(check int) "ULTRASPAN_JOBS=3" 3 (Parallel.default_jobs ());
-  set " 5 ";
-  Alcotest.(check int) "whitespace trimmed" 5 (Parallel.default_jobs ());
-  set "zonk";
-  (match Parallel.default_jobs () with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  set "0";
-  (match Parallel.default_jobs () with
-  | _ -> Alcotest.fail "expected Invalid_argument on 0"
-  | exception Invalid_argument _ -> ());
-  set "";
-  Alcotest.(check int) "empty means sequential" 1 (Parallel.default_jobs ())
-
 (* map_reduce's parallel path must perform the sequential left fold's
    arithmetic exactly — float sums are the sensitive case. *)
 let float_sum_law =
@@ -244,7 +227,6 @@ let suite =
       test_exception_propagates;
     Alcotest.test_case "nested sections run sequentially" `Quick
       test_nested_sections;
-    Alcotest.test_case "ULTRASPAN_JOBS parsing" `Quick test_default_jobs_env;
     float_sum_law;
     stretch_jobs_law;
     sampled_stretch_jobs_law;

@@ -73,10 +73,10 @@ let ni_accepts =
 
 (* ---------- corruption matrix: detection + byte-identity ---------- *)
 
-let matrix_run ?engine ?jobs () =
+let matrix_run ?engine ?jobs ?(seed = 11) ?(quick = true) () =
   let b = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer b in
-  let ok = Verify.matrix ?engine ?jobs ~seed:11 ~quick:true ppf in
+  let ok = Verify.matrix ?engine ?jobs ~seed ~quick ppf in
   Format.pp_print_flush ppf ();
   (ok, Buffer.contents b)
 
@@ -86,12 +86,18 @@ let matrix_detects () =
   Alcotest.(check bool) "mentions corruptions" true
     (String.length transcript > 0)
 
+(* The quick matrix, and the full one at the CLI's default seed. *)
 let matrix_byte_identical () =
-  let _, refe = matrix_run ~engine:`Ref () in
-  let _, fast1 = matrix_run ~engine:`Fast ~jobs:1 () in
-  let _, fast4 = matrix_run ~engine:`Fast ~jobs:4 () in
-  Alcotest.(check string) "ref = fast -j1" refe fast1;
-  Alcotest.(check string) "ref = fast -j4" refe fast4
+  List.iter
+    (fun (seed, quick) ->
+      let ok, refe = matrix_run ~engine:`Ref ~seed ~quick () in
+      let _, fast1 = matrix_run ~engine:`Fast ~jobs:1 ~seed ~quick () in
+      let _, fast4 = matrix_run ~engine:`Fast ~jobs:4 ~seed ~quick () in
+      let what = Printf.sprintf "seed %d, quick %b" seed quick in
+      if not ok then Alcotest.failf "%s: matrix failed:\n%s" what refe;
+      Alcotest.(check string) ("ref = fast -j1, " ^ what) refe fast1;
+      Alcotest.(check string) ("ref = fast -j4, " ^ what) refe fast4)
+    [ (11, true); (42, false) ]
 
 (* ---------- eps-far probes ---------- *)
 
