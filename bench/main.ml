@@ -14,9 +14,10 @@
                         q1, and xfail, the negative control)
    [--strict]           exit 1 if any declared bound is violated
    [--artifacts DIR]    where to write JSON artifacts (default: artifacts)
-   [--against DIR]      diff this run against golden artifacts in DIR
-                        instead of writing; exit 1 on any difference
-                        (wall-clock cells are banded, see Table.diff)
+   [--against DIR]      diff this run against golden artifacts in DIR;
+                        exit 1 on any difference (wall-clock cells are
+                        banded, see Table.diff).  Writes no artifacts
+                        unless --artifacts DIR is given too
    [--refresh-goldens]  with --against DIR: rewrite DIR instead of diffing
    [--jobs N | -j N]    fan independent sections/trials, and the
                         simulator's sharded rounds, over N domains
@@ -2704,7 +2705,7 @@ let () =
   and strict_mode = ref false
   and all_flag = ref false
   and refresh = ref false
-  and artifacts_dir = ref "artifacts"
+  and artifacts_dir = ref None
   and against = ref None
   and metrics_file = ref None
   and verify_mode = ref None
@@ -2716,7 +2717,7 @@ let () =
     | "--strict" :: r -> strict_mode := true; parse r
     | "--refresh-goldens" :: r -> refresh := true; parse r
     | "--table" :: id :: r -> tables := !tables @ [ id ]; parse r
-    | "--artifacts" :: d :: r -> artifacts_dir := d; parse r
+    | "--artifacts" :: d :: r -> artifacts_dir := Some d; parse r
     | "--against" :: d :: r -> against := Some d; parse r
     | "--metrics" :: f :: r -> metrics_file := Some f; parse r
     | ("--jobs" | "-j") :: v :: r ->
@@ -2752,6 +2753,15 @@ let () =
           if List.mem_assoc id registry then id else die "unknown table %S" id)
         !tables
   in
+  (* where this run writes its artifacts: the goldens when refreshing,
+     else --artifacts DIR, else artifacts/ unless the run diffs *)
+  let out_dir =
+    match (!against, !artifacts_dir) with
+    | Some dir, _ when !refresh -> Some dir
+    | _, Some dir -> Some dir
+    | None, None -> Some "artifacts"
+    | Some _, None -> None
+  in
   let viols = ref 0
   and checked = ref 0
   and diffs = ref 0
@@ -2771,11 +2781,8 @@ let () =
             t.T.id sid label b.T.bid b.T.observed b.T.limit
             (if b.T.descr = "" then "" else " — " ^ b.T.descr))
         (T.violations t);
-      match !against with
-      | Some dir when !refresh ->
-          written := !written + 1;
-          ignore (T.save ~dir t)
-      | Some dir ->
+      (match !against with
+      | Some dir when not !refresh ->
           let path = T.artifact_path ~dir t in
           if not (Sys.file_exists path) then begin
             incr missing;
@@ -2790,7 +2797,10 @@ let () =
                 Printf.eprintf "DIFF %s\n" d)
               ds
           end
-      | None -> written := !written + 1; ignore (T.save ~dir:!artifacts_dir t))
+      | _ -> ());
+      match out_dir with
+      | Some dir -> written := !written + 1; ignore (T.save ~dir t)
+      | None -> ())
     sel;
   (match !verify_mode with
   | None -> ()
@@ -2819,10 +2829,13 @@ let () =
   (match !against with
   | Some dir when !refresh ->
       fmt "[refreshed %d golden artifact(s) in %s]\n" !written dir
-  | Some dir ->
-      fmt "[against %s: %d diff(s), %d missing artifact(s)]\n" dir !diffs
-        !missing
-  | None -> fmt "[wrote %d artifact(s) to %s]\n" !written !artifacts_dir);
+  | _ ->
+      Option.iter
+        (fun dir ->
+          fmt "[against %s: %d diff(s), %d missing artifact(s)]\n" dir !diffs
+            !missing)
+        !against;
+      Option.iter (fmt "[wrote %d artifact(s) to %s]\n" !written) out_dir);
   (match (!metrics_file, !global_metrics) with
   | Some path, Some reg ->
       Parallel.set_metrics None;

@@ -17,11 +17,11 @@
 #               JSONL and Chrome trace files and a snapshot that renders,
 #               and outside the timing.* namespace a CLI snapshot is
 #               byte-identical at -j 1 and -j 4
-#   tables      bench tables, strict: every declared paper bound must hold,
-#               the emitted artifacts load in the bound report, and a
-#               fresh run matches the committed goldens in bench/goldens
-#               with its spanner and certificate re-verified by the local
-#               checkers
+#   tables      bench tables, strict, in one run: every declared paper bound
+#               must hold, every table matches the committed goldens in
+#               bench/goldens, the spanner and certificate are re-verified
+#               by the local checkers, and the artifacts the run writes
+#               load in the bound report
 #   parallel    rerunning the tables over several domains (--jobs), strict,
 #               must reproduce the sequential artifacts byte-for-byte
 #   stream      an emitted update stream replays through the repair engine
@@ -60,11 +60,14 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Sequential quick-table artifacts are the reference several stages diff
-# against; build them at most once per invocation.
+# against; build them at most once per invocation.  The run that writes
+# them is also the tables gate: strict, diffed against the committed
+# goldens, with its spanner and certificate re-verified by the O(k)-round
+# local checkers.
 ensure_ref_artifacts() {
   if [ ! -d "$tmp/artifacts" ]; then
-    dune exec bench/main.exe -- --quick --all --strict \
-      --artifacts "$tmp/artifacts" >/dev/null
+    dune exec bench/main.exe -- --quick --all --strict --verify local \
+      --against bench/goldens --artifacts "$tmp/artifacts" >/dev/null
   fi
 }
 
@@ -115,10 +118,6 @@ stage_metrics() {
 stage_tables() {
   ensure_ref_artifacts
   dune exec bin/ultraspan_cli.exe -- report "$tmp/artifacts" >/dev/null
-  # golden drift: a fresh strict run against the committed goldens, its
-  # spanner and certificate re-verified by the O(k)-round local checkers
-  dune exec bench/main.exe -- --quick --all --strict --verify local \
-    --against bench/goldens >/dev/null
 }
 
 stage_parallel() {

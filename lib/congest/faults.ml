@@ -116,16 +116,6 @@ type event =
   | Sever of { round : int; u : int; v : int }
   | Drop of { round : int; sender : int; target : int; reason : drop_reason }
 
-let pp_event ppf = function
-  | Crash { round; node } -> Format.fprintf ppf "r%d: crash node %d" round node
-  | Sever { round; u; v } -> Format.fprintf ppf "r%d: sever %d-%d" round u v
-  | Drop { round; sender; target; reason } ->
-      Format.fprintf ppf "r%d: drop %d->%d (%s)" round sender target
-        (match reason with
-        | Chance -> "chance"
-        | Link_down -> "link down"
-        | Receiver_crashed -> "receiver crashed")
-
 type t = {
   spec : spec;
   (* schedule sorted by round, consumed from the head as rounds begin *)

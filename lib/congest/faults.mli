@@ -89,8 +89,6 @@ type event =
   | Sever of { round : int; u : int; v : int }
   | Drop of { round : int; sender : int; target : int; reason : drop_reason }
 
-val pp_event : Format.formatter -> event -> unit
-
 (** {1 Injectors} *)
 
 type t

@@ -87,14 +87,6 @@ let decompose ?(separation = 2) g =
 
 let n_clusters t = Array.length t.color_of_cluster
 
-let color_classes t =
-  let out = Array.make t.n_colors [] in
-  for c = n_clusters t - 1 downto 0 do
-    let col = t.color_of_cluster.(c) in
-    out.(col) <- c :: out.(col)
-  done;
-  out
-
 let max_cluster_radius t = Array.fold_left max 0 t.radius
 
 let validate g ~separation t =

@@ -37,9 +37,6 @@ val decompose : ?separation:int -> Graph.t -> t
 
 val n_clusters : t -> int
 
-val color_classes : t -> int list array
-(** Colour -> cluster ids. *)
-
 val max_cluster_radius : t -> int
 
 val validate : Graph.t -> separation:int -> t -> (unit, string) result

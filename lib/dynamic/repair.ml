@@ -85,24 +85,6 @@ let meters_of reg =
     rm_debt = Metrics.gauge reg "dynamic.repair.recert_debt";
   }
 
-(* Dijkstra scratch, kept from call to call: [dist] reads [max_int]
-   everywhere between calls (each call resets what it reached).  [n] never
-   changes, so neither do the sizes. *)
-type scratch = {
-  dist : int array;
-  reached : int array;  (* vertices given a finite distance, in order *)
-  mutable nreached : int;
-  heap : Pqueue.Int.t;
-}
-
-let scratch n =
-  {
-    dist = Array.make n max_int;
-    reached = Array.make n 0;
-    nreached = 0;
-    heap = Pqueue.Int.create ~capacity:n ();
-  }
-
 (* The state is the immutable graph plus two masks over its edge ids. *)
 type t = {
   cfg : config;
@@ -111,7 +93,6 @@ type t = {
   mutable cert : bool array;  (* certificate; [||] when none is kept *)
   mutable debt : int;  (* certificate edges lost since its last build *)
   mutable batches : int;
-  sc : scratch;
   rm : meters;  (* shared with copies *)
 }
 
@@ -151,7 +132,6 @@ let create ?(metrics = Metrics.disabled) cfg g =
     cert = build_cert cfg g;
     debt = 0;
     batches = 0;
-    sc = scratch (Graph.n g);
     rm = meters_of metrics;
   }
 
@@ -180,61 +160,12 @@ let certificate t =
       let eids = indices (Array.length t.cert) (Array.get t.cert) in
       Some (Certificate.of_eids t.g ~k:ck eids)
 
-let copy t =
-  {
-    t with
-    keep = Array.copy t.keep;
-    cert = Array.copy t.cert;
-    sc = scratch (Graph.n t.g);
-  }
-
-(* Budget-truncated Dijkstra over the [keep]-masked subgraph of [g] from
-   [src], counting every scanned kept arc into [work].  Distances land in
-   [dist] (all [max_int] on entry), the vertices it reached in
-   [sc.reached.(0 .. sc.nreached - 1)].  [stop_at = -1] disables the early
-   exit.  Pushes carry strictly decreasing distances per vertex, so the
-   pop with [d = dist.(v)] is the vertex's first and settles it; later
-   pops are stale.  Arcs are scanned in CSR order and [Pqueue.Int] breaks
-   ties as [Pqueue] does, so [work] counts what the polymorphic-heap
-   version with a settled bitset counted. *)
-let dijkstra sc ~work g keep ~dist ~src ~budget ~stop_at =
-  let { Graph.off; dst; eid; _ } = Graph.csr g and edges = Graph.edges g in
-  let pq = sc.heap in
-  Pqueue.Int.clear pq;
-  dist.(src) <- 0;
-  sc.reached.(0) <- src;
-  sc.nreached <- 1;
-  Pqueue.Int.push pq 0 src;
-  let finished = ref false in
-  while (not !finished) && not (Pqueue.Int.is_empty pq) do
-    let d = Pqueue.Int.min_prio pq in
-    let v = Pqueue.Int.pop pq in
-    if d = dist.(v) then begin
-      if v = stop_at then finished := true
-      else
-        for a = off.(v) to off.(v + 1) - 1 do
-          let e = eid.(a) in
-          if keep.(e) then begin
-            incr work;
-            let u = dst.(a) in
-            let nd = d + edges.(e).Graph.w in
-            if nd <= budget && nd < dist.(u) then begin
-              if dist.(u) = max_int then begin
-                sc.reached.(sc.nreached) <- u;
-                sc.nreached <- sc.nreached + 1
-              end;
-              dist.(u) <- nd;
-              Pqueue.Int.push pq nd u
-            end
-          end
-        done
-    end
-  done
+let copy t = { t with keep = Array.copy t.keep; cert = Array.copy t.cert }
 
 let rebuild_work_proxy (cfg : config) g = ((cfg.k + 1) * Graph.m g) + Graph.n g
 
 let apply_batch t batch =
-  let cfg = t.cfg and g = t.g and sc = t.sc in
+  let cfg = t.cfg and g = t.g in
   (* validates every op first: a bad batch raises before any state moves *)
   let g', map = Update_stream.merge g batch in
   let n = Graph.n g and m' = Graph.m g' in
@@ -277,12 +208,12 @@ let apply_batch t batch =
       match Hashtbl.find_opt dirty x with
       | Some dist -> dist
       | None ->
-          let dist = Array.make n max_int in
-          dijkstra sc ~work g t.keep ~dist ~src:x ~budget ~stop_at:(-1);
-          for i = 0 to sc.nreached - 1 do
-            incr work;
-            Bitset.add in_ball sc.reached.(i)
-          done;
+          work := !work + Dijkstra.search ~keep:t.keep ~budget g x;
+          let dist = Array.make n Dijkstra.infinity in
+          Dijkstra.iter_reached (fun v d ->
+              incr work;
+              Bitset.add in_ball v;
+              dist.(v) <- d);
           Hashtbl.replace dirty x dist;
           dist
     in
@@ -317,9 +248,9 @@ let apply_batch t batch =
               incr work;
               let da = ra.(!i) and db = rb.(!i) and w_ab = rw.(!i) in
               hit :=
-                (da.(x) < max_int && db.(y) < max_int
+                (da.(x) < Dijkstra.infinity && db.(y) < Dijkstra.infinity
                 && da.(x) + w_ab + db.(y) <= bound)
-                || (db.(x) < max_int && da.(y) < max_int
+                || (db.(x) < Dijkstra.infinity && da.(y) < Dijkstra.infinity
                    && db.(x) + w_ab + da.(y) <= bound);
               incr i
             done;
@@ -328,13 +259,7 @@ let apply_batch t batch =
         edges';
       Metrics.add t.rm.rm_filtered (m' - List.length !suspects)
     end;
-    (* re-check order: ascending (weight, endpoints), i.e. (weight, id) *)
     let candidates = Array.of_list (List.rev_append !suspects inserted) in
-    Array.sort
-      (fun a b ->
-        let c = Int.compare edges'.(a).Graph.w edges'.(b).Graph.w in
-        if c <> 0 then c else Int.compare a b)
-      candidates;
     let n_cand = Array.length candidates in
     if float_of_int n_cand > cfg.max_affected *. float_of_int (max 1 m') then begin
       let keep', w, _, _, _ = do_rebuild () in
@@ -342,26 +267,8 @@ let apply_batch t batch =
     end
     else begin
       (* greedy re-check against the *current* spanner, lightest first *)
-      let keep' = span' in
-      let added = ref 0 in
-      Array.iter
-        (fun e ->
-          if not keep'.(e) then begin
-            let { Graph.u; v; w; _ } = edges'.(e) in
-            let bound = k2 * w in
-            dijkstra sc ~work g' keep' ~dist:sc.dist ~src:u ~budget:bound
-              ~stop_at:v;
-            let far = sc.dist.(v) > bound in
-            for i = 0 to sc.nreached - 1 do
-              sc.dist.(sc.reached.(i)) <- max_int
-            done;
-            if far then begin
-              keep'.(e) <- true;
-              incr added
-            end
-          end)
-        candidates;
-      (keep', !work, n_dirty, n_cand, !added)
+      let added, scanned = Greedy.pass ~k:cfg.k g' span' candidates in
+      (span', !work + scanned, n_dirty, n_cand, added)
     end
   in
   let force_rebuild =

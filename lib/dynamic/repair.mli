@@ -51,12 +51,13 @@ open! Import
     {!Update_stream.merge}, one merge of the batch's net edits into the
     canonical edge array that also yields the old-id to new-id map; both
     masks are carried through that map, so nothing is keyed by vertex
-    pairs.  Every Dijkstra (the dirty balls and the candidate re-checks)
-    is one kernel over the CSR arrays, with scratch kept across calls and
-    a {!Ultraspan_util.Pqueue.Int} heap whose ties pop in the order of the
-    polymorphic {!Ultraspan_util.Pqueue}; arcs are scanned in CSR order.
-    The [work] counter is therefore a deterministic function of the graph
-    and the stream.
+    pairs.  The engine runs no search of its own: each dirty ball is one
+    budgeted {!Ultraspan_graph.Dijkstra.search}, and the candidate
+    re-check is {!Ultraspan_spanner.Greedy.pass}, the pass that builds the
+    greedy baseline, over the candidates.  The kernel scans arcs in
+    CSR order and its heap pops ties in a fixed order, and [work] adds up
+    the kept arcs it reports scanned, so the counter is a deterministic
+    function of the graph and the stream.
 
     {2 Recertified recovery}
 
@@ -106,8 +107,8 @@ type outcome = {
   added : int;  (** spanner edges added *)
   removed : int;  (** spanner edges lost to deletions *)
   work : int;
-      (** deterministic cost of this batch on the repair path: edge
-          relaxations of every Dijkstra, ball marking, one membership
+      (** deterministic cost of this batch on the repair path: kept
+          arcs scanned by every search, ball marking, one membership
           pass over the edge list and the ball-restricted detour checks
           of the candidate filter; the {!field-rebuild_work} proxy when
           the batch rebuilt *)

@@ -23,17 +23,17 @@ let floyd_warshall g =
   done;
   d
 
-let multi_source ?jobs ?allow g sources =
+let multi_source ?jobs ?keep g sources =
   Parallel.map_array ?jobs (Array.length sources) (fun i ->
-      Dijkstra.distances ?allow g sources.(i))
+      Dijkstra.distances ?keep g sources.(i))
 
-let by_dijkstra ?jobs ?allow g =
-  Parallel.map_array ?jobs (Graph.n g) (fun v -> Dijkstra.distances ?allow g v)
+let by_dijkstra ?jobs ?keep g =
+  Parallel.map_array ?jobs (Graph.n g) (fun v -> Dijkstra.distances ?keep g v)
 
 let exact_pair_stretch ?jobs g keep =
   let n = Graph.n g in
   let dg = by_dijkstra ?jobs g in
-  let dh = by_dijkstra ?jobs ~allow:(fun eid -> keep.(eid)) g in
+  let dh = by_dijkstra ?jobs ~keep g in
   let worst = ref 1.0 in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do

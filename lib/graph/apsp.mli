@@ -12,11 +12,12 @@
 val floyd_warshall : Graph.t -> int array array
 (** O(n³), O(n²) memory — for n in the hundreds. *)
 
-val by_dijkstra : ?jobs:int -> ?allow:(int -> bool) -> Graph.t -> int array array
-(** One restricted Dijkstra per vertex. *)
+val by_dijkstra : ?jobs:int -> ?keep:bool array -> Graph.t -> int array array
+(** One {!Dijkstra.distances} per vertex, over the edges kept by [keep]
+    (default: every edge). *)
 
 val multi_source :
-  ?jobs:int -> ?allow:(int -> bool) -> Graph.t -> int array -> int array array
+  ?jobs:int -> ?keep:bool array -> Graph.t -> int array -> int array array
 (** [multi_source g sources] is one distance row per entry of [sources], in
     order — the parallel multi-source mode used by the table harness for
     per-component eccentricity bounds. *)

@@ -25,12 +25,6 @@ let is_connected g =
   let _, count = components g in
   count <= 1
 
-let component_sizes g =
-  let comp, count = components g in
-  let sizes = Array.make count 0 in
-  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
-  sizes
-
 let same_component g a b =
   let comp, _ = components g in
   comp.(a) = comp.(b)

@@ -6,9 +6,6 @@ val components : Graph.t -> int array * int
 
 val is_connected : Graph.t -> bool
 
-val component_sizes : Graph.t -> int array
-(** Size per component label. *)
-
 val same_component : Graph.t -> int -> int -> bool
 
 val spans : Graph.t -> bool array -> bool

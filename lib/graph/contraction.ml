@@ -133,5 +133,3 @@ let of_cluster_of ?(allow = fun _ -> true) g cluster_of count =
 let make g (p : Partition.t) = of_cluster_of g p.Partition.cluster_of (Partition.count p)
 
 let pull_back t qids = List.map (fun qid -> t.repr_eid.(qid)) qids
-
-let push_vertex t v = t.cluster_of.(v)

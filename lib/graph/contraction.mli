@@ -38,6 +38,3 @@ val of_cluster_of : ?allow:(int -> bool) -> Graph.t -> int array -> int -> t
 
 val pull_back : t -> int list -> int list
 (** Map quotient edge ids to their representative base edge ids. *)
-
-val push_vertex : t -> int -> int
-(** Quotient vertex of a base vertex ([-1] when dropped). *)

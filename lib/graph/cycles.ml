@@ -38,13 +38,3 @@ let girth g =
     best := girth_from g v ~cap:!best
   done;
   !best
-
-let has_cycle_shorter_than g c =
-  let rec go v best =
-    if v >= Graph.n g then best < c
-    else begin
-      let best = girth_from g v ~cap:best in
-      if best < c then true else go (v + 1) best
-    end
-  in
-  go 0 max_int

@@ -7,6 +7,3 @@
 val girth : Graph.t -> int
 (** Length of the shortest cycle (hop count); [max_int] for forests.
     BFS from every vertex: O(n·m). *)
-
-val has_cycle_shorter_than : Graph.t -> int -> bool
-(** [has_cycle_shorter_than g c] iff girth < c (may stop early). *)

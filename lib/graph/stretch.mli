@@ -14,9 +14,12 @@
 val max_edge_stretch : ?jobs:int -> Graph.t -> bool array -> float
 (** [max_edge_stretch g keep] is the exact stretch of the spanning subgraph
     given by the edge mask [keep].  [Float.infinity] if some edge's
-    endpoints are disconnected in the subgraph.  Cost: one restricted
-    Dijkstra per vertex that has at least one dropped incident edge, each
-    stopping as soon as the vertex's relevant neighbors are settled. *)
+    endpoints are disconnected in the subgraph.  Cost: one
+    {!Dijkstra.search} over the kept edges per vertex [v] that has a
+    dropped edge to a neighbour [u > v], stopping once every such
+    neighbour is settled.  The searches run on the per-domain scratch, so
+    a searched vertex allocates O(deg) words (its target array), not
+    O(n). *)
 
 val sampled_edge_stretch :
   ?jobs:int ->

@@ -114,7 +114,9 @@ let generate ~rng ~n ~count =
    domain serves (the per-query cost is O(touched), not O(n)): stamped
    distance and settled arrays — bumping [stamp] invalidates everything in
    O(1), including entries left by an oracle of another size — plus two
-   heaps emptied with [Pqueue.clear]. *)
+   [Pqueue.Int] heaps emptied with [Pqueue.Int.clear], which allocate
+   nothing once grown.  A bidirectional search keeps two frontiers, so it
+   does not share the single-source scratch of [Dijkstra]. *)
 type scratch = {
   df : int array;
   sf : int array;
@@ -122,8 +124,8 @@ type scratch = {
   sb : int array;
   setf : int array;
   setb : int array;
-  pqf : (int, int) Pqueue.t;
-  pqb : (int, int) Pqueue.t;
+  pqf : Pqueue.Int.t;
+  pqb : Pqueue.Int.t;
   mutable stamp : int;
 }
 
@@ -135,8 +137,8 @@ let make_scratch n =
     sb = Array.make n 0;
     setf = Array.make n 0;
     setb = Array.make n 0;
-    pqf = Pqueue.create ~cmp:compare ();
-    pqb = Pqueue.create ~cmp:compare ();
+    pqf = Pqueue.Int.create ();
+    pqb = Pqueue.Int.create ();
     stamp = 0;
   }
 
@@ -159,8 +161,8 @@ let domain_scratch n =
 let bidi (o : Oracle.t) sc s t =
   sc.stamp <- sc.stamp + 1;
   let st = sc.stamp in
-  Pqueue.clear sc.pqf;
-  Pqueue.clear sc.pqb;
+  Pqueue.Int.clear sc.pqf;
+  Pqueue.Int.clear sc.pqb;
   let g = o.Oracle.graph in
   let csr = Graph.csr g in
   let edges = Graph.edges g in
@@ -169,49 +171,41 @@ let bidi (o : Oracle.t) sc s t =
   sc.df.(s) <- 0;
   sc.sb.(t) <- st;
   sc.db.(t) <- 0;
-  Pqueue.push sc.pqf 0 s;
-  Pqueue.push sc.pqb 0 t;
+  Pqueue.Int.push sc.pqf 0 s;
+  Pqueue.Int.push sc.pqb 0 t;
+  (* pops the top of a non-empty frontier *)
   let expand forward =
     let pq, dist, stamp, odist, ostamp, settled =
       if forward then (sc.pqf, sc.df, sc.sf, sc.db, sc.sb, sc.setf)
       else (sc.pqb, sc.db, sc.sb, sc.df, sc.sf, sc.setb)
     in
-    match Pqueue.pop pq with
-    | None -> ()
-    | Some (d, x) ->
-        if settled.(x) <> st && d < !mu then begin
-          settled.(x) <- st;
-          for a = csr.off.(x) to csr.off.(x + 1) - 1 do
-            let u = csr.dst.(a) in
-            let nd = d + edges.(csr.eid.(a)).Graph.w in
-            if nd < !mu && (stamp.(u) <> st || nd < dist.(u)) then begin
-              stamp.(u) <- st;
-              dist.(u) <- nd;
-              Pqueue.push pq nd u;
-              if ostamp.(u) = st && nd + odist.(u) < !mu then
-                mu := nd + odist.(u)
-            end
-          done
+    let d = Pqueue.Int.min_prio pq in
+    let x = Pqueue.Int.pop pq in
+    if settled.(x) <> st && d < !mu then begin
+      settled.(x) <- st;
+      for a = csr.off.(x) to csr.off.(x + 1) - 1 do
+        let u = csr.dst.(a) in
+        let nd = d + edges.(csr.eid.(a)).Graph.w in
+        if nd < !mu && (stamp.(u) <> st || nd < dist.(u)) then begin
+          stamp.(u) <- st;
+          dist.(u) <- nd;
+          Pqueue.Int.push pq nd u;
+          if ostamp.(u) = st && nd + odist.(u) < !mu then mu := nd + odist.(u)
         end
+      done
+    end
   in
+  (* an empty frontier counts as top 0 and is never expanded *)
   let rec loop () =
-    match (Pqueue.peek sc.pqf, Pqueue.peek sc.pqb) with
-    | None, None -> ()
-    | Some (a, _), Some (b, _) ->
-        if a + b < !mu then begin
-          expand (a <= b);
-          loop ()
-        end
-    | Some (a, _), None ->
-        if a < !mu then begin
-          expand true;
-          loop ()
-        end
-    | None, Some (b, _) ->
-        if b < !mu then begin
-          expand false;
-          loop ()
-        end
+    let fe = Pqueue.Int.is_empty sc.pqf and be = Pqueue.Int.is_empty sc.pqb in
+    if not (fe && be) then begin
+      let a = if fe then 0 else Pqueue.Int.min_prio sc.pqf
+      and b = if be then 0 else Pqueue.Int.min_prio sc.pqb in
+      if a + b < !mu then begin
+        expand ((not fe) && (be || a <= b));
+        loop ()
+      end
+    end
   in
   loop ();
   !mu

@@ -1,23 +1,33 @@
 open! Import
 
+let pass ~k g keep candidates =
+  Array.sort
+    (fun a b ->
+      let c = Int.compare (Graph.weight g a) (Graph.weight g b) in
+      if c <> 0 then c else Int.compare a b)
+    candidates;
+  let alpha = (2 * k) - 1 in
+  let added = ref 0 and scanned = ref 0 in
+  Array.iter
+    (fun e ->
+      if not keep.(e) then begin
+        let { Graph.u; v; w; _ } = Graph.edge g e in
+        let bound = alpha * w in
+        scanned :=
+          !scanned + Dijkstra.search ~keep ~budget:bound ~targets:[| v |] g u;
+        if Dijkstra.dist v > bound then begin
+          keep.(e) <- true;
+          incr added
+        end
+      end)
+    candidates;
+  (!added, !scanned)
+
 let run ~k g =
   if k < 1 then invalid_arg "Greedy.run: k >= 1";
   let m = Graph.m g in
-  let order = Array.init m (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = compare (Graph.weight g a) (Graph.weight g b) in
-      if c <> 0 then c else compare a b)
-    order;
   let keep = Array.make m false in
-  let alpha = (2 * k) - 1 in
-  Array.iter
-    (fun eid ->
-      let u, v = Graph.endpoints g eid in
-      let w = Graph.weight g eid in
-      let d = Dijkstra.distance ~allow:(fun e -> keep.(e)) g u v in
-      if d = Dijkstra.infinity || d > alpha * w then keep.(eid) <- true)
-    order;
+  ignore (pass ~k g keep (Array.init m Fun.id));
   (* Rounds: the greedy algorithm is sequential; charge the trivial
      simulation bound of one round per edge decision (it is a baseline,
      not a distributed algorithm). *)

@@ -50,6 +50,3 @@ let indicator t ~threshold i = eval t i < threshold
 let threshold_of_prob p =
   if p < 0.0 || p > 1.0 then invalid_arg "Hash_family.threshold_of_prob";
   int_of_float (p *. float_of_int prime)
-
-let sample_indicators t ~threshold n =
-  Array.init n (fun i -> indicator t ~threshold i)

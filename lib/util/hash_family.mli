@@ -50,6 +50,3 @@ val indicator : t -> threshold:int -> int -> bool
 
 val threshold_of_prob : float -> int
 (** Threshold such that [indicator] fires with probability ~p. *)
-
-val sample_indicators : t -> threshold:int -> int -> bool array
-(** [sample_indicators h ~threshold n] is the vector [X_0 .. X_{n-1}]. *)

@@ -1,9 +1,10 @@
 (** Imperative binary min-heap priority queue.
 
-    Used by Dijkstra, Prim and the clustering growers.  Priorities are
-    compared with a user-supplied total order fixed at creation time; ties
-    are broken arbitrarily (but deterministically for a fixed insertion
-    sequence, which keeps the whole library reproducible). *)
+    Used by Prim and the MPX cluster grower; the [Dijkstra] kernel and the
+    oracle's bidirectional search use the monomorphic {!Int}.  Priorities
+    are compared with a user-supplied total order fixed at creation time;
+    ties are broken arbitrarily (but deterministically for a fixed
+    insertion sequence, which keeps the whole library reproducible). *)
 
 type ('p, 'a) t
 (** A queue of values of type ['a] keyed by priorities of type ['p]. *)

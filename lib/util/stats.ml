@@ -11,8 +11,6 @@ let variance xs =
     acc /. float_of_int n
   end
 
-let stddev xs = sqrt (variance xs)
-
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Stats.min_max: empty array";
   Array.fold_left
@@ -61,7 +59,3 @@ let histogram ~bins xs =
       counts
     end
   end
-
-let mean_int xs = mean (Array.map float_of_int xs)
-
-let sum_int xs = Array.fold_left ( + ) 0 xs

@@ -6,8 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Population variance; 0 on arrays of length < 2. *)
 
-val stddev : float array -> float
-
 val min_max : float array -> float * float
 (** Raises [Invalid_argument] on an empty array. *)
 
@@ -23,7 +21,3 @@ val histogram : bins:int -> float array -> (float * float * int) array
     (min = max) degenerates to a single zero-width bucket [(x, x, n)]
     holding every sample; an empty array yields no buckets.  Raises
     [Invalid_argument] when [bins <= 0]. *)
-
-val mean_int : int array -> float
-
-val sum_int : int array -> int

@@ -300,7 +300,8 @@ let dijkstra_point_to_point =
 let dijkstra_restricted () =
   let g = Graph.of_edges ~n:3 [ (0, 1, 1); (1, 2, 1); (0, 2, 10) ] in
   let direct = Graph.find_edge g 0 2 |> Option.get in
-  let d = Dijkstra.distances ~allow:(fun e -> e = direct) g 0 in
+  let keep = Array.init (Graph.m g) (fun e -> e = direct) in
+  let d = Dijkstra.distances ~keep g 0 in
   Alcotest.(check int) "only direct edge" 10 d.(2);
   Alcotest.(check int) "1 unreachable" Dijkstra.infinity d.(1)
 
@@ -874,10 +875,54 @@ let sub_with_mapping_full_mask () =
   Alcotest.(check bool) "identity map" true
     (map = Array.init (Graph.m g) Fun.id)
 
+(* The Dijkstra kernel against Floyd-Warshall on the masked subgraph.
+   With a budget and a target set, every target within the budget reads
+   its exact distance and every vertex beyond the budget reads infinity.
+   Without targets, the search settles exactly the vertices within the
+   budget, each at its exact distance, and scans each one's kept arcs
+   once. *)
+let dijkstra_budget_targets_match_fw =
+  qcheck ~count:40 "dijkstra: budget and targets match Floyd-Warshall"
+    seed_gen (fun seed ->
+      let g = graph_of_seed ~n_max:40 seed in
+      let rng = Rng.create (seed + 1) in
+      let n = Graph.n g in
+      let keep = Array.init (Graph.m g) (fun _ -> Rng.int rng 4 > 0) in
+      let fw = Apsp.floyd_warshall (Graph.sub_by_eids g keep) in
+      let s = Rng.int rng n and budget = Rng.int rng 300 in
+      let targets = Array.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng n) in
+      let vertices = List.init n Fun.id in
+      let expect v =
+        if fw.(s).(v) <= budget then fw.(s).(v) else Dijkstra.infinity
+      in
+      ignore (Dijkstra.search ~keep ~budget ~targets g s);
+      let targets_ok =
+        Array.for_all (fun t -> Dijkstra.dist t = expect t) targets
+      in
+      let beyond_ok =
+        List.for_all
+          (fun v -> fw.(s).(v) <= budget || Dijkstra.dist v = Dijkstra.infinity)
+          vertices
+      in
+      let scanned = Dijkstra.search ~keep ~budget g s in
+      let kept_arcs =
+        List.fold_left
+          (fun acc v ->
+            if fw.(s).(v) > budget then acc
+            else
+              Graph.fold_adj g v
+                (fun acc _ e -> if keep.(e) then acc + 1 else acc)
+                acc)
+          0 vertices
+      in
+      targets_ok && beyond_ok && scanned = kept_arcs
+      && List.for_all (fun v -> Dijkstra.dist v = expect v) vertices)
+
 let suite =
   suite
   @ [
       contraction_matches_hashtbl;
       case "sub_with_mapping: full mask shares the graph"
         sub_with_mapping_full_mask;
+      dijkstra_budget_targets_match_fw;
     ]

@@ -213,7 +213,7 @@ let apsp_restricted =
       let g = graph_of_seed ~n_max:40 seed in
       let keep = Array.make (Graph.m g) false in
       List.iter (fun e -> keep.(e) <- true) (Spanning_tree.kruskal_mst g);
-      let d = Apsp.by_dijkstra ~allow:(fun e -> keep.(e)) g in
+      let d = Apsp.by_dijkstra ~keep g in
       (* tree distances dominate graph distances *)
       let dg = Apsp.by_dijkstra g in
       let ok = ref true in

@@ -141,7 +141,7 @@ let ref_max_edge_stretch g keep =
     let vw =
       if not !needs then if !kept = 0 then 0.0 else 1.0
       else begin
-        let dist = Dijkstra.distances ~allow:(fun eid -> keep.(eid)) g v in
+        let dist = Dijkstra.distances ~keep g v in
         let w0 = ref 0.0 in
         Graph.iter_adj g v (fun u eid ->
             if u > v then begin

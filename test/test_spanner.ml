@@ -657,10 +657,7 @@ let lemma_3_1_death_stretch =
       Graph.iter_edges g (fun e ->
           let i = death.(e.Graph.id) in
           if i >= 0 && !ok then begin
-            let d =
-              Dijkstra.distance ~allow:(fun eid -> keep.(eid)) g e.Graph.u
-                e.Graph.v
-            in
+            let d = Dijkstra.distance ~keep g e.Graph.u e.Graph.v in
             if d > ((2 * i) - 1) * e.Graph.w then ok := false
           end);
       (* sanity of the tracking itself: after finish, every edge is dead *)
@@ -1021,6 +1018,44 @@ let ultra_retry_alloc_gate () =
   Alcotest.(check bool) "retries" true (o.Ultra_sparse.attempts >= 2);
   check_words "Ultra_sparse.run retry, minor" ~ceiling:31_000. w.minor
 
+let greedy_keeps_girth_tight_graphs =
+  keeps_girth_tight_graphs "Greedy" (fun ~seed:_ ~k g -> [ Greedy.run ~k g ])
+
+(* Allocation gates for the Dijkstra kernel's callers, independent of core
+   count and timing (total words: minor plus direct-major).  The warm-up
+   call grows the per-domain search scratch.
+
+   Stretch.max_edge_stretch of the Ultra_sparse ~t:2 spanner of
+   connected_gnp n = 300, degree 16 (seed 1): a fresh distance array,
+   target array, settled bitset and polymorphic heap per checked vertex
+   allocated 1.21 M minor and 0.17 M direct-major words; searches on the
+   per-domain scratch allocate 6.0 k minor words and no direct-major
+   ones. *)
+let stretch_alloc_gate () =
+  let g =
+    Generators.connected_gnp ~rng:(Rng.create 1) ~n:300 ~avg_degree:16.0
+  in
+  let keep = (Ultra_sparse.run ~t:2 g).Ultra_sparse.spanner.Spanner.keep in
+  let run () = Stretch.max_edge_stretch g keep in
+  ignore (run ());
+  let _, w = alloc_words run in
+  check_words "Stretch.max_edge_stretch" ~ceiling:100_000. (total_words w)
+
+(* Greedy.run ~k:2 on weighted_connected_gnp n = 200, degree 8,
+   max_w = 100 (seed 1): an unbudgeted point-to-point Dijkstra with O(n)
+   fresh arrays per edge allocated 1.39 M minor and 1.5 k direct-major
+   words; budgeted searches on the per-domain scratch allocate 9.1 k minor
+   and the same 1.5 k direct-major words (the edge order and the mask). *)
+let greedy_alloc_gate () =
+  let g =
+    Generators.weighted_connected_gnp ~rng:(Rng.create 1) ~n:200
+      ~avg_degree:8.0 ~max_w:100
+  in
+  let run () = Greedy.run ~k:2 g in
+  ignore (run ());
+  let _, w = alloc_words run in
+  check_words "Greedy.run" ~ceiling:100_000. (total_words w)
+
 let suite =
   suite
   @ [
@@ -1036,4 +1071,8 @@ let suite =
         ultra_retry_alloc_gate;
       case "sf: iterations = ceil log2 t" sf_iterations;
       sf_resume_matches_fresh;
+      greedy_keeps_girth_tight_graphs;
+      case "Stretch.max_edge_stretch: words under the ceiling"
+        stretch_alloc_gate;
+      case "Greedy.run: words under the ceiling" greedy_alloc_gate;
     ]
