@@ -26,6 +26,8 @@
 #               must reproduce the sequential artifacts byte-for-byte
 #   stream      an emitted update stream replays through the repair engine
 #               recertified (default, local and probe recertification),
+#               a generated G(n,p) stream replays under local
+#               recertification with a Thurimella certificate,
 #               and rerunning D1 from the same seed reproduces its artifact
 #               byte-for-byte
 #   xfail       negative control: a deliberately violated bound must fail
@@ -142,6 +144,11 @@ stage_stream() {
     --family torus -n 64 --seed 9 --verify local >/dev/null
   dune exec bin/ultraspan_cli.exe -- stream --replay "$tmp/stream.txt" \
     --family torus -n 64 --seed 9 --verify probe >/dev/null
+  # the torus spanner keeps every initial edge; on this G(n,p) it drops
+  # some, so detour walks are routed, and the Thurimella certificate runs
+  # the forest checker too
+  dune exec bin/ultraspan_cli.exe -- stream --replay - --family gnp -n 128 \
+    --degree 16 --seed 9 --verify local --cert thurimella >/dev/null
   ensure_ref_artifacts
   dune exec bench/main.exe -- --quick --table d1 \
     --artifacts "$tmp/d1-replay" >/dev/null

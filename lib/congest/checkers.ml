@@ -11,12 +11,17 @@ let all_accept v = Array.for_all (fun b -> b) v.accept
    spanner-path weight accumulated up to it.  The path has at most 2k
    vertices (enforced at launch), so a token is at most [2k + 3] words. *)
 
+(* The pending (arc to the next hop, token) pairs are a FIFO queue:
+   [sp_front] in order, then [sp_back] newest first. *)
 type sp_state = {
   sp_ok : bool;
-  sp_pending : (int * int array) list;  (* (arc to the next hop, token), FIFO *)
+  sp_front : (int * int array) list;
+  sp_back : (int * int array) list;
 }
 
+let sp_idle = { sp_ok = true; sp_front = []; sp_back = [] }
 let sp_check_failed st = { st with sp_ok = false }
+let sp_push st x = { st with sp_back = x :: st.sp_back }
 
 (* [me]'s arc to [u] when their edge is a spanner edge, else -1. *)
 let kept_arc g ~keep me u =
@@ -26,20 +31,21 @@ let kept_arc g ~keep me u =
 (* Send at most one pending token per arc (CONGEST: one message per edge
    per round); the rest stay queued in order. *)
 let sp_emit mb st =
-  let sent = Hashtbl.create 8 in
-  let kept =
-    List.fold_left
-      (fun kept (arc, tok) ->
-        if Hashtbl.mem sent arc then (arc, tok) :: kept
-        else begin
-          Hashtbl.add sent arc ();
-          Network.send mb ~arc tok;
-          kept
-        end)
-      [] st.sp_pending
-  in
-  (* halt only when nothing is left to push next round *)
-  ({ st with sp_pending = List.rev kept }, kept = [])
+  match (st.sp_front, st.sp_back) with
+  | [], [] -> (st, true)
+  | front, back ->
+      let rec go sent kept = function
+        | [] -> List.rev kept
+        | ((arc, tok) as x) :: rest ->
+            if List.mem arc sent then go sent (x :: kept) rest
+            else begin
+              Network.send mb ~arc tok;
+              go (arc :: sent) kept rest
+            end
+      in
+      let kept = go [] [] (front @ List.rev back) in
+      (* halt only when nothing is left to push next round *)
+      ({ st with sp_front = kept; sp_back = [] }, kept = [])
 
 let sp_launch g ~keep ~k ~detour me =
   let bound_hops = (2 * k) - 1 in
@@ -58,12 +64,12 @@ let sp_launch g ~keep ~k ~detour me =
             tok.(1) <- 1;
             tok.(2) <- Graph.weight g (Graph.csr g).eid.(a1);
             Array.blit p 0 tok 3 len;
-            { st with sp_pending = st.sp_pending @ [ (a1, tok) ] }
+            sp_push st (a1, tok)
           end
           else sp_check_failed st
       end
       else st)
-    { sp_ok = true; sp_pending = [] }
+    sp_idle
 
 let sp_receive g ~keep ~k ~detour me st tok =
   let eid = tok.(0) and idx = tok.(1) and acc = tok.(2) in
@@ -98,7 +104,7 @@ let sp_receive g ~keep ~k ~detour me st tok =
     if a >= 0 then begin
       tok.(1) <- idx + 1;
       tok.(2) <- acc + Graph.weight g (Graph.csr g).eid.(a);
-      { st with sp_pending = st.sp_pending @ [ (a, tok) ] }
+      sp_push st (a, tok)
     end
     else sp_check_failed st
   end
@@ -111,7 +117,7 @@ let spanner ?engine ?jobs ?metrics g ~keep ~k ~detour =
     invalid_arg "Checkers.spanner: detour length mismatch";
   let program =
     {
-      Network.init = (fun _ _ -> { sp_ok = true; sp_pending = [] });
+      Network.init = (fun _ _ -> sp_idle);
       round =
         (fun g ~round ~me st mb ->
           let st =

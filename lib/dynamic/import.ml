@@ -6,6 +6,7 @@ module Connectivity = Ultraspan_graph.Connectivity
 module Stretch = Ultraspan_graph.Stretch
 module Dijkstra = Ultraspan_graph.Dijkstra
 module Faults = Ultraspan_congest.Faults
+module Rounds = Ultraspan_congest.Rounds
 module Spanner = Ultraspan_spanner.Spanner
 module Bs_derand = Ultraspan_spanner.Bs_derand
 module Greedy = Ultraspan_spanner.Greedy

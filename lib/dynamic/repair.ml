@@ -351,9 +351,7 @@ let apply_stream t stream =
    certified bound on accept and [infinity] on reject. *)
 let recertify_local t =
   let alpha = float_of_int ((2 * t.cfg.k) - 1) in
-  let sp =
-    Spanner.of_eids t.g (indices (Array.length t.keep) (Array.get t.keep))
-  in
+  let sp = { Spanner.keep = t.keep; rounds = Rounds.create () } in
   let v = Verify.spanner ~jobs:t.cfg.jobs ~mode:Verify.Local ~k:t.cfg.k t.g sp in
   let sp_ok = v.Verify.ok in
   let cert_ok =

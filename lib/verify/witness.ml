@@ -2,99 +2,121 @@ open! Import
 
 type spanner_witness = { k : int; detour : int array array; missing : int }
 
-(* Hop-bounded, budget-pruned shortest paths inside the spanner subgraph.
-   [dist.(h*n + v)] is the least weight of an explored path from the
-   source to [v] with at most [h] hops that was *improved at layer h*;
-   the true <=h-hop optimum is the min over layers [0..h].  [par] records
-   the predecessor of each explicit entry, so backtracking from an
-   argmin layer walks a path with exactly that many hops.  Arrays are
-   sized once and reset through [touched] between sources. *)
+(* Hop-bounded, budget-pruned shortest paths inside the spanner subgraph,
+   one layered search per source [u] that has non-spanner edges to
+   higher neighbours (its targets).  Layer [h] relaxes the kept arcs of
+   the layer-[h-1] frontier and writes only layer [h]: [par.(h*n + v)]
+   is the predecessor of [v]'s layer-[h] entry.  A relaxation needs a
+   strict improvement on [best.(v)], the least weight over layers
+   [0..h], so the last layer set is the unique arg-min (fewest hops on
+   ties) and [besth.(v)] records it; backtracking [par] from there walks
+   a path with exactly that many hops.  Frontiers are int arrays with a
+   snapshot of their layer distances, walked in reverse insertion order.
+
+   Early stop: every later candidate weighs at least [lo], the least
+   distance on the next frontier (weights are non-negative), so once
+   [best.(v) <= lo] for every target no target is set again.  Completed
+   layers' [par] entries are never rewritten, so each target's path and
+   the [missing] count equal those of the full [2k-1] layers. *)
 let spanner g ~k sp =
   if k < 1 then invalid_arg "Witness.spanner: k >= 1";
   let n = Graph.n g and m = Graph.m g in
   let keep = sp.Spanner.keep in
   if Array.length keep <> m then
     invalid_arg "Witness.spanner: keep length mismatch";
+  let { Graph.off; dst; eid; _ } = Graph.csr g in
   let hmax = (2 * k) - 1 in
   let inf = max_int in
-  let layers = hmax + 1 in
-  let dist = Array.make (layers * n) inf in
-  let par = Array.make (layers * n) (-1) in
-  let touched = ref [] in
+  let best = Array.make n inf and besth = Array.make n 0 in
+  let par = Array.make ((hmax + 1) * n) (-1) in
+  let touched = Array.make n 0 and ntouched = ref 0 in
+  let fv = ref (Array.make n 0) and nv = ref (Array.make n 0) in
+  let fd = Array.make n 0 in
   let set h v d p =
-    let i = (h * n) + v in
-    if dist.(i) = inf then touched := i :: !touched;
-    dist.(i) <- d;
-    par.(i) <- p
+    if best.(v) = inf then begin
+      touched.(!ntouched) <- v;
+      incr ntouched
+    end;
+    best.(v) <- d;
+    besth.(v) <- h;
+    par.((h * n) + v) <- p
   in
-  let get h v = dist.((h * n) + v) in
-  let best_upto h v =
-    (* min over layers 0..h, preferring the fewest hops on ties *)
-    let bd = ref inf and bh = ref (-1) in
-    for h' = 0 to h do
-      let d = get h' v in
-      if d < !bd then begin
-        bd := d;
-        bh := h'
-      end
+  (* every target [v] of [u] has [best.(v) <= lo] *)
+  let settled u lo =
+    let ok = ref true and a = ref off.(u) in
+    while !ok && !a < off.(u + 1) do
+      let v = dst.(!a) in
+      if u < v && (not keep.(eid.(!a))) && best.(v) > lo then ok := false;
+      incr a
     done;
-    (!bd, !bh)
+    !ok
   in
   let detour = Array.make m [||] in
   let missing = ref 0 in
   for u = 0 to n - 1 do
-    let targets =
-      Graph.fold_adj g u
-        (fun acc v eid ->
-          if u < v && not keep.(eid) then (v, eid) :: acc else acc)
-        []
-    in
-    if targets <> [] then begin
-      let budget =
-        List.fold_left
-          (fun b (_, eid) -> max b (hmax * Graph.weight g eid))
-          0 targets
-      in
+    let budget = ref (-1) in
+    for a = off.(u) to off.(u + 1) - 1 do
+      let e = eid.(a) in
+      if u < dst.(a) && not keep.(e) then
+        budget := max !budget (hmax * Graph.weight g e)
+    done;
+    let budget = !budget in
+    if budget >= 0 then begin
       set 0 u 0 (-1);
-      let frontier = ref [ u ] in
-      for h = 1 to hmax do
-        let next = ref [] in
-        List.iter
-          (fun v ->
-            let dv = get (h - 1) v in
-            Graph.iter_adj g v (fun v' eid ->
-                if keep.(eid) then begin
-                  let nd = dv + Graph.weight g eid in
-                  let cur, _ = best_upto h v' in
-                  if nd <= budget && nd < cur then begin
-                    if get h v' = inf then next := v' :: !next;
-                    set h v' nd v
-                  end
-                end))
-          (List.rev !frontier);
-        frontier := List.rev !next
+      !fv.(0) <- u;
+      fd.(0) <- 0;
+      let fn = ref 1 and h = ref 1 in
+      while !h <= hmax do
+        let fv' = !fv and nv' = !nv in
+        let nn = ref 0 in
+        for i = !fn - 1 downto 0 do
+          let v = fv'.(i) and dv = fd.(i) in
+          for a = off.(v) to off.(v + 1) - 1 do
+            let e = eid.(a) in
+            if keep.(e) then begin
+              let x = dst.(a) and d = dv + Graph.weight g e in
+              if d <= budget && d < best.(x) then begin
+                if best.(x) = inf || besth.(x) <> !h then begin
+                  nv'.(!nn) <- x;
+                  incr nn
+                end;
+                set !h x d v
+              end
+            end
+          done
+        done;
+        (* the layer is done: [fd] now snapshots the next frontier *)
+        let lo = ref inf in
+        for i = 0 to !nn - 1 do
+          let d = best.(nv'.(i)) in
+          fd.(i) <- d;
+          if d < !lo then lo := d
+        done;
+        fv := nv';
+        nv := fv';
+        fn := !nn;
+        h := if settled u !lo then hmax + 1 else !h + 1
       done;
-      List.iter
-        (fun (v, eid) ->
-          let d, h = best_upto hmax v in
-          if d <= hmax * Graph.weight g eid then begin
-            let path = Array.make (h + 1) 0 in
-            let cur = ref v and hh = ref h in
-            while !hh >= 0 do
-              path.(!hh) <- !cur;
-              cur := par.((!hh * n) + !cur);
-              decr hh
+      for a = off.(u) to off.(u + 1) - 1 do
+        let v = dst.(a) and e = eid.(a) in
+        if u < v && not keep.(e) then begin
+          if best.(v) <= hmax * Graph.weight g e then begin
+            let hv = besth.(v) in
+            let path = Array.make (hv + 1) 0 in
+            let cur = ref v in
+            for hh = hv downto 0 do
+              path.(hh) <- !cur;
+              cur := par.((hh * n) + !cur)
             done;
-            detour.(eid) <- path
+            detour.(e) <- path
           end
-          else incr missing)
-        (List.rev targets);
-      List.iter
-        (fun i ->
-          dist.(i) <- inf;
-          par.(i) <- -1)
-        !touched;
-      touched := []
+          else incr missing
+        end
+      done;
+      for i = 0 to !ntouched - 1 do
+        best.(touched.(i)) <- inf
+      done;
+      ntouched := 0
     end
   done;
   { k; detour; missing = !missing }

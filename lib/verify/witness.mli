@@ -30,8 +30,20 @@ type spanner_witness = {
 val spanner : Graph.t -> k:int -> Spanner.t -> spanner_witness
 (** Build detour witnesses by hop-bounded shortest-path search ([<= 2k-1]
     layers of budget-pruned relaxation) inside the spanner subgraph, one
-    search per canonical endpoint with early exit once its non-spanner
-    edges are settled.
+    search from the lower endpoint [u] of each vertex's non-spanner
+    edges.  The path recorded for an edge is its least-weight path of at
+    most [2k-1] hops, with the fewest hops on ties.
+
+    {b Early stop.}  After layer [h] the search stops when every target
+    [v] of [u] has a best distance no larger than the least distance on
+    the layer-[h] frontier.  This is exact: weights are non-negative, so
+    every later relaxation offers at least that least distance, and an
+    entry is only replaced by a strictly smaller one; the layers already
+    completed are never rewritten, so each target's path and the
+    [missing] count are those of the full [2k-1] layers.  Cost per
+    source: at most [2k-1] layers, each relaxing the kept arcs of its
+    frontier plus an O(deg u) stop test; scratch arrays are allocated
+    once per call.
 
     {b Scope.}  The paper's cluster-based constructions (Baswana–Sen and
     its derandomization, the linear-size and ultra-sparse spanners)

@@ -624,6 +624,71 @@ let pin_digest () =
 let outputs_match_pin () =
   Alcotest.(check string) "engine output digest" pin_expected (pin_digest ())
 
+(* [`Local] recertification (witness + CONGEST checkers) against the
+   ground truth: after every batch of a seeded stream, with and without a
+   Thurimella certificate and at jobs 1 and 2, both modes reach the same
+   verdicts.  Unit weights only: there every valid (2k-1)-spanner has
+   hop-bounded detours, while a weighted repair's detours are bounded in
+   weight alone (see [Witness.spanner]'s scope note). *)
+let local_recertify_matches_exact =
+  qcheck ~count:8 "recertify: `Local verdicts = `Exact verdicts" seed_gen
+    (fun seed ->
+      let k = 2 + (seed mod 2) in
+      let g =
+        if seed mod 2 = 0 then unit_graph_of_seed ~n_max:60 seed
+        else k_connected_graph ~n:40 ~k:4 seed
+      in
+      let s = stream_of_seed ~batches:4 ~ops:8 g seed in
+      List.for_all
+        (fun (cert, jobs) ->
+          let cfg = { (Repair.defaults ~k) with Repair.cert; jobs } in
+          let local = Repair.create { cfg with Repair.recert = `Local } g in
+          let exact = Repair.create cfg g in
+          List.for_all
+            (fun b ->
+              ignore (Repair.apply_batch local b);
+              ignore (Repair.apply_batch exact b);
+              let vl = Repair.recertify local in
+              let ve = Repair.recertify ~rng:(Rng.create seed) ~budget:20 exact in
+              Repair.spanner local = Repair.spanner exact
+              && vl.Repair.stretch_ok = ve.Repair.stretch_ok
+              && vl.Repair.spanning = ve.Repair.spanning
+              && vl.Repair.cert_ok = ve.Repair.cert_ok)
+            s.Update_stream.batches)
+        [
+          (None, 1);
+          (None, 2);
+          (Some (Repair.Thurimella, 2), 1);
+          (Some (Repair.Thurimella, 2), 2);
+        ])
+
+(* Allocation gate for [`Local] recertification, independent of core
+   count and timing (total words: minor plus direct-major).  The instance
+   is a perfbench churn unit: connected_gnp n = 512, degree 8, k = 3,
+   after one 16-op batch; the warm-up call grows the message plane.  A
+   layered witness search with list frontiers and tuple results per
+   relaxation, a hash table per node per checker round, list appends for
+   the pending walk tokens and a list round trip for the mask allocated
+   310.9 k minor and 11.8 k direct-major words; the array kernel, the
+   token queue and the mask passed as it is allocate 21.0 k minor and
+   10.3 k direct-major words. *)
+let recertify_local_alloc_gate () =
+  let g =
+    Generators.connected_gnp ~rng:(Rng.create 5) ~n:512 ~avg_degree:8.0
+  in
+  let eng =
+    Repair.create
+      { (Repair.defaults ~k:3) with Repair.jobs = 1; recert = `Local }
+      g
+  in
+  let s = Update_stream.generate ~rng:(Rng.create 6) ~batches:1 ~ops:16 g in
+  List.iter (fun b -> ignore (Repair.apply_batch eng b)) s.Update_stream.batches;
+  let run () = Repair.recertify eng in
+  ignore (run ());
+  let v, w = alloc_words run in
+  Alcotest.(check bool) "accepts" true v.Repair.stretch_ok;
+  check_words "Repair.recertify (`Local)" ~ceiling:100_000. (total_words w)
+
 let suite =
   [
     round_trip_is_identity;
@@ -654,4 +719,7 @@ let suite =
     cert_preserved_under_streams;
     case "cert: fault plan replays recertified" fault_plan_replays_recertified;
     slow_case "cert: kecss degrades gracefully" kecss_cert_degrades_gracefully;
+    local_recertify_matches_exact;
+    case "Repair.recertify (`Local): words under the ceiling"
+      recertify_local_alloc_gate;
   ]

@@ -174,6 +174,264 @@ let checker_validates_inputs () =
         (Checkers.spanner g ~keep:bad_len ~k:2
            ~detour:(Array.make (Graph.m g) [||])))
 
+(* ---------- the list-based layered search, kept as a differential oracle ---------- *)
+
+(* [Witness.spanner]'s hop-bounded search as first written: one
+   [dist]/[par] entry per (layer, vertex), an O(h) scan over the layers
+   for the best entry on every relaxation, list frontiers walked in
+   reverse insertion order, and all [2k-1] layers for every source. *)
+module Reference = struct
+  let spanner g ~k keep =
+    let n = Graph.n g and m = Graph.m g in
+    let hmax = (2 * k) - 1 in
+    let inf = max_int in
+    let dist = Array.make ((hmax + 1) * n) inf in
+    let par = Array.make ((hmax + 1) * n) (-1) in
+    let touched = ref [] in
+    let set h v d p =
+      let i = (h * n) + v in
+      if dist.(i) = inf then touched := i :: !touched;
+      dist.(i) <- d;
+      par.(i) <- p
+    in
+    let get h v = dist.((h * n) + v) in
+    let best_upto h v =
+      let bd = ref inf and bh = ref (-1) in
+      for h' = 0 to h do
+        let d = get h' v in
+        if d < !bd then begin
+          bd := d;
+          bh := h'
+        end
+      done;
+      (!bd, !bh)
+    in
+    let detour = Array.make m [||] in
+    let missing = ref 0 in
+    for u = 0 to n - 1 do
+      let targets =
+        Graph.fold_adj g u
+          (fun acc v eid ->
+            if u < v && not keep.(eid) then (v, eid) :: acc else acc)
+          []
+      in
+      if targets <> [] then begin
+        let budget =
+          List.fold_left
+            (fun b (_, eid) -> max b (hmax * Graph.weight g eid))
+            0 targets
+        in
+        set 0 u 0 (-1);
+        let frontier = ref [ u ] in
+        for h = 1 to hmax do
+          let next = ref [] in
+          List.iter
+            (fun v ->
+              let dv = get (h - 1) v in
+              Graph.iter_adj g v (fun v' eid ->
+                  if keep.(eid) then begin
+                    let nd = dv + Graph.weight g eid in
+                    let cur, _ = best_upto h v' in
+                    if nd <= budget && nd < cur then begin
+                      if get h v' = inf then next := v' :: !next;
+                      set h v' nd v
+                    end
+                  end))
+            (List.rev !frontier);
+          frontier := List.rev !next
+        done;
+        List.iter
+          (fun (v, eid) ->
+            let d, h = best_upto hmax v in
+            if d <= hmax * Graph.weight g eid then begin
+              let path = Array.make (h + 1) 0 in
+              let cur = ref v and hh = ref h in
+              while !hh >= 0 do
+                path.(!hh) <- !cur;
+                cur := par.((!hh * n) + !cur);
+                decr hh
+              done;
+              detour.(eid) <- path
+            end
+            else incr missing)
+          (List.rev targets);
+        List.iter
+          (fun i ->
+            dist.(i) <- inf;
+            par.(i) <- -1)
+          !touched;
+        touched := []
+      end
+    done;
+    (detour, !missing)
+end
+
+(* Each edge kept with probability [p]: low [p] leaves detours missing. *)
+let random_mask ~rng ~p g =
+  Array.init (Graph.m g) (fun _ -> Rng.float rng 1.0 < p)
+
+let sp_of_mask keep = { Spanner.keep; rounds = Rounds.create () }
+
+let witness_matches_oracle =
+  qcheck ~count:60 "witness == list-based layered search" seed_gen
+    (fun seed ->
+      let k = 1 + (seed mod 5) in
+      let g =
+        if seed / 5 mod 2 = 0 then unit_graph_of_seed ~n_max:80 seed
+        else graph_of_seed ~n_max:80 ~max_w:1000 seed
+      in
+      let rng = Rng.create (seed + 7) in
+      List.for_all
+        (fun keep ->
+          let w = Witness.spanner g ~k (sp_of_mask keep) in
+          let detour, missing = Reference.spanner g ~k keep in
+          w.Witness.missing = missing && w.Witness.detour = detour)
+        [
+          (sp_of g k).Spanner.keep;
+          random_mask ~rng ~p:(0.3 +. Rng.float rng 0.65) g;
+        ])
+
+(* ---------- output pins for the witness and the walk checker ---------- *)
+
+(* Seeded unit-weight and weighted (1..1000) G(n,p), k = 1..4, with the
+   Bs_derand spanner and a random mask (keep probability 0.4, 0.7 or
+   0.9) as the claimed spanner. *)
+let pin_cases =
+  lazy
+    (List.concat_map
+       (fun seed ->
+         List.concat_map
+           (fun k ->
+             List.concat_map
+               (fun (wname, g) ->
+                 let rng = Rng.create ((97 * seed) + k) in
+                 let p = [| 0.4; 0.7; 0.9 |].(seed mod 3) in
+                 [
+                   (Printf.sprintf "%s s=%d k=%d bs" wname seed k, g, k,
+                    (sp_of g k).Spanner.keep);
+                   (Printf.sprintf "%s s=%d k=%d p=%.1f" wname seed k p, g, k,
+                    random_mask ~rng ~p g);
+                 ])
+               [
+                 ("unit", unit_graph_of_seed ~n_max:60 seed);
+                 ("weighted", graph_of_seed ~n_max:60 ~max_w:1000 seed);
+               ])
+           [ 1; 2; 3; 4 ])
+       (List.init 12 (fun i -> i + 1)))
+
+let path_string p =
+  String.concat "," (Array.to_list (Array.map string_of_int p))
+
+(* One MD5 over every case's [missing] and non-empty detours, recorded
+   with the list-based search ([Reference]) as [Witness.spanner]. *)
+let witness_pin_expected = "b00171f7f820b4e184b9da1476808814"
+
+let witness_output_pin () =
+  let buf = Buffer.create (1 lsl 16) in
+  let missing = ref 0 in
+  List.iter
+    (fun (name, g, k, keep) ->
+      let w = Witness.spanner g ~k (sp_of_mask keep) in
+      missing := !missing + w.Witness.missing;
+      Buffer.add_string buf
+        (Printf.sprintf "%s missing=%d\n" name w.Witness.missing);
+      Array.iteri
+        (fun e p ->
+          if p <> [||] then
+            Buffer.add_string buf (Printf.sprintf "%d:%s\n" e (path_string p)))
+        w.Witness.detour)
+    (Lazy.force pin_cases);
+  Alcotest.(check bool) "some detours missing" true (!missing > 0);
+  Alcotest.(check string) "witness digest" witness_pin_expected
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Corruptions of one detour (chosen by [rng] among the non-empty ones):
+   an interior vertex moved, the path reversed, the last hop cut off,
+   and a spanner edge of the path dropped from the claimed mask. *)
+let corrupted_inputs ~rng g keep detour =
+  let with_detours =
+    List.filter (fun e -> detour.(e) <> [||]) (List.init (Graph.m g) Fun.id)
+  in
+  match with_detours with
+  | [] -> []
+  | es ->
+      let e = List.nth es (Rng.int rng (List.length es)) in
+      let p = detour.(e) in
+      let len = Array.length p in
+      let edit f =
+        let d = Array.copy detour in
+        d.(e) <- f (Array.copy p);
+        (keep, d)
+      in
+      let moved =
+        edit (fun q ->
+            if len > 2 then q.(1) <- (q.(1) + 1) mod Graph.n g;
+            q)
+      in
+      let reversed =
+        edit (fun q -> Array.init len (fun i -> q.(len - 1 - i)))
+      in
+      let cut = edit (fun q -> Array.sub q 0 (len - 1)) in
+      let dropped =
+        let keep' = Array.copy keep in
+        (match Graph.find_edge g p.(0) p.(1) with
+        | Some a -> keep'.(a) <- false
+        | None -> ());
+        (keep', detour)
+      in
+      [ moved; reversed; cut; dropped ]
+
+(* One MD5 over [Checkers.spanner]'s accept arrays and stats on every
+   pin case, with the intact witness and the four corruptions. *)
+let checker_pin_expected = "a8c187c3564699a49ed8f4ea8d82943e"
+
+let checker_output_pin () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (name, g, k, keep) ->
+      let w = Witness.spanner g ~k (sp_of_mask keep) in
+      let rng = Rng.create (Hashtbl.hash name) in
+      List.iteri
+        (fun i (keep, detour) ->
+          let cv = Checkers.spanner g ~keep ~k ~detour in
+          let s = cv.Checkers.stats in
+          Buffer.add_string buf
+            (Printf.sprintf "%s #%d %s %d/%d/%d/%d\n" name i
+               (String.init (Array.length cv.Checkers.accept) (fun v ->
+                    if cv.Checkers.accept.(v) then '1' else '0'))
+               s.Network.rounds s.messages s.max_words s.wakeups))
+        ((keep, w.Witness.detour)
+        :: corrupted_inputs ~rng g keep w.Witness.detour))
+    (Lazy.force pin_cases);
+  Alcotest.(check string) "checker digest" checker_pin_expected
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Worst case for the search: the greedy (2k-1)-spanner of a seeded
+   G(n,p) has girth > 2k, so once one of its edges is cleared from the
+   mask the other paths between its endpoints all have >= 2k hops.  The
+   witness must report exactly that edge missing and the checker must
+   reject, with unit weights and with weights. *)
+let girth_tight_minus_one_edge =
+  qcheck ~count:10 "girth > 2k minus one edge: one detour missing, rejected"
+    seed_gen (fun seed ->
+      List.for_all
+        (fun (k, g0) ->
+          let g = Graph.sub_by_eids g0 (Greedy.run ~k g0).Spanner.keep in
+          let m = Graph.m g in
+          let keep = Array.make m true in
+          keep.(seed mod m) <- false;
+          let w = Witness.spanner g ~k (sp_of_mask keep) in
+          let cv = Checkers.spanner g ~keep ~k ~detour:w.Witness.detour in
+          Greedy.girth_exceeds g (Array.make m true) (2 * k)
+          && w.Witness.missing = 1
+          && not (Checkers.all_accept cv))
+        [
+          (2, unit_graph_of_seed ~n_max:80 seed);
+          (3, unit_graph_of_seed ~n_max:80 seed);
+          (2, graph_of_seed ~n_max:80 seed);
+          (3, graph_of_seed ~n_max:80 seed);
+        ])
+
 let suite =
   [
     unweighted_accepts;
@@ -193,4 +451,8 @@ let suite =
     case "local fallback on non-peeling certificate"
       local_fallback_on_non_peeling;
     case "checker input validation" checker_validates_inputs;
+    witness_matches_oracle;
+    case "witness outputs match the pin" witness_output_pin;
+    case "walk checker outputs match the pin" checker_output_pin;
+    girth_tight_minus_one_edge;
   ]
