@@ -27,7 +27,8 @@
 #   stream      an emitted update stream replays through the repair engine
 #               recertified (default, local and probe recertification),
 #               a generated G(n,p) stream replays under local
-#               recertification with a Thurimella certificate,
+#               recertification with a Thurimella certificate, and so
+#               does a weighted one (weights in [1, 8]) without one,
 #               and rerunning D1 from the same seed reproduces its artifact
 #               byte-for-byte
 #   xfail       negative control: a deliberately violated bound must fail
@@ -149,6 +150,10 @@ stage_stream() {
   # the forest checker too
   dune exec bin/ultraspan_cli.exe -- stream --replay - --family gnp -n 128 \
     --degree 16 --seed 9 --verify local --cert thurimella >/dev/null
+  # weights in [1, 8]: the repair engine's dirty balls take the weighted
+  # (per-source Dijkstra) branch of Dijkstra.balls
+  dune exec bin/ultraspan_cli.exe -- stream --replay - --family gnp -n 128 \
+    --degree 16 --max-weight 8 --seed 9 --verify local >/dev/null
   ensure_ref_artifacts
   dune exec bench/main.exe -- --quick --table d1 \
     --artifacts "$tmp/d1-replay" >/dev/null

@@ -16,7 +16,6 @@ module Kecss = Ultraspan_certificate.Kecss
 module Resilience = Ultraspan_certificate.Resilience
 module Util = Ultraspan_util
 module Rng = Ultraspan_util.Rng
-module Bitset = Ultraspan_util.Bitset
 module Parallel = Ultraspan_util.Parallel
 module Verify = Ultraspan_verify.Verify
 module Eps_far = Ultraspan_verify.Eps_far

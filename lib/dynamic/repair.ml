@@ -169,18 +169,31 @@ let apply_batch t batch =
   (* validates every op first: a bad batch raises before any state moves *)
   let g', map = Update_stream.merge g batch in
   let n = Graph.n g and m' = Graph.m g' in
-  let edges' = Graph.edges g' in
   let inserts =
     List.length
       (List.filter (function Update_stream.Insert _ -> true | _ -> false) batch)
   in
   let deletes = List.length batch - inserts in
   (* old edges the batch deleted (a re-inserted pair's edge is new), and
-     the new edges with no old preimage — the batch's insertions *)
-  let deleted = indices (Graph.m g) (fun e -> map.(e) < 0) in
-  let fresh = Array.make m' true in
-  Array.iter (fun e' -> if e' >= 0 then fresh.(e') <- false) map;
-  let inserted = indices m' (Array.get fresh) in
+     the new edges with no old preimage — the batch's insertions.  [map]
+     is increasing on the surviving edges (the merge keeps the canonical
+     order), so one walk down both id ranges finds both, in ascending
+     order. *)
+  let deleted, inserted =
+    let del = ref [] and ins = ref [] and e = ref (Graph.m g - 1) in
+    let skip_deleted () =
+      while !e >= 0 && map.(!e) < 0 do
+        del := !e :: !del;
+        decr e
+      done
+    in
+    for e' = m' - 1 downto 0 do
+      skip_deleted ();
+      if !e >= 0 && map.(!e) = e' then decr e else ins := e' :: !ins
+    done;
+    skip_deleted ();
+    (!del, !ins)
+  in
   let carry mask =
     let mask' = Array.make m' false in
     Array.iteri
@@ -197,35 +210,39 @@ let apply_batch t batch =
   let do_rebuild () = (build_spanner cfg g', rebuild_work, 0, 0, 0) in
   let do_repair () =
     let span' = carry t.keep in
-    (* one truncated Dijkstra in the *old* spanner per dirty vertex: any
-       edge whose bound-length witness crossed a deleted spanner edge has
-       both endpoints inside these balls (see repair.mli) *)
-    let maxw = Array.fold_left (fun acc e -> max acc e.Graph.w) 1 edges' in
-    let budget = k2 * maxw in
-    let dirty = Hashtbl.create 16 in
-    let in_ball = Bitset.create n in
-    let ball x =
-      match Hashtbl.find_opt dirty x with
-      | Some dist -> dist
-      | None ->
-          work := !work + Dijkstra.search ~keep:t.keep ~budget g x;
-          let dist = Array.make n Dijkstra.infinity in
-          Dijkstra.iter_reached (fun v d ->
-              incr work;
-              Bitset.add in_ball v;
-              dist.(v) <- d);
-          Hashtbl.replace dirty x dist;
-          dist
+    (* the dirty vertices are the removed spanner edges' endpoints, each
+       once; all their balls are one truncated search in the *old*
+       spanner: any edge whose bound-length witness crossed a deleted
+       spanner edge has both endpoints inside these balls (see
+       repair.mli) *)
+    let sources =
+      Array.fold_left
+        (fun acc e ->
+          let a, b = Graph.endpoints g e in
+          a :: b :: acc)
+        [] removed_ids
+      |> List.sort_uniq Int.compare |> Array.of_list
     in
-    let ra = Array.make removed [||] and rb = Array.make removed [||] in
-    Array.iteri
-      (fun i e ->
-        let a, b = Graph.endpoints g e in
-        ra.(i) <- ball a;
-        rb.(i) <- ball b)
-      removed_ids;
+    let n_dirty = Array.length sources in
+    (* offset of dirty vertex [x]'s distance row: its index in [sources] *)
+    let row x =
+      let lo = ref 0 and hi = ref (n_dirty - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if sources.(mid) < x then lo := mid + 1 else hi := mid
+      done;
+      !lo * n
+    in
+    let maxw =
+      Array.fold_left (fun acc e -> max acc e.Graph.w) 1 (Graph.edges g')
+    in
+    let { Dijkstra.dists; covered; work = ball_work } =
+      Dijkstra.balls ~keep:t.keep ~budget:(k2 * maxw) g sources
+    in
+    work := !work + ball_work;
+    let ra = Array.map (fun e -> row (fst (Graph.endpoints g e))) removed_ids
+    and rb = Array.map (fun e -> row (snd (Graph.endpoints g e))) removed_ids in
     let rw = Array.map (Graph.weight g) removed_ids in
-    let n_dirty = Hashtbl.length dirty in
     (* candidate filter: an edge of g' is suspect if some deleted spanner
        edge closes a bound-length detour between its endpoints.  Every
        distance outside the dirty balls is infinite, so the |D|-way detour
@@ -235,28 +252,28 @@ let apply_batch t batch =
     let suspects = ref [] in
     if removed > 0 then begin
       work := !work + m';
-      Array.iter
-        (fun { Graph.u = x; v = y; w; id } ->
-          if
-            Bitset.mem in_ball x && Bitset.mem in_ball y
-            && (not span'.(id))
-            && not fresh.(id)
-          then begin
+      (* the surviving old edges: an inserted edge is a candidate anyway *)
+      Array.iteri
+        (fun e { Graph.u = x; v = y; w; _ } ->
+          let id = map.(e) in
+          if id >= 0 && covered.(x) && covered.(y) && not t.keep.(e) then begin
             let bound = k2 * w in
             let hit = ref false and i = ref 0 in
             while (not !hit) && !i < removed do
               incr work;
               let da = ra.(!i) and db = rb.(!i) and w_ab = rw.(!i) in
+              let dax = dists.(da + x) and day = dists.(da + y)
+              and dbx = dists.(db + x) and dby = dists.(db + y) in
               hit :=
-                (da.(x) < Dijkstra.infinity && db.(y) < Dijkstra.infinity
-                && da.(x) + w_ab + db.(y) <= bound)
-                || (db.(x) < Dijkstra.infinity && da.(y) < Dijkstra.infinity
-                   && db.(x) + w_ab + da.(y) <= bound);
+                (dax < Dijkstra.infinity && dby < Dijkstra.infinity
+                && dax + w_ab + dby <= bound)
+                || (dbx < Dijkstra.infinity && day < Dijkstra.infinity
+                   && dbx + w_ab + day <= bound);
               incr i
             done;
             if !hit then suspects := id :: !suspects
           end)
-        edges';
+        (Graph.edges g);
       Metrics.add t.rm.rm_filtered (m' - List.length !suspects)
     end;
     let candidates = Array.of_list (List.rev_append !suspects inserted) in

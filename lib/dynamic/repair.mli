@@ -51,13 +51,20 @@ open! Import
     {!Update_stream.merge}, one merge of the batch's net edits into the
     canonical edge array that also yields the old-id to new-id map; both
     masks are carried through that map, so nothing is keyed by vertex
-    pairs.  The engine runs no search of its own: each dirty ball is one
-    budgeted {!Ultraspan_graph.Dijkstra.search}, and the candidate
-    re-check is {!Ultraspan_spanner.Greedy.pass}, the pass that builds the
-    greedy baseline, over the candidates.  The kernel scans arcs in
-    CSR order and its heap pops ties in a fixed order, and [work] adds up
-    the kept arcs it reports scanned, so the counter is a deterministic
-    function of the graph and the stream.
+    pairs.  The engine runs no search of its own.  All dirty balls of a
+    batch are one {!Ultraspan_graph.Dijkstra.balls} call over the
+    distinct dirty vertices: one bit-parallel breadth-first search when
+    every kept edge weighs 1, one budgeted
+    {!Ultraspan_graph.Dijkstra.search} per dirty vertex otherwise.  The
+    filter reads their distances from that kernel's per-domain scratch,
+    so a batch allocates no row per dirty vertex.  The candidate re-check
+    is {!Ultraspan_spanner.Greedy.pass}, the pass that builds the greedy
+    baseline, over the candidates.  [work] charges each ball the kept
+    arcs of its vertices plus one per vertex, which does not depend on
+    how the ball was searched, then the filter's checks and the arcs the
+    re-check's searches scan; those scan CSR arcs in order and pop heap
+    ties in a fixed order.  So the counter is a deterministic function of
+    the graph and the stream.
 
     {2 Recertified recovery}
 

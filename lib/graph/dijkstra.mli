@@ -4,10 +4,10 @@
     Every single-source search of the library runs here: the stretch
     checks ({!Stretch}), the greedy pass that builds the greedy baseline
     and re-checks the repair engine's candidates ([Greedy.pass]), the
-    repair engine's dirty balls and the all-pairs oracles ({!Apsp}).  A
-    spanner is given as an edge mask of the original graph, so the search
-    restricts itself to the kept edges without materializing the
-    subgraph.
+    all-pairs oracles ({!Apsp}) and the weighted branch of {!balls}, the
+    repair engine's dirty balls.  A spanner is given as an edge mask of
+    the original graph, so the search restricts itself to the kept edges
+    without materializing the subgraph.
 
     The search scans CSR arcs in order and keeps its scratch — distances,
     the list of reached vertices, target marks and a
@@ -60,3 +60,39 @@ val distances : ?keep:bool array -> Graph.t -> int -> int array
 val distance : ?keep:bool array -> Graph.t -> int -> int -> int
 (** Point-to-point distance; the search stops once the target is
     settled. *)
+
+(** {2 Many balls at once} *)
+
+type balls = {
+  dists : int array;
+      (** [dists.(i * Graph.n g + v)] is the distance from [sources.(i)]
+          to [v] within the budget, {!infinity} outside it *)
+  covered : bool array;  (** [covered.(v)]: [v] lies in some ball *)
+  work : int;
+      (** [Σ_i Σ_{v in ball i} (kept arcs of v + 1)]: what {!search} from
+          each source reports scanned plus the vertices it reached *)
+}
+
+val balls : ?keep:bool array -> budget:int -> Graph.t -> int array -> balls
+(** [balls ~budget g sources] computes, for every [i], the ball of
+    [sources.(i)]: the vertices at distance at most [budget] over the kept
+    edges, with their distances — exactly what [search ?keep ~budget g
+    sources.(i)] reaches.  A source given twice gets two equal rows and is
+    charged twice.
+
+    When every kept edge has weight 1 the balls come from one
+    multi-source bit-parallel breadth-first search (MS-BFS; Then et al.,
+    PVLDB 8(4), 2014): each vertex holds one word per [Sys.int_size - 1]
+    sources, a layer ORs the frontier's words across the kept arcs, and
+    the bits a vertex newly gains give those sources their hop distance.
+    Frontier lists keep the work proportional to the balls.  Otherwise
+    each ball is one {!search}.  Distances, balls and [work] do not depend
+    on the branch: a search without targets settles every vertex it
+    reaches and scans each one's kept arcs once, whatever its pop order.
+
+    [dists] and [covered] are the calling domain's scratch, grown to the
+    largest [Array.length sources * Graph.n g] it has needed (and may be
+    longer than that); they stay readable until the domain's next call.
+    A warmed-up call allocates a constant number of words.  Raises
+    [Invalid_argument] on a source out of range or a mask of the wrong
+    length. *)

@@ -328,8 +328,12 @@ let bad_ops_rejected_everywhere () =
    degree 8, 16 ops, k = 3), minor plus direct-major (major minus
    promoted), with a minor collection on both sides so the counters are
    exact.  The pair-table engine allocated 435k-686k words per batch here;
-   the array engine allocates about 40k (the new graph, its masks and one
-   distance row per dirty vertex).  The ceiling sits between the two. *)
+   the array engine with one distance row per dirty vertex 36.2k-41.8k.
+   Its dirty balls now share the domain's scratch of [Dijkstra.balls] and
+   the insertions come from a walk over the id map, not a mask, so a
+   batch allocates the new graph, the map and the spanner mask:
+   26.6k-30.7k words (19.4k direct-major), and 42.7k and 40.8k in the
+   first two batches while the scratch grows. *)
 let alloc_per_batch_bounded () =
   let g =
     Generators.connected_gnp ~rng:(Rng.create 5) ~n:512 ~avg_degree:8.0
@@ -343,7 +347,7 @@ let alloc_per_batch_bounded () =
       let o, w = alloc_words (fun () -> Repair.apply_batch eng b) in
       check_words
         (Printf.sprintf "batch %d" o.Repair.batch)
-        ~ceiling:100_000. (total_words w))
+        ~ceiling:60_000. (total_words w))
     s.Update_stream.batches
 
 (* A graph of girth > 2k is its own only (2k-1)-spanner: dropping any edge
@@ -624,6 +628,65 @@ let pin_digest () =
 let outputs_match_pin () =
   Alcotest.(check string) "engine output digest" pin_expected (pin_digest ())
 
+(* A second pin over longer seeded streams: every outcome record and the
+   spanner mask after each batch, then the [dynamic.repair.*] counters.
+   Unit-weight and weighted ([max_w] 8) G(n,p), plus a unit-weight graph
+   whose stream inserts weights up to 8 (the ball radius grows with the
+   heaviest edge), n = 400, k = 2..4, in 6 batches of 24 ops; one 160-op
+   deletion-heavy batch per run dirties 195-211 balls, more than two
+   62-source words.
+   [stream_pin_expected] was recorded while every dirty ball was still its
+   own budgeted Dijkstra. *)
+let stream_pin_expected = "7fc8b97c58914db6bc13e8162635febd"
+
+let stream_pin_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let gnp w seed =
+    Generators.weighted_connected_gnp ~rng:(Rng.create seed) ~n:400
+      ~avg_degree:8.0 ~max_w:w
+  in
+  List.iter
+    (fun (name, g, max_w) ->
+      List.iter
+        (fun k ->
+          Buffer.add_string buf (Printf.sprintf "== %s k=%d\n" name k);
+          let reg = Metrics.create () in
+          let eng =
+            Repair.create ~metrics:reg
+              { (Repair.defaults ~k) with Repair.jobs = 1 }
+              g
+          in
+          let stream =
+            Update_stream.generate ~rng:(Rng.create (17 * k)) ~batches:6
+              ~ops:24 ~max_w g
+          in
+          let heavy =
+            Update_stream.generate ~rng:(Rng.create (19 * k)) ~batches:1
+              ~ops:160 ~insert_frac:0.1 ~max_w
+              (Update_stream.apply_all g stream)
+          in
+          List.iter
+            (fun b ->
+              let o = Repair.apply_batch eng b in
+              Buffer.add_string buf
+                (Format.asprintf "%a\n" Repair.pp_outcome o);
+              Buffer.add_string buf (mask_string (Repair.spanner eng));
+              Buffer.add_char buf '\n')
+            (stream.Update_stream.batches @ heavy.Update_stream.batches);
+          Buffer.add_string buf
+            (Metrics.exposition ~strip:true (Metrics.snapshot reg)))
+        [ 2; 3; 4 ])
+    [
+      ("unit", gnp 1 61, 1);
+      ("unit+w8", gnp 1 62, 8);
+      ("w8", gnp 8 63, 8);
+    ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let outputs_match_stream_pin () =
+  Alcotest.(check string) "stream output digest" stream_pin_expected
+    (stream_pin_digest ())
+
 (* [`Local] recertification (witness + CONGEST checkers) against the
    ground truth: after every batch of a seeded stream, with and without a
    Thurimella certificate and at jobs 1 and 2, both modes reach the same
@@ -722,4 +785,5 @@ let suite =
     local_recertify_matches_exact;
     case "Repair.recertify (`Local): words under the ceiling"
       recertify_local_alloc_gate;
+    case "repair: stream outputs match the pin" outputs_match_stream_pin;
   ]

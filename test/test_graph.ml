@@ -926,3 +926,89 @@ let suite =
         sub_with_mapping_full_mask;
       dijkstra_budget_targets_match_fw;
     ]
+
+(* ---------- multi-source balls against per-source searches ---------- *)
+
+(* [Dijkstra.balls] against its oracle, one budgeted [Dijkstra.search]
+   per source read through [iter_reached]: the same distance rows, the
+   same union of balls and the same work charge (kept arcs scanned plus
+   vertices reached, summed over the sources).  Graphs: unit-weight
+   G(n,p), tori, graphs of girth > 2k (greedy (2k-1)-spanners of a
+   unit-weight G(n,p), built as [keeps_girth_tight_graphs] in
+   test_spanner.ml builds them: every ball of radius < k is a tree) and
+   weighted G(n,p) (the per-source branch); masks: none, empty or
+   random; radii 0..2k-1; 1, 62, 63 or 130 sources (one, one, two or
+   three words of 62 sources on a 64-bit host), the last a repeat of the
+   first. *)
+let balls_match_searches =
+  qcheck ~count:200 "dijkstra: balls == per-source searches" seed_gen
+    (fun seed ->
+      let rng = Rng.create (seed + 7) in
+      let k = 1 + Rng.int rng 4 in
+      let g =
+        match seed mod 4 with
+        | 0 -> unit_graph_of_seed ~n_max:90 seed
+        | 1 -> Generators.torus (3 + Rng.int rng 8) (3 + Rng.int rng 8)
+        | 2 ->
+            let g0 = unit_graph_of_seed ~n_max:80 seed in
+            Graph.sub_by_eids g0 (Greedy.run ~k g0).Spanner.keep
+        | _ -> graph_of_seed ~n_max:60 ~max_w:4 seed
+      in
+      let n = Graph.n g and m = Graph.m g in
+      let keep =
+        match Rng.int rng 3 with
+        | 0 -> None
+        | 1 -> Some (Array.make m false)
+        | _ -> Some (Array.init m (fun _ -> Rng.int rng 5 > 0))
+      in
+      let budget = Rng.int rng (2 * k) in
+      let ns = [| 1; 62; 63; 130 |].(Rng.int rng 4) in
+      let sources = Array.init ns (fun _ -> Rng.int rng n) in
+      sources.(ns - 1) <- sources.(0);
+      let b = Dijkstra.balls ?keep ~budget g sources in
+      let dists = Array.sub b.Dijkstra.dists 0 (ns * n)
+      and covered = Array.sub b.Dijkstra.covered 0 n in
+      let expect = Array.make (ns * n) Dijkstra.infinity
+      and union = Array.make n false
+      and work = ref 0 in
+      Array.iteri
+        (fun i s ->
+          work := !work + Dijkstra.search ?keep ~budget g s;
+          Dijkstra.iter_reached (fun v d ->
+              incr work;
+              union.(v) <- true;
+              expect.((i * n) + v) <- d))
+        sources;
+      dists = expect && covered = union && b.Dijkstra.work = !work)
+
+(* A warmed-up [Dijkstra.balls] call allocates a constant number of words
+   (the result record, the mask match and the range check's closure; 26
+   words with the measurement here), whatever n, the number of sources and
+   the branch: every array it writes is the domain's scratch, grown by the
+   first call. *)
+let balls_alloc_constant () =
+  List.iter
+    (fun (n, ns, max_w) ->
+      let g =
+        Generators.weighted_connected_gnp ~rng:(Rng.create n) ~n
+          ~avg_degree:8.0 ~max_w
+      in
+      let keep = Array.init (Graph.m g) (fun e -> e mod 7 <> 0) in
+      let sources = Array.init ns (fun i -> i * 7919 mod n) in
+      let run () = Dijkstra.balls ~keep ~budget:(5 * max_w) g sources in
+      ignore (run ());
+      let _, w = alloc_words run in
+      check_words
+        (Printf.sprintf "balls n=%d sources=%d max_w=%d" n ns max_w)
+        ~ceiling:64. (total_words w))
+    [
+      (256, 1, 1); (256, 130, 1); (2048, 1, 1); (2048, 130, 1);
+      (256, 1, 8); (256, 130, 8); (2048, 1, 8); (2048, 130, 8);
+    ]
+
+let suite =
+  suite
+  @ [
+      balls_match_searches;
+      case "dijkstra: warm balls allocate O(1) words" balls_alloc_constant;
+    ]
